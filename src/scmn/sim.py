@@ -22,6 +22,10 @@ from .gf2 import (
 
 ERASED = -1
 
+# Largest symbol width the decoder serves: a table has 3^m entries, and
+# building one matches all 3^m codes against the 2^d elements of V.
+DETECTOR_MAX_M = 8
+
 
 class DecodingFaultError(RuntimeError):
     """Internal decoding inconsistency; impossible on a correct run."""
@@ -57,35 +61,54 @@ def detector_messages(V: SubspaceBasis, incoming) -> list[int]:
 
 class DetectorTables:
     """Base-3 lookup tables per noise subspace: incoming message code to
-    outgoing code; -1 marks inputs inconsistent with the subspace."""
+    outgoing code; -1 marks inputs inconsistent with the subspace.
+
+    Digit t of a code is the message at position t: 0 or 1 for a known bit
+    of u, 2 for an erasure. A table gives what detector_messages gives, built
+    from erasure patterns: with E the erased inputs, output t is erased iff
+    some v in V with v_t = 1 has support inside E + {t}, and a known output
+    is bit t of any element of V matching the known inputs.
+    """
 
     def __init__(self, m: int):
+        if not 1 <= m <= DETECTOR_MAX_M:
+            raise ValueError(
+                f"the decoder's 3^m detector tables serve m in 1..{DETECTOR_MAX_M}, got m={m}"
+            )
         self.m = m
         self._cache: dict[tuple[int, ...], np.ndarray] = {}
+        self._pow3 = 3 ** np.arange(m, dtype=np.int64)
+        self._shift = np.arange(m, dtype=np.int64)
+        bit = np.int64(1) << self._shift
+        digits = (np.arange(3**m, dtype=np.int64)[:, None] // self._pow3) % 3
+        self._known = (digits != 2) @ bit  # per code: mask of known inputs
+        self._value = (digits == 1) @ bit  # per code: mask of known ones
+        self._pattern = (((1 << m) - 1) ^ self._known)[:, None]  # per code: E
+        # per erasure pattern E and output t: the positions outside E + {t}
+        self._outside = ~(np.arange(1 << m, dtype=np.int64)[:, None, None] | bit)
 
     def table(self, V: SubspaceBasis) -> np.ndarray:
         key = V.row_bits()
         tab = self._cache.get(key)
         if tab is None:
-            tab = self._build(V)
+            tab = self._build(key)
             self._cache[key] = tab
         return tab
 
-    def _build(self, V: SubspaceBasis) -> np.ndarray:
-        m = self.m
-        tab = np.empty(3**m, dtype=np.int64)
-        for code in range(3**m):
-            digits = [(code // 3**t) % 3 for t in range(m)]
-            incoming = [ERASED if d == 2 else d for d in digits]
-            try:
-                outs = detector_messages(V, incoming)
-            except DecodingFaultError:
-                tab[code] = -1
-                continue
-            tab[code] = sum(
-                (2 if o == ERASED else o) * 3**t for t, o in enumerate(outs)
-            )
-        return tab
+    def _build(self, rows: tuple[int, ...]) -> np.ndarray:
+        elems = np.zeros(1, dtype=np.int64)
+        for b in rows:
+            elems = np.concatenate([elems, elems ^ b])
+        # erased[E, t]: some v with v_t = 1 has no support outside E + {t}
+        v = elems[:, None]
+        hits = ((v & self._outside) == 0) & (((v >> self._shift) & 1) == 1)
+        erased = hits.any(axis=1)
+        match = (elems & self._known[:, None]) == self._value[:, None]
+        base = elems[match.argmax(axis=1)]
+        digits = np.where(
+            erased[self._pattern, self._shift], 2, (base[:, None] >> self._shift) & 1
+        )
+        return np.where(match.any(axis=1), digits @ self._pow3, -1)
 
 
 @dataclass(frozen=True)
@@ -175,6 +198,7 @@ def decode_trial(
     bit-to-check messages. This is the parallel schedule DE models.
     """
     m = family.m
+    tables = DetectorTables(m)  # rejects an m the tables cannot serve, before sampling
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     graph = sample_graph(params, M, m, rng)
     dist = dimension_distribution(family)
@@ -184,7 +208,6 @@ def decode_trial(
     used = np.unique(sub_idx)
     dense = np.zeros(int(used.max()) + 1, dtype=np.int64)
     dense[used] = np.arange(len(used))
-    tables = DetectorTables(m)
     tab_stack = np.stack([tables.table(subspaces[int(i)]) for i in used])
     sub_dense = dense[sub_idx]
 

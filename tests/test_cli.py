@@ -151,6 +151,19 @@ class TestSimulate:
         assert out == ""
         assert path.read_text().startswith("#")
 
+    def test_symbol_width_past_table_limit(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            [
+                "simulate", "--dl", "4", "--dr", "2", "--dg", "2",
+                "-L", "2", "-w", "2", "--channel", "cd", "-m", "9",
+                "-M", "18", "--eps-grid", "0.4", "--trials", "1",
+            ],
+        )
+        assert code == 2
+        assert "invalid-config" in err
+        assert "1..8" in err
+
 
 class TestArgErrors:
     def test_missing_subcommand(self):

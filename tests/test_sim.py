@@ -3,8 +3,9 @@ import pytest
 
 from scmn.channel import ChannelFamily, dimension_distribution
 from scmn.ensemble import EnsembleParams
-from scmn.gf2 import SubspaceBasis, enumerate_subspaces, rref_bits
+from scmn.gf2 import SubspaceBasis, enumerate_subspaces, rref_bits, sample_subspace
 from scmn.sim import (
+    DETECTOR_MAX_M,
     ERASED,
     DecodingFaultError,
     DetectorTables,
@@ -81,23 +82,35 @@ class TestDetector:
             assert detector_messages(V, incoming) == detector_oracle(V, incoming)
 
 
+def detector_code(V, code):
+    """Table entry for one base-3 input code, from direct detector calls."""
+    m = V.ambient
+    digits = [(code // 3**t) % 3 for t in range(m)]
+    incoming = [ERASED if d == 2 else d for d in digits]
+    try:
+        outs = detector_messages(V, incoming)
+    except DecodingFaultError:
+        return -1
+    return sum((2 if o == ERASED else o) * 3**t for t, o in enumerate(outs))
+
+
 class TestDetectorTables:
     def test_table_matches_direct_calls(self):
-        tables = DetectorTables(2)
-        for V in [SubspaceBasis.zero(2), rref_bits([0b11], 2), SubspaceBasis.full(2)]:
-            tab = tables.table(V)
-            for code in range(9):
-                digits = [(code // 3**t) % 3 for t in range(2)]
-                incoming = [ERASED if d == 2 else d for d in digits]
-                try:
-                    outs = detector_messages(V, incoming)
-                except DecodingFaultError:
-                    assert tab[code] == -1
-                    continue
-                expect = sum(
-                    (2 if o == ERASED else o) * 3**t for t, o in enumerate(outs)
-                )
-                assert tab[code] == expect
+        # seeded random subspaces of every dimension: three per dimension for
+        # m = 1..6, one for m = 7, plus the line span{11} at m = 2
+        rng = np.random.default_rng(2024)
+        for m in range(1, 8):
+            tables = DetectorTables(m)
+            subspaces = [
+                sample_subspace(m, d, rng)
+                for d in range(m + 1)
+                for _ in range(3 if m <= 6 else 1)
+            ]
+            if m == 2:
+                subspaces.append(rref_bits([0b11], 2))
+            for V in subspaces:
+                tab = tables.table(V)
+                assert tab.tolist() == [detector_code(V, c) for c in range(3**m)]
 
     def test_cache_reuse(self):
         tables = DetectorTables(2)
@@ -144,6 +157,11 @@ class TestDecodeTrial:
         assert len(r.q_erasure_trajectory) == r.iterations_to_stall + 1
         assert r.q_erasure_trajectory[0] == 1.0
 
+    def test_widest_symbol_decodes(self):
+        fam = ChannelFamily.concentrated(DETECTOR_MAX_M, 0.45)
+        r = decode_trial(P422, 2 * DETECTOR_MAX_M, fam, 0)
+        assert 0.0 <= r.bit_erasure_rate <= 1.0
+
     def test_divisibility_propagates(self):
         with pytest.raises(ValueError):
             decode_trial(P422, 7, ChannelFamily.concentrated(2, 0.4), 0)
@@ -166,6 +184,22 @@ class TestRunExperiment:
         large = run_experiment(P422, 480, "cd", 2, [0.55], 40, 17)[0]
         ratio = small.ber_std / large.ber_std
         assert 1.5 < ratio < 4.0
+
+    def test_rejects_symbol_width_past_table_limit(self):
+        with pytest.raises(ValueError, match=f"1..{DETECTOR_MAX_M}"):
+            run_experiment(P422, 18, "cd", DETECTOR_MAX_M + 1, [0.45], 1, 0)
+
+    def test_seeded_m6_trials_pinned(self):
+        # (BER, rounds to stall) of seeded m=6, M=48 trials at eps=0.45, as
+        # recorded from the per-call detector; a table rewrite keeps them exact
+        pins = {
+            0: (0.691468253968254, 34),
+            5: (0.8492063492063492, 8),
+            9: (0.7202380952380952, 28),
+        }
+        for seed, pinned in pins.items():
+            row = run_experiment(P422, 48, "cd", 6, [0.45], 1, seed)[0]
+            assert (row.ber_mean, len(row.q_trajectory_mean) - 1) == pinned
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
