@@ -66,17 +66,7 @@ class ChannelFamily:
     parameter: float
 
     def __post_init__(self) -> None:
-        if self.kind not in CHANNEL_KINDS:
-            raise ValueError(f"kind must be one of {CHANNEL_KINDS}, got {self.kind!r}")
-        if not 1 <= self.m <= 64:
-            raise ValueError(f"m must be in 1..64, got {self.m}")
-        if self.kind == "w":
-            if self.parameter != int(self.parameter) or not 0 <= self.parameter <= self.m:
-                raise ValueError(
-                    f"kind 'w' needs an integer dimension in 0..{self.m}, got {self.parameter}"
-                )
-        elif not 0.0 <= self.parameter <= 1.0:
-            raise ValueError(f"parameter must be in [0, 1], got {self.parameter}")
+        _check_channel(self.kind, self.m, self.parameter)
 
     @classmethod
     def fixed(cls, m: int, w: int) -> "ChannelFamily":
@@ -91,15 +81,31 @@ class ChannelFamily:
         return cls("bd", m, eps)
 
 
-def dimension_distribution(family: ChannelFamily) -> DimensionDistribution:
-    """Dimension law of the family: a point mass for "w", mass split between
-    floor(eps*m) and floor(eps*m)+1 for "cd", binomial(m, eps) for "bd"."""
-    m = family.m
+def _check_channel(kind: str, m: int, parameter: float) -> None:
+    if kind not in CHANNEL_KINDS:
+        raise ValueError(f"kind must be one of {CHANNEL_KINDS}, got {kind!r}")
+    if not 1 <= m <= 64:
+        raise ValueError(f"m must be in 1..64, got {m}")
+    if kind == "w":
+        if parameter != int(parameter) or not 0 <= parameter <= m:
+            raise ValueError(
+                f"kind 'w' needs an integer dimension in 0..{m}, got {parameter}"
+            )
+    elif not 0.0 <= parameter <= 1.0:
+        raise ValueError(f"parameter must be in [0, 1], got {parameter}")
+
+
+def dimension_law(kind: str, m: int, parameter: float) -> tuple[float, ...]:
+    """Probabilities p_0..p_m of the noise dimension: a point mass for "w",
+    mass split between floor(eps*m) and floor(eps*m)+1 for "cd", binomial(m,
+    eps) for "bd". Takes the same arguments as ChannelFamily and builds no
+    object, so a caller can scan the parameter cheaply."""
+    _check_channel(kind, m, parameter)
     p = [0.0] * (m + 1)
-    if family.kind == "w":
-        p[int(family.parameter)] = 1.0
-    elif family.kind == "cd":
-        x = family.parameter * m
+    if kind == "w":
+        p[int(parameter)] = 1.0
+    elif kind == "cd":
+        x = parameter * m
         d0 = int(math.floor(x))
         if d0 >= m:
             p[m] = 1.0
@@ -108,10 +114,16 @@ def dimension_distribution(family: ChannelFamily) -> DimensionDistribution:
             p[d0] = 1.0 - frac
             p[d0 + 1] = frac
     else:
-        eps = family.parameter
         for d in range(m + 1):
-            p[d] = math.comb(m, d) * eps**d * (1.0 - eps) ** (m - d)
-    return DimensionDistribution(m, tuple(p))
+            p[d] = math.comb(m, d) * parameter**d * (1.0 - parameter) ** (m - d)
+    return tuple(p)
+
+
+def dimension_distribution(family: ChannelFamily) -> DimensionDistribution:
+    """Dimension law of the family (see dimension_law)."""
+    return DimensionDistribution(
+        family.m, dimension_law(family.kind, family.m, family.parameter)
+    )
 
 
 def capacity(dist: DimensionDistribution) -> float:

@@ -122,7 +122,14 @@ def _cmd_threshold(args) -> int:
 
 def _cmd_exit_curve(args) -> int:
     params = _ensemble(args)
-    chis = np.arange(args.chi_max, args.chi_min - 0.5 * args.chi_step, -args.chi_step)
+    # Comparisons with NaN are false, so NaN is rejected too.
+    if not 0.0 < args.chi_min <= args.chi_max <= 1.0:
+        raise ValueError("need 0 < --chi-min <= --chi-max <= 1")
+    if not 0.0 < args.chi_step < float("inf"):
+        raise ValueError(f"--chi-step must be positive and finite, got {args.chi_step}")
+    # The stop sits just below chi_min, so chi_min reached with rounding error
+    # stays on the grid but no point falls below it (or to a drifted zero).
+    chis = np.arange(args.chi_max, args.chi_min - 1e-6 * args.chi_step, -args.chi_step)
     points = ebp_trace(params, args.channel, args.m, chis)
     config = {"dl": params.dl, "dr": params.dr, "dg": params.dg,
               "L": params.L, "w": params.w, "channel": args.channel,

@@ -9,7 +9,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .channel import ChannelFamily, dimension_distribution, transfer_poly
+from .channel import (
+    ChannelFamily,
+    _mixture_poly_matrix,
+    dimension_distribution,
+    dimension_law,
+    transfer_poly,
+)
 from .ensemble import EnsembleParams
 
 DEFAULT_TOL = 1e-10
@@ -77,7 +83,13 @@ class CurvePoint:
 
 
 class DensityEvolution:
-    """Precomputed update operator for one ensemble and channel kind."""
+    """Precomputed update operator for one ensemble and channel kind.
+
+    Every update splits into a check half and a detector half. The check half
+    (`_check`) maps the bit-to-check rates (p, q) to the check-to-bit rates
+    and never sees the channel. The detector half passes them through the
+    transfer polynomial to the new q, and through the bit nodes to the new p.
+    """
 
     def __init__(self, params: EnsembleParams, kind: str, m: int):
         self.params = params
@@ -98,37 +110,60 @@ class DensityEvolution:
             Wf[i, i : i + w] = 1.0 / w
         self.Wb = Wb
         self.Wf = Wf
+        # Row j: transfer polynomial for noise dimension exactly j.
+        self.K = _mixture_poly_matrix(m)
 
     def fpoly(self, eps: float) -> np.ndarray:
-        return transfer_poly(
-            dimension_distribution(ChannelFamily(self.kind, self.m, eps))
-        )
+        return np.asarray(dimension_law(self.kind, self.m, eps)) @ self.K
+
+    def _check(self, p, q):
+        """Check half of an update: (rp, rq, 1 - Qb, s).
+
+        Pb and Qb are the punctured and transmitted erasure rates averaged
+        over the window feeding each check section. rp = (1 - Pb)**(dr-1) and
+        rq = (1 - Qb)**(dg-1), and s holds the erasure rate of
+        check-to-transmitted messages per bit section.
+        """
+        dr, dg = self.params.dr, self.params.dg
+        kp = 1.0 - self.Wb @ p
+        kq = 1.0 - self.Wb @ q
+        rp = kp ** (dr - 1)
+        rq = kq ** (dg - 1)
+        s = self.Wf @ (1.0 - rp * kp * rq)
+        return rp, rq, kq, s
+
+    @staticmethod
+    def _q_update(z: np.ndarray, s1: np.ndarray, fcoef) -> np.ndarray:
+        """Transmitted-bit rates clip(f(z) * s1), with z = s**dg and
+        s1 = s**(dg-1). f is evaluated by Horner's rule in place, step for
+        step as numpy's polyval does it."""
+        q1 = np.full(z.shape, fcoef[-1])
+        for c in fcoef[-2::-1]:
+            q1 *= z
+            q1 += c
+        q1 *= s1
+        # np.clip(q1, 0, 1), without its per-call overhead.
+        np.maximum(q1, 0.0, out=q1)
+        return np.minimum(q1, 1.0, out=q1)
+
+    def _p_update(self, rp: np.ndarray, q1: np.ndarray) -> np.ndarray:
+        """Punctured-bit rates from a fresh q, with rp from the check half."""
+        dl, dg = self.params.dl, self.params.dg
+        u = 1.0 - rp * (1.0 - self.Wb @ q1) ** dg
+        return (self.Wf @ u) ** (dl - 1)
 
     def s_profile(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Erasure rates of check-to-transmitted messages per section."""
-        dr, dg = self.params.dr, self.params.dg
-        Pb = self.Wb @ p
-        Qb = self.Wb @ q
-        v = 1.0 - (1.0 - Pb) ** dr * (1.0 - Qb) ** (dg - 1)
-        return self.Wf @ v
+        return self._check(p, q)[3]
 
     def sweep(
         self, p: np.ndarray, q: np.ndarray, fcoef: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """One parallel update of every section."""
-        dl, dr, dg = self.params.dl, self.params.dr, self.params.dg
-        Pb = self.Wb @ p
-        Qb = self.Wb @ q
-        rp = (1.0 - Pb) ** (dr - 1)
-        rq = (1.0 - Qb) ** (dg - 1)
-        u = 1.0 - rp * rq * (1.0 - Qb)
-        v = 1.0 - rp * (1.0 - Pb) * rq
-        p1 = (self.Wf @ u) ** (dl - 1)
-        s = self.Wf @ v
-        z = s**dg
-        q1 = npoly.polyval(z, fcoef) * s ** (dg - 1)
-        np.clip(q1, 0.0, 1.0, out=q1)
-        return p1, q1
+        dl, dg = self.params.dl, self.params.dg
+        rp, rq, kq, s = self._check(p, q)
+        p1 = (self.Wf @ (1.0 - rp * rq * kq)) ** (dl - 1)
+        return p1, self._q_update(s**dg, s ** (dg - 1), fcoef)
 
     def staged_round(
         self, p: np.ndarray, q: np.ndarray, fcoef: np.ndarray
@@ -139,15 +174,28 @@ class DensityEvolution:
         p-output responds to the channel parameter within a single round,
         which the anchored continuation needs.
         """
-        dl, dr, dg = self.params.dl, self.params.dr, self.params.dg
-        s = self.s_profile(p, q)
-        q1 = npoly.polyval(s**dg, fcoef) * s ** (dg - 1)
-        np.clip(q1, 0.0, 1.0, out=q1)
-        Pb = self.Wb @ p
-        Qb = self.Wb @ q1
-        u = 1.0 - (1.0 - Pb) ** (dr - 1) * (1.0 - Qb) ** dg
-        p1 = (self.Wf @ u) ** (dl - 1)
-        return p1, q1
+        dg = self.params.dg
+        rp, _, _, s = self._check(p, q)
+        q1 = self._q_update(s**dg, s ** (dg - 1), fcoef)
+        return self._p_update(rp, q1), q1
+
+    def staged_round_map(self, p: np.ndarray, q: np.ndarray):
+        """staged_round from (p, q) as a function of the channel parameter.
+
+        Only the transfer polynomial depends on the parameter, so the check
+        half, z = s**dg and s**(dg-1) are computed once; each call evaluates
+        the detector half alone, with the same arithmetic as staged_round.
+        """
+        dg = self.params.dg
+        rp, _, _, s = self._check(p, q)
+        z, s1 = s**dg, s ** (dg - 1)
+
+        def at(eps: float) -> tuple[np.ndarray, np.ndarray]:
+            fcoef = np.asarray(dimension_law(self.kind, self.m, eps)) @ self.K
+            q1 = self._q_update(z, s1, fcoef)
+            return self._p_update(rp, q1), q1
+
+        return at
 
 
 def de_sweep(state: DeState, params: EnsembleParams, family: ChannelFamily) -> DeState:
@@ -158,6 +206,14 @@ def de_sweep(state: DeState, params: EnsembleParams, family: ChannelFamily) -> D
     return DeState(
         L=params.L, p=p1, q=q1, epsilon=family.parameter, iterations=state.iterations + 1
     )
+
+
+def _check_tols(tol: float, stall_tol: float) -> None:
+    # Comparisons with NaN are false, so NaN is rejected too.
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 <= stall_tol < float("inf"):
+        raise ValueError(f"stall_tol must be finite and >= 0, got {stall_tol}")
 
 
 def run_de(
@@ -174,8 +230,7 @@ def run_de(
     per-sweep sup-norm change falls below stall_tol first; flags iteration
     budget exhaustion separately.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tols(tol, stall_tol)
     dev = DensityEvolution(params, family.kind, family.m)
     fcoef = transfer_poly(dimension_distribution(family))
     n = params.n_sections
@@ -235,8 +290,9 @@ def threshold(
     """
     if kind not in ("cd", "bd"):
         raise ValueError(f"threshold search needs kind 'cd' or 'bd', got {kind!r}")
-    if bisect_tol <= 0:
-        raise ValueError("bisect_tol must be positive")
+    if not bisect_tol > 0:
+        raise ValueError(f"bisect_tol must be positive, got {bisect_tol}")
+    _check_tols(tol, stall_tol)
     lo, hi = 0.0, 1.0
     while hi - lo > bisect_tol:
         mid = 0.5 * (lo + hi)
@@ -383,8 +439,9 @@ def _anchored_point(
     eps_prev = None
     stuck = 0
     for r in range(1, max_rounds + 1):
-        p_lo, q_lo = dev.staged_round(p, q, dev.fpoly(0.0))
-        p_hi, q_hi = dev.staged_round(p, q, dev.fpoly(1.0))
+        staged = dev.staged_round_map(p, q)
+        p_lo, q_lo = staged(0.0)
+        p_hi, q_hi = staged(1.0)
         chi_lo = p_lo.mean()
         chi_hi = p_hi.mean()
         if target <= chi_lo:
@@ -395,13 +452,14 @@ def _anchored_point(
             lo, hi = 0.0, 1.0
             while hi - lo > eps_bisect_tol:
                 mid = 0.5 * (lo + hi)
-                pm, qm = dev.staged_round(p, q, dev.fpoly(mid))
-                if pm.mean() < target:
+                pm, _ = staged(mid)
+                # pm.mean() to the bit, without its per-call overhead.
+                if pm.sum() / pm.size < target:
                     lo = mid
                 else:
                     hi = mid
             eps = 0.5 * (lo + hi)
-            p1, q1 = dev.staged_round(p, q, dev.fpoly(eps))
+            p1, q1 = staged(eps)
         d_state = max(np.abs(p1 - p).max(), np.abs(q1 - q).max())
         d_eps = float("inf") if eps_prev is None else abs(eps - eps_prev)
         p, q, eps_prev = p1, q1, eps

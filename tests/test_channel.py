@@ -10,6 +10,7 @@ from scmn.channel import (
     DimensionDistribution,
     capacity,
     dimension_distribution,
+    dimension_law,
     sample_noise,
     transfer_f,
     transfer_f_oracle,
@@ -55,6 +56,25 @@ class TestDistributions:
             ChannelFamily("w", 2, 3)
         with pytest.raises(ValueError):
             ChannelFamily("nope", 2, 0.5)
+
+    def test_dimension_law_matches_distribution(self):
+        rng = np.random.default_rng(11)
+        for m in range(1, 9):
+            for d in range(m + 1):
+                fam = ChannelFamily.fixed(m, d)
+                assert dimension_law("w", m, d) == dimension_distribution(fam).probs
+            grid = [0.0, 1.0, *(k / m for k in range(m + 1)), *rng.uniform(0, 1, 5)]
+            for kind in ("cd", "bd"):
+                for eps in grid:
+                    fam = ChannelFamily(kind, m, float(eps))
+                    law = dimension_law(kind, m, float(eps))
+                    assert law == dimension_distribution(fam).probs
+
+    def test_dimension_law_validation(self):
+        bad = (("cd", 2, 1.5), ("bd", 2, float("nan")), ("w", 2, 3), ("nope", 2, 0.5))
+        for args in bad:
+            with pytest.raises(ValueError):
+                dimension_law(*args)
 
     def test_distribution_validation(self):
         with pytest.raises(ValueError):

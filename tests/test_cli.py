@@ -88,6 +88,22 @@ class TestThreshold:
         assert "non-convergence" in err
 
 
+    @pytest.mark.parametrize(
+        "extra", [["--tol", "nan", "--bisect-tol", "0.01"], ["--bisect-tol", "nan"]]
+    )
+    def test_nan_tolerance_rejected(self, capsys, extra):
+        code, out, err = run_cli(
+            capsys,
+            [
+                "threshold", "--dl", "4", "--dr", "2", "--dg", "2",
+                "-L", "2", "-w", "2", "--channel", "cd", "-m", "2", *extra,
+            ],
+        )
+        assert code == 2
+        assert "invalid-config" in err
+        assert out == ""
+
+
 class TestExitCurve:
     def test_small_curve_csv(self, capsys):
         code, out, _ = run_cli(
@@ -102,6 +118,43 @@ class TestExitCurve:
         lines = [l for l in out.splitlines() if not l.startswith("#")]
         assert lines[0] == "chi,epsilon,h,residual,iterations"
         assert len(lines) >= 4
+
+    def test_grid_stays_inside_range(self, capsys):
+        # 0.5 - 5 * 0.1 rounds to 1.1e-16; it lies below --chi-min.
+        code, out, _ = run_cli(
+            capsys,
+            [
+                "exit-curve", "--dl", "4", "--dr", "2", "--dg", "2",
+                "-L", "2", "-w", "2", "--channel", "cd", "-m", "2",
+                "--chi-max", "0.5", "--chi-min", "0.04", "--chi-step", "0.1",
+            ],
+        )
+        assert code == 0
+        rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
+        assert [r.split(",")[0] for r in rows] == ["0.5", "0.4", "0.3", "0.2", "0.1"]
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--chi-step", "0"],
+            ["--chi-step", "-0.1"],
+            ["--chi-step", "nan"],
+            ["--chi-max", "0.3", "--chi-min", "0.5"],
+            ["--chi-min", "0", "--chi-max", "0.5", "--chi-step", "0.1"],
+            ["--chi-max", "1.1"],
+        ],
+    )
+    def test_bad_grid_rejected(self, capsys, grid):
+        code, out, err = run_cli(
+            capsys,
+            [
+                "exit-curve", "--dl", "4", "--dr", "2", "--dg", "2",
+                "-L", "2", "-w", "2", "--channel", "cd", "-m", "2", *grid,
+            ],
+        )
+        assert code == 2
+        assert "invalid-config" in err
+        assert out == ""
 
 
 class TestSimulate:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scmn.channel import ChannelFamily
+from scmn.channel import ChannelFamily, dimension_distribution, transfer_poly
 from scmn.de import (
     ConvergenceError,
     DensityEvolution,
@@ -94,6 +94,27 @@ class TestSweep:
         assert p1 == pytest.approx(p, abs=1e-9)
         assert q1 == pytest.approx(q, abs=1e-9)
 
+    def test_staged_round_map_matches_staged_round(self):
+        # States partly outside [0, 1] drive the q-update past both ends of
+        # its clip; the map must agree there too.
+        rng = np.random.default_rng(3)
+        params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=2)
+        n = params.n_sections
+        clipped_lo = clipped_hi = False
+        for kind in ("cd", "bd"):
+            for m in range(1, 7):
+                dev = DensityEvolution(params, kind, m)
+                for lo, hi in ((0.0, 1.0), (-0.3, 1.3)):
+                    p, q = rng.uniform(lo, hi, n), rng.uniform(lo, hi, n)
+                    staged = dev.staged_round_map(p, q)
+                    for eps in (0.0, 1.0, 0.5 / m, *rng.uniform(0, 1, 4)):
+                        p1, q1 = staged(float(eps))
+                        p2, q2 = dev.staged_round(p, q, dev.fpoly(float(eps)))
+                        assert np.array_equal(p1, p2) and np.array_equal(q1, q2)
+                        clipped_lo |= bool((q1 == 0.0).any())
+                        clipped_hi |= bool((q1 == 1.0).any())
+        assert clipped_lo and clipped_hi
+
 
 class TestRunDe:
     def test_zero_parameter_converges_fast(self):
@@ -118,6 +139,14 @@ class TestRunDe:
     def test_tol_validation(self):
         with pytest.raises(ValueError):
             run_de(P422, CD2, tol=0.0)
+        for kwargs in (
+            {"tol": float("nan")},
+            {"stall_tol": float("nan")},
+            {"stall_tol": -1e-15},
+            {"stall_tol": float("inf")},
+        ):
+            with pytest.raises(ValueError):
+                run_de(P422, CD2, **kwargs)
 
 
 class TestTrajectory:
@@ -152,6 +181,17 @@ class TestThreshold:
     def test_kind_validation(self):
         with pytest.raises(ValueError):
             threshold(P422, "w", 2)
+
+    def test_tol_validation(self):
+        # With bisect_tol >= 1 no DE runs, so threshold checks tol itself.
+        for kwargs in (
+            {"bisect_tol": float("nan")},
+            {"bisect_tol": 0.0},
+            {"bisect_tol": 2.0, "tol": float("nan")},
+            {"bisect_tol": 2.0, "stall_tol": float("nan")},
+        ):
+            with pytest.raises(ValueError):
+                threshold(P422, "cd", 2, **kwargs)
 
     def test_iter_limit_propagates(self):
         with pytest.raises(ConvergenceError):
@@ -198,6 +238,18 @@ class TestEbpTrace:
             assert 0.0 <= pt.h <= 1.0
             assert 0.0 <= pt.epsilon <= 1.0
 
+    def test_matches_reference_tracer(self):
+        params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=2)
+        grid = np.arange(0.9, 0.05, -0.05)
+        for kind, m in (("cd", 2), ("bd", 3)):
+            pts = ebp_trace(params, kind, m, grid)
+            ref = reference_trace(params, kind, m, grid)
+            assert len(ref) == len(grid)
+            assert [(pt.chi, pt.rounds) for pt in pts] == [r[:2] for r in ref]
+            for pt, (_, _, eps, h) in zip(pts, ref):
+                assert abs(pt.epsilon - eps) <= 1e-11
+                assert abs(pt.h - h) <= 1e-11
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             ebp_trace(P422, "cd", 2, [0.5, 0.6])
@@ -205,3 +257,61 @@ class TestEbpTrace:
             ebp_trace(P422, "cd", 2, [1.2, 0.5])
         with pytest.raises(ValueError):
             ebp_trace(P422, "w", 2, [0.5])
+
+
+def reference_trace(params, kind, m, chis):
+    """The tracer as first written: every bisection step of every round is a
+    full staged round with a transfer polynomial built from a new
+    ChannelFamily. Returns (chi, rounds, eps, h) per accepted point."""
+
+    def fpoly(eps):
+        return transfer_poly(dimension_distribution(ChannelFamily(kind, m, eps)))
+
+    def anchored(p, q, target, anchor_tol=1e-8, stuck_limit=200):
+        eps_prev, stuck = None, 0
+        for r in range(1, 200_001):
+            p_lo, q_lo = dev.staged_round(p, q, fpoly(0.0))
+            p_hi, q_hi = dev.staged_round(p, q, fpoly(1.0))
+            if target <= p_lo.mean():
+                eps, p1, q1 = 0.0, p_lo, q_lo
+            elif target >= p_hi.mean():
+                eps, p1, q1 = 1.0, p_hi, q_hi
+            else:
+                lo, hi = 0.0, 1.0
+                while hi - lo > 1e-12:
+                    mid = 0.5 * (lo + hi)
+                    if dev.staged_round(p, q, fpoly(mid))[0].mean() < target:
+                        lo = mid
+                    else:
+                        hi = mid
+                eps = 0.5 * (lo + hi)
+                p1, q1 = dev.staged_round(p, q, fpoly(eps))
+            d_state = max(np.abs(p1 - p).max(), np.abs(q1 - q).max())
+            d_eps = float("inf") if eps_prev is None else abs(eps - eps_prev)
+            p, q, eps_prev = p1, q1, eps
+            anchored_ok = abs(p.mean() - target) <= anchor_tol
+            if eps in (0.0, 1.0) and not anchored_ok:
+                stuck += 1
+                if stuck > stuck_limit:
+                    return None
+            else:
+                stuck = 0
+            if d_state < 1e-10 and d_eps < 1e-10 and anchored_ok:
+                return p, q, eps, r
+        return None
+
+    dev = DensityEvolution(params, kind, m)
+    p = q = np.ones(params.n_sections)
+    out = []
+    for chi in chis:
+        sol = anchored(p, q, float(chi))
+        if sol is None:
+            continue
+        p, q, eps, rounds = sol
+        p_chk, q_chk = dev.sweep(p, q, fpoly(eps))
+        if max(np.abs(p_chk - p).max(), np.abs(q_chk - q).max()) > 1e-9:
+            continue
+        state = DeState(L=params.L, p=p, q=q, epsilon=eps, iterations=rounds)
+        h = h_ebp(state, params, ChannelFamily(kind, m, eps))
+        out.append((float(chi), rounds, eps, h))
+    return out
