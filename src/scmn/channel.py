@@ -1,6 +1,6 @@
 """Channels with affine-subspace outputs over F_2^m: dimension laws,
-normalized capacity, noise sampling, and the erasure transfer function of the
-per-symbol detector node (with a brute-force oracle)."""
+normalized capacity, and the erasure transfer function of the per-symbol
+detector node (with a brute-force oracle)."""
 
 from __future__ import annotations
 
@@ -14,14 +14,10 @@ from numpy.polynomial import polynomial as npoly
 
 from .gf2 import (
     ENUM_MAX_AMBIENT,
-    BitVec,
-    SubspaceBasis,
     enumerate_subspaces,
     gbinom,
     intersect,
-    random_bits,
     rref_bits,
-    sample_subspace,
     zero_coordinate_mask,
 )
 
@@ -129,20 +125,6 @@ def dimension_distribution(family: ChannelFamily) -> DimensionDistribution:
 def capacity(dist: DimensionDistribution) -> float:
     """Normalized capacity per input bit: 1 - E[dim(V)]/m."""
     return 1.0 - dist.mean_dimension() / dist.m
-
-
-def sample_noise(dist: DimensionDistribution, rng) -> tuple[SubspaceBasis, BitVec]:
-    """Draw one channel noise realization: d ~ probs, V uniform among
-    d-dimensional subspaces, z uniform over the elements of V."""
-    d = int(rng.choice(dist.m + 1, p=dist.probs))
-    v = sample_subspace(dist.m, d, rng)
-    z = 0
-    if d:
-        combo = random_bits(rng, d)
-        for i, b in enumerate(v.row_bits()):
-            if (combo >> i) & 1:
-                z ^= b
-    return v, BitVec(dist.m, z)
 
 
 @lru_cache(maxsize=None)

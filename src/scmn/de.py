@@ -7,7 +7,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .channel import (
     ChannelFamily,
@@ -152,10 +151,6 @@ class DensityEvolution:
         u = 1.0 - rp * (1.0 - self.Wb @ q1) ** dg
         return (self.Wf @ u) ** (dl - 1)
 
-    def s_profile(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Erasure rates of check-to-transmitted messages per section."""
-        return self._check(p, q)[3]
-
     def sweep(
         self, p: np.ndarray, q: np.ndarray, fcoef: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -197,23 +192,16 @@ class DensityEvolution:
 
         return at
 
-
-def de_sweep(state: DeState, params: EnsembleParams, family: ChannelFamily) -> DeState:
-    """One parallel DE update of `state` under the given channel."""
-    dev = DensityEvolution(params, family.kind, family.m)
-    fcoef = transfer_poly(dimension_distribution(family))
-    p1, q1 = dev.sweep(state.p, state.q, fcoef)
-    return DeState(
-        L=params.L, p=p1, q=q1, epsilon=family.parameter, iterations=state.iterations + 1
-    )
-
-
-def _check_tols(tol: float, stall_tol: float) -> None:
-    # Comparisons with NaN are false, so NaN is rejected too.
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if not 0 <= stall_tol < float("inf"):
-        raise ValueError(f"stall_tol must be finite and >= 0, got {stall_tol}")
+    def h_profile(
+        self, p: np.ndarray, q: np.ndarray, fcoef: np.ndarray, *, alternative: bool = False
+    ) -> np.ndarray:
+        """Per-section EXIT-like values f(z) * z**dg (f(z) * z if
+        `alternative`), z = s**dg the detector-input erasure rate. f is
+        clipped to [0, 1] as in the q-update."""
+        dg = self.params.dg
+        z = self._check(p, q)[3] ** dg
+        f = self._q_update(z, 1.0, fcoef)
+        return f * (z if alternative else z**dg)
 
 
 def run_de(
@@ -230,7 +218,12 @@ def run_de(
     per-sweep sup-norm change falls below stall_tol first; flags iteration
     budget exhaustion separately.
     """
-    _check_tols(tol, stall_tol)
+    # Comparisons with NaN are false, so NaN is rejected too. p never exceeds
+    # 1, so a tol of 1 or more would declare the all-ones start converged.
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    if not 0 <= stall_tol < float("inf"):
+        raise ValueError(f"stall_tol must be finite and >= 0, got {stall_tol}")
     dev = DensityEvolution(params, family.kind, family.m)
     fcoef = transfer_poly(dimension_distribution(family))
     n = params.n_sections
@@ -290,9 +283,10 @@ def threshold(
     """
     if kind not in ("cd", "bd"):
         raise ValueError(f"threshold search needs kind 'cd' or 'bd', got {kind!r}")
-    if not bisect_tol > 0:
-        raise ValueError(f"bisect_tol must be positive, got {bisect_tol}")
-    _check_tols(tol, stall_tol)
+    # The bracket starts as [0, 1], so bisect_tol < 1 runs DE at least once
+    # (which checks tol and stall_tol).
+    if not 0 < bisect_tol < 1:
+        raise ValueError(f"bisect_tol must lie in (0, 1), got {bisect_tol}")
     lo, hi = 0.0, 1.0
     while hi - lo > bisect_tol:
         mid = 0.5 * (lo + hi)
@@ -338,11 +332,9 @@ def h_ebp_profile(
 ) -> np.ndarray:
     """Per-section EXIT-like values (exported for inspection)."""
     dev = DensityEvolution(params, family.kind, family.m)
-    fcoef = transfer_poly(dimension_distribution(family))
-    s = dev.s_profile(state.p, state.q)
-    z = s**params.dg
-    f = np.clip(npoly.polyval(z, fcoef), 0.0, 1.0)
-    return f * (z if alternative else z**params.dg)
+    return dev.h_profile(
+        state.p, state.q, dev.fpoly(family.parameter), alternative=alternative
+    )
 
 
 def ebp_trace(
@@ -407,14 +399,12 @@ def ebp_trace(
                 stacklevel=2,
             )
             continue
-        state = DeState(L=params.L, p=p, q=q, epsilon=eps, iterations=rounds)
-        family = ChannelFamily(kind, m, eps)
         points.append(
             CurvePoint(
                 epsilon=eps,
-                h=h_ebp(state, params, family),
+                h=float(np.mean(dev.h_profile(p, q, fcoef))),
                 chi=chi,
-                state=state,
+                state=DeState(L=params.L, p=p, q=q, epsilon=eps, iterations=rounds),
                 residual=float(residual),
                 rounds=rounds,
             )

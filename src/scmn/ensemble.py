@@ -125,41 +125,34 @@ def _parallel_edge_reps(bits: np.ndarray, checks: np.ndarray) -> list[int]:
 
 
 def _short_cycle_reps(bits: np.ndarray, checks: np.ndarray, max_bits: int) -> list[int]:
-    """One edge index per cycle spanning at most max_bits bits.
+    """Smallest edge index of each cycle spanning at most max_bits bits, in
+    ascending order.
 
     Assumes both endpoints have degree <= 2 in this edge set, so components
-    are paths and cycles and the scan is linear.
+    are paths and cycles. A step to the partner edge at the check and then to
+    the partner edge at the bit moves two edges along a cycle, so an edge on a
+    cycle of k bits returns to itself after k steps.
     """
-    bit_adj: dict[int, list[int]] = {}
-    chk_adj: dict[int, list[int]] = {}
-    for e, (b, c) in enumerate(zip(bits.tolist(), checks.tolist())):
-        bit_adj.setdefault(b, []).append(e)
-        chk_adj.setdefault(c, []).append(e)
     n = len(bits)
-    seen = bytearray(n)
-    reps: list[int] = []
-    for e0 in range(n):
-        if seen[e0]:
-            continue
-        seen[e0] = 1
-        e, via_check = e0, True
-        length = 1
-        while True:
-            adj = chk_adj[int(checks[e])] if via_check else bit_adj[int(bits[e])]
-            nxt = [x for x in adj if x != e]
-            if not nxt:
-                break  # path component
-            e = nxt[0]
-            if e == e0:
-                if length // 2 <= max_bits:
-                    reps.append(e0)
-                break
-            if seen[e]:
-                break
-            seen[e] = 1
-            length += 1
-            via_check = not via_check
-    return reps
+
+    def partners(ends: np.ndarray) -> np.ndarray:
+        # The other edge at the same endpoint; n for none, and n maps to n.
+        out = np.full(n + 1, n, dtype=np.int64)
+        order = np.argsort(ends, kind="stable")
+        pair = np.nonzero(ends[order[1:]] == ends[order[:-1]])[0]
+        out[order[pair]] = order[pair + 1]
+        out[order[pair + 1]] = order[pair]
+        return out
+
+    at_check, at_bit = partners(checks), partners(bits)
+    start = np.arange(n)
+    cur, low = start, start
+    closed = np.zeros(n, dtype=bool)
+    for _ in range(max_bits):
+        cur = at_bit[at_check[cur]]
+        closed |= cur == start
+        low = np.minimum(low, np.minimum(cur, at_check[cur]))
+    return np.unique(low[closed]).tolist()
 
 
 def _condition_matching(
@@ -263,59 +256,3 @@ def sample_graph(
         t2_check=t2_check,
         symbols=symbols,
     )
-
-
-def write_graph(graph: TannerGraph, fh) -> None:
-    """Plain-text dump: one 'C' line per check (signed section, punctured
-    ids, transmitted ids, '|'-separated), then one 'S' line per symbol."""
-    p = graph.params
-    fh.write("# tanner graph v1\n")
-    fh.write(
-        f"# dl={p.dl} dr={p.dr} dg={p.dg} L={p.L} w={p.w} M={graph.M} m={graph.m}\n"
-    )
-    adj1: list[list[int]] = [[] for _ in range(graph.n_checks)]
-    adj2: list[list[int]] = [[] for _ in range(graph.n_checks)]
-    for b, c in zip(graph.t1_bit.tolist(), graph.t1_check.tolist()):
-        adj1[c].append(b)
-    for b, c in zip(graph.t2_bit.tolist(), graph.t2_check.tolist()):
-        adj2[c].append(b)
-    for cid in range(graph.n_checks):
-        section = cid // graph.M - p.L
-        ones = " ".join(str(b) for b in sorted(adj1[cid]))
-        twos = " ".join(str(b) for b in sorted(adj2[cid]))
-        fh.write(f"C {section} | {ones} | {twos}\n")
-    for row in graph.symbols.tolist():
-        fh.write("S " + " ".join(str(b) for b in row) + "\n")
-
-
-def read_graph(fh) -> dict:
-    """Parse the write_graph format; returns meta, per-check adjacency
-    (section, punctured ids, transmitted ids), and symbol rows."""
-    meta: dict[str, int] = {}
-    checks: list[tuple[int, list[int], list[int]]] = []
-    symbols: list[list[int]] = []
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for tok in line[1:].split():
-                if "=" in tok:
-                    k, v = tok.split("=", 1)
-                    meta[k] = int(v)
-            continue
-        tag, rest = line.split(" ", 1)
-        if tag == "C":
-            sec, ones, twos = rest.split("|")
-            checks.append(
-                (
-                    int(sec),
-                    [int(x) for x in ones.split()],
-                    [int(x) for x in twos.split()],
-                )
-            )
-        elif tag == "S":
-            symbols.append([int(x) for x in rest.split()])
-        else:
-            raise ValueError(f"unrecognized line tag {tag!r}")
-    return {"meta": meta, "checks": checks, "symbols": symbols}

@@ -11,12 +11,12 @@ from scmn.channel import (
     capacity,
     dimension_distribution,
     dimension_law,
-    sample_noise,
     transfer_f,
     transfer_f_oracle,
     transfer_poly,
 )
-from scmn.gf2 import SubspaceBasis
+from scmn.gf2 import BitVec, SubspaceBasis
+from scmn.sim import _sample_symbol_noise
 
 
 def cd(m, eps):
@@ -97,32 +97,45 @@ class TestCapacity:
 
 
 class TestSampleNoise:
+    """The decoder's per-symbol noise sampler, on both of its branches:
+    enumeration for m <= 4 and per-symbol subspace sampling above."""
+
+    # (m, symbols per draw); the m > 4 branch costs ~0.3 ms per symbol.
+    SIZES = ((2, 80000), (3, 80000), (5, 2000), (6, 2000))
+
     def test_noiseless(self):
         rng = np.random.default_rng(0)
-        dist = dimension_distribution(ChannelFamily.fixed(3, 0))
-        for _ in range(20):
-            v, z = sample_noise(dist, rng)
-            assert v == SubspaceBasis.zero(3)
-            assert z.bits == 0
+        for m, _ in self.SIZES:
+            dist = dimension_distribution(ChannelFamily.fixed(m, 0))
+            subs, idx, z = _sample_symbol_noise(dist, 200, rng)
+            assert np.all(z == 0)
+            assert all(subs[i] == SubspaceBasis.zero(m) for i in idx)
 
     def test_cd_integral_dimension(self):
         rng = np.random.default_rng(1)
-        dist = cd(2, 0.5)
-        for _ in range(200):
-            v, z = sample_noise(dist, rng)
-            assert v.dim == 1
-            assert v.contains(z)
+        for m, _ in self.SIZES:
+            d = m // 2
+            subs, idx, z = _sample_symbol_noise(cd(m, d / m), 200, rng)
+            for i, zi in zip(idx.tolist(), z.tolist()):
+                assert subs[i].dim == d
+                assert subs[i].contains(BitVec(m, zi))
 
     def test_full_space_uniform_noise(self):
         rng = np.random.default_rng(2)
-        dist = dimension_distribution(ChannelFamily.fixed(2, 2))
-        n = 80000
-        counts = np.zeros(4)
-        for _ in range(n):
-            _, z = sample_noise(dist, rng)
-            counts[z.bits] += 1
-        sigma = (0.25 * 0.75 / n) ** 0.5
-        assert np.all(np.abs(counts / n - 0.25) < 3 * sigma)
+        for m, n in self.SIZES:
+            dist = dimension_distribution(ChannelFamily.fixed(m, m))
+            _, _, z = _sample_symbol_noise(dist, n, rng)
+            cell = 1.0 / (1 << m)
+            freq = np.bincount(z, minlength=1 << m) / n
+            if m <= 3:
+                sigma = (cell * (1.0 - cell) / n) ** 0.5
+                assert np.all(np.abs(freq - cell) < 3 * sigma)
+            # A 3-sigma bound on each of 32 or 64 cells fails by chance, so
+            # the whole histogram is judged by its chi-square statistic:
+            # mean k = 2^m - 1, sigma sqrt(2k).
+            k = (1 << m) - 1
+            chi2 = n * ((freq - cell) ** 2).sum() / cell
+            assert chi2 < k + 3 * (2 * k) ** 0.5
 
 
 class TestTransfer:

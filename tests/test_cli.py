@@ -89,7 +89,15 @@ class TestThreshold:
 
 
     @pytest.mark.parametrize(
-        "extra", [["--tol", "nan", "--bisect-tol", "0.01"], ["--bisect-tol", "nan"]]
+        "extra",
+        [
+            ["--tol", "nan", "--bisect-tol", "0.01"],
+            ["--bisect-tol", "nan"],
+            ["--bisect-tol", "1"],
+            ["--bisect-tol", "2"],
+            ["--tol", "inf", "--bisect-tol", "0.01"],
+            ["--tol", "1.5", "--bisect-tol", "0.01"],
+        ],
     )
     def test_nan_tolerance_rejected(self, capsys, extra):
         code, out, err = run_cli(

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from scmn.channel import ChannelFamily, dimension_distribution, transfer_poly
 from scmn.de import (
     ConvergenceError,
     DensityEvolution,
     DeState,
-    de_sweep,
     ebp_trace,
     h_ebp,
     h_ebp_profile,
@@ -23,6 +23,12 @@ CD2 = ChannelFamily.concentrated(2, 0.45)
 def ones_state(params, eps):
     n = params.n_sections
     return DeState(L=params.L, p=np.ones(n), q=np.ones(n), epsilon=eps)
+
+
+def sweep(p, q, params, family):
+    """One parallel DE update of (p, q) under the given channel."""
+    dev = DensityEvolution(params, family.kind, family.m)
+    return dev.sweep(p, q, dev.fpoly(family.parameter))
 
 
 class TestDeState:
@@ -47,29 +53,27 @@ class TestDeState:
 class TestSweep:
     def test_trivial_fixed_point(self):
         n = P422.n_sections
-        zero = DeState(L=P422.L, p=np.zeros(n), q=np.zeros(n), epsilon=0.45)
-        out = de_sweep(zero, P422, CD2)
-        assert np.all(out.p == 0.0)
-        assert np.all(out.q == 0.0)
+        p, q = sweep(np.zeros(n), np.zeros(n), P422, CD2)
+        assert np.all(p == 0.0)
+        assert np.all(q == 0.0)
 
     def test_bec_single_section_hand_values(self):
         # m=1, w=1, L=1: uncoupled copies; from all-ones p'=1 and q'=eps
         params = EnsembleParams(dl=4, dr=2, dg=2, L=1, w=1)
         fam = ChannelFamily.concentrated(1, 0.5)
-        out = de_sweep(ones_state(params, 0.5), params, fam)
-        assert out.p == pytest.approx([1.0, 1.0, 1.0])
-        assert out.q == pytest.approx([0.5, 0.5, 0.5])
+        p, q = sweep(np.ones(3), np.ones(3), params, fam)
+        assert p == pytest.approx([1.0, 1.0, 1.0])
+        assert q == pytest.approx([0.5, 0.5, 0.5])
 
     def test_symmetry_preserved(self):
         rng = np.random.default_rng(5)
         half = rng.uniform(0, 1, P422.L + 1)
         p = np.concatenate([half[:0:-1], half])
         q = p[::-1].copy()  # also symmetric
-        state = DeState(L=P422.L, p=p, q=q, epsilon=0.45)
         for _ in range(4):
-            state = de_sweep(state, P422, CD2)
-            assert state.p == pytest.approx(state.p[::-1])
-            assert state.q == pytest.approx(state.q[::-1])
+            p, q = sweep(p, q, P422, CD2)
+            assert p == pytest.approx(p[::-1])
+            assert q == pytest.approx(q[::-1])
 
     def test_monotone_from_all_ones(self):
         dev = DensityEvolution(P422, "cd", 2)
@@ -141,6 +145,8 @@ class TestRunDe:
             run_de(P422, CD2, tol=0.0)
         for kwargs in (
             {"tol": float("nan")},
+            {"tol": float("inf")},
+            {"tol": 1.5},
             {"stall_tol": float("nan")},
             {"stall_tol": -1e-15},
             {"stall_tol": float("inf")},
@@ -154,12 +160,12 @@ class TestTrajectory:
         P, Q = trajectory(P422, CD2, 10)
         assert P.shape == (11, P422.n_sections)
         assert np.all(P[0] == 1.0) and np.all(Q[0] == 1.0)
-        # matches repeated de_sweep
-        state = ones_state(P422, CD2.parameter)
+        # matches repeated sweeps
+        p = q = np.ones(P422.n_sections)
         for ell in range(1, 4):
-            state = de_sweep(state, P422, CD2)
-            assert state.p == pytest.approx(P[ell])
-            assert state.q == pytest.approx(Q[ell])
+            p, q = sweep(p, q, P422, CD2)
+            assert p == pytest.approx(P[ell])
+            assert q == pytest.approx(Q[ell])
 
 
 class TestThreshold:
@@ -183,12 +189,18 @@ class TestThreshold:
             threshold(P422, "w", 2)
 
     def test_tol_validation(self):
-        # With bisect_tol >= 1 no DE runs, so threshold checks tol itself.
+        # bisect_tol must lie in (0, 1), so every search runs DE, which
+        # checks tol and stall_tol.
         for kwargs in (
             {"bisect_tol": float("nan")},
             {"bisect_tol": 0.0},
+            {"bisect_tol": 1.0},
+            {"bisect_tol": 2.0},
             {"bisect_tol": 2.0, "tol": float("nan")},
             {"bisect_tol": 2.0, "stall_tol": float("nan")},
+            {"bisect_tol": 0.01, "tol": float("inf")},
+            {"bisect_tol": 0.01, "tol": 1.5},
+            {"bisect_tol": 0.01, "stall_tol": float("nan")},
         ):
             with pytest.raises(ValueError):
                 threshold(P422, "cd", 2, **kwargs)
@@ -224,6 +236,35 @@ class TestHExit:
         assert np.all(
             h_ebp_profile(lo, P422, CD2) <= h_ebp_profile(hi, P422, CD2) + 1e-14
         )
+
+
+    def test_profile_is_clipped_polyval(self):
+        # h_profile evaluates f by the q-update's Horner loop; that must give
+        # the clipped numpy polyval of f bit for bit, also where the clip
+        # acts (z outside [0, 1]).
+        rng = np.random.default_rng(7)
+        params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=2)
+        n = params.n_sections
+        z_wide = np.linspace(-1.5, 2.5, 401)
+        clipped_lo = clipped_hi = False
+        for kind in ("cd", "bd"):
+            for m in range(1, 7):
+                dev = DensityEvolution(params, kind, m)
+                for eps in (0.0, 1.0, *rng.uniform(0, 1, 3)):
+                    fcoef = dev.fpoly(float(eps))
+                    raw = npoly.polyval(z_wide, fcoef)
+                    f = dev._q_update(z_wide, 1.0, fcoef)
+                    assert np.array_equal(f, np.clip(raw, 0.0, 1.0))
+                    clipped_lo |= bool((raw < 0.0).any())
+                    clipped_hi |= bool((raw > 1.0).any())
+                    for lo, hi in ((0.0, 1.0), (-0.6, 1.6)):
+                        p, q = rng.uniform(lo, hi, n), rng.uniform(lo, hi, n)
+                        z = dev._check(p, q)[3] ** params.dg
+                        f = np.clip(npoly.polyval(z, fcoef), 0.0, 1.0)
+                        for alt, tail in ((False, z**params.dg), (True, z)):
+                            got = dev.h_profile(p, q, fcoef, alternative=alt)
+                            assert np.array_equal(got, f * tail)
+        assert clipped_lo and clipped_hi
 
 
 class TestEbpTrace:

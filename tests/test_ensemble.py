@@ -1,4 +1,3 @@
-import io
 from fractions import Fraction
 
 import numpy as np
@@ -8,14 +7,13 @@ from hypothesis import strategies as st
 
 from scmn.ensemble import (
     EnsembleParams,
+    _short_cycle_reps,
     check_count,
     design_rate,
     design_rate_exact,
     punctured_count,
-    read_graph,
     sample_graph,
     transmitted_count,
-    write_graph,
 )
 
 P422 = EnsembleParams(dl=4, dr=2, dg=2, L=10, w=2)
@@ -142,22 +140,64 @@ class TestSampleGraph:
         assert np.array_equal(a.symbols, b.symbols)
 
 
-class TestGraphFormat:
-    def test_round_trip(self):
-        g = small_graph(seed=3, M=4, m=2)
-        buf = io.StringIO()
-        write_graph(g, buf)
-        buf.seek(0)
-        parsed = read_graph(buf)
-        assert parsed["meta"]["M"] == 4
-        assert parsed["meta"]["m"] == 2
-        assert len(parsed["checks"]) == g.n_checks
-        assert len(parsed["symbols"]) == g.n_symbols
-        # adjacency content matches the edge lists
-        n_t1 = sum(len(ones) for _, ones, _ in parsed["checks"])
-        n_t2 = sum(len(twos) for _, _, twos in parsed["checks"])
-        assert n_t1 == len(g.t1_bit)
-        assert n_t2 == len(g.t2_bit)
-        sections = [sec for sec, _, _ in parsed["checks"]]
-        assert sections[0] == -g.params.L
-        assert sections[-1] == g.params.L + g.params.w - 1
+def walk_cycle_reps(bits, checks, max_bits):
+    """Reference cycle finder: walk each component edge by edge, alternating
+    check and bit, and keep the first edge of each cycle spanning at most
+    max_bits bits. Assumes both endpoints have degree <= 2."""
+    bit_adj, chk_adj = {}, {}
+    for e, (b, c) in enumerate(zip(bits.tolist(), checks.tolist())):
+        bit_adj.setdefault(b, []).append(e)
+        chk_adj.setdefault(c, []).append(e)
+    seen = bytearray(len(bits))
+    reps = []
+    for e0 in range(len(bits)):
+        if seen[e0]:
+            continue
+        seen[e0] = 1
+        e, via_check, length = e0, True, 1
+        while True:
+            adj = chk_adj[int(checks[e])] if via_check else bit_adj[int(bits[e])]
+            nxt = [x for x in adj if x != e]
+            if not nxt:
+                break  # path component
+            e = nxt[0]
+            if e == e0:
+                if length // 2 <= max_bits:
+                    reps.append(e0)
+                break
+            if seen[e]:
+                break
+            seen[e] = 1
+            length += 1
+            via_check = not via_check
+    return reps
+
+
+class TestConditioning:
+    def test_cycle_reps_match_walk(self):
+        # Unconditioned degree-2 transmitted edge sets hold parallel edges
+        # (1-bit cycles) and short cycles at every size.
+        found = 0
+        for M, m in ((2000, 2), (504, 6), (48, 6), (12, 2), (8, 2)):
+            for seed in range(3):
+                g = sample_graph(P422, M, m, np.random.default_rng(seed), simple=False)
+                for max_bits in (1, 2, 4, 8):
+                    want = walk_cycle_reps(g.t2_bit, g.t2_check, max_bits)
+                    assert _short_cycle_reps(g.t2_bit, g.t2_check, max_bits) == want
+                    found += len(want)
+        assert found > 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from([24, 48, 96, 192]),
+    )
+    def test_simple_graph_properties(self, seed, L, w, M):
+        params = EnsembleParams(dl=4, dr=2, dg=2, L=L, w=w)
+        g = sample_graph(params, M, 2, np.random.default_rng(seed))
+        for bits, checks in ((g.t1_bit, g.t1_check), (g.t2_bit, g.t2_check)):
+            pairs = np.stack([bits, checks], axis=1)
+            assert len(np.unique(pairs, axis=0)) == len(pairs)
+        assert walk_cycle_reps(g.t2_bit, g.t2_check, 4) == []
