@@ -26,9 +26,12 @@ def ones_state(params, eps):
 
 
 def sweep(p, q, params, family):
-    """One parallel DE update of (p, q) under the given channel."""
+    """One parallel DE update of (p, q) under the given channel; the rates
+    must stay in [0, 1]."""
     dev = DensityEvolution(params, family.kind, family.m)
-    return dev.sweep(p, q, dev.fpoly(family.parameter))
+    p1, q1 = dev.sweep(p, q, dev.fpoly(family.parameter))
+    DeState(L=params.L, p=p1, q=q1, epsilon=family.parameter)  # checks the range
+    return p1, q1
 
 
 class TestDeState:
