@@ -24,6 +24,12 @@ from .gf2 import (
 CHANNEL_KINDS = ("w", "cd", "bd")
 _PROB_TOL = 1e-12
 
+# Widest symbol whose transfer polynomial the monomial form below evaluates
+# within 1e-12 of exact, with a margin. Its coefficients alternate in sign,
+# and the largest error over cd/bd laws (7 values of eps, 41 z-points) grows
+# with m: 4e-13 at m=15, 7e-13 at 16, 1.3e-12 at 17, 2e-9 at 24, 3e-5 at 32.
+TRANSFER_MAX_M = 15
+
 
 @dataclass(frozen=True)
 class DimensionDistribution:
@@ -153,7 +159,12 @@ def _erasure_kernel(m: int) -> tuple[tuple[Fraction, ...], ...]:
 @lru_cache(maxsize=None)
 def _mixture_poly_matrix(m: int) -> np.ndarray:
     """K[j, r]: coefficient of z^r in the transfer function for unit mass at
-    noise dimension j; exact rationals converted to float once."""
+    noise dimension j; exact rationals converted to float once. Every DE path
+    and transfer_poly build K here, so m > TRANSFER_MAX_M is rejected here."""
+    if not 1 <= m <= TRANSFER_MAX_M:
+        raise ValueError(
+            f"the transfer polynomial is evaluated for m in 1..{TRANSFER_MAX_M}, got m={m}"
+        )
     c = _erasure_kernel(m)
     n = m - 1
     K = [[Fraction(0)] * m for _ in range(m + 1)]
@@ -209,6 +220,6 @@ def transfer_f_oracle(dist: DimensionDistribution, z: float) -> float:
                     1 << t for t in range(1, m) if (pattern >> (t - 1)) & 1
                 ]
                 va = intersect(rref_bits(ex_rows, m), v)
-                if zero_coordinate_mask(va).bit(0) == 0:
+                if zero_coordinate_mask(va) & 1 == 0:
                     total += w_sub * w_pat
     return total

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import __version__
 from .channel import ChannelFamily, capacity, dimension_distribution
-from .de import ConvergenceError, ebp_trace, h_ebp, threshold
+from .de import ConvergenceError, ebp_trace, threshold
 from .ensemble import EnsembleParams, design_rate, design_rate_exact
 from .sim import DecodingFaultError, run_experiment
 
@@ -130,19 +130,13 @@ def _cmd_exit_curve(args) -> int:
     # The stop sits just below chi_min, so chi_min reached with rounding error
     # stays on the grid but no point falls below it (or to a drifted zero).
     chis = np.arange(args.chi_max, args.chi_min - 1e-6 * args.chi_step, -args.chi_step)
-    points = ebp_trace(params, args.channel, args.m, chis)
+    points = ebp_trace(params, args.channel, args.m, chis, alternative=args.h_alt)
     config = {"dl": params.dl, "dr": params.dr, "dg": params.dg,
               "L": params.L, "w": params.w, "channel": args.channel,
               "m": args.m, "chi_max": args.chi_max, "chi_min": args.chi_min,
               "chi_step": args.chi_step, "h_alt": args.h_alt, "seed": args.seed}
-    rows = []
-    for pt in points:
-        h = pt.h
-        if args.h_alt:
-            h = h_ebp(pt.state, params, ChannelFamily(args.channel, args.m, pt.epsilon),
-                      alternative=True)
-        rows.append({"chi": pt.chi, "epsilon": pt.epsilon, "h": h,
-                     "residual": pt.residual, "iterations": pt.rounds})
+    rows = [{"chi": pt.chi, "epsilon": pt.epsilon, "h": pt.h,
+             "residual": pt.residual, "iterations": pt.rounds} for pt in points]
     _emit(args, "exit-curve", config,
           ["chi", "epsilon", "h", "residual", "iterations"], rows)
     return EXIT_OK

@@ -23,6 +23,20 @@ DEFAULT_MAX_ITER = 2_000_000
 DEFAULT_BISECT_TOL = 1e-6
 _MONOTONE_SLACK = 1e-12
 
+# Curve tracing. A round's channel parameter is bisected to _EPS_BISECT_TOL; a
+# point is accepted once a round moves the state by less than _STATE_TOL and
+# the parameter by less than _EPS_CHANGE_TOL with mean(p) within _ANCHOR_TOL
+# of the target, and once a plain sweep from it moves it by at most
+# _RESIDUAL_TOL. A target is given up after _MAX_ROUNDS rounds, or after
+# _STUCK_LIMIT rounds in a row at a parameter end without meeting it.
+_EPS_BISECT_TOL = 1e-12
+_STATE_TOL = 1e-10
+_EPS_CHANGE_TOL = 1e-10
+_ANCHOR_TOL = 1e-8
+_RESIDUAL_TOL = 1e-9
+_MAX_ROUNDS = 200_000
+_STUCK_LIMIT = 200
+
 
 class ConvergenceError(RuntimeError):
     """Iteration budget exhausted before a conclusive outcome."""
@@ -308,46 +322,13 @@ def threshold(
     return 0.5 * (lo + hi)
 
 
-def h_ebp(
-    state: DeState,
-    params: EnsembleParams,
-    family: ChannelFamily,
-    *,
-    alternative: bool = False,
-) -> float:
-    """EXIT-like value of a fixed point, averaged over the chain sections.
-
-    Default is f(z_i) * z_i**dg with z_i the detector-input erasure rate;
-    `alternative` selects f(z_i) * z_i instead.
-    """
-    return float(np.mean(h_ebp_profile(state, params, family, alternative=alternative)))
-
-
-def h_ebp_profile(
-    state: DeState,
-    params: EnsembleParams,
-    family: ChannelFamily,
-    *,
-    alternative: bool = False,
-) -> np.ndarray:
-    """Per-section EXIT-like values (exported for inspection)."""
-    dev = DensityEvolution(params, family.kind, family.m)
-    return dev.h_profile(
-        state.p, state.q, dev.fpoly(family.parameter), alternative=alternative
-    )
-
-
 def ebp_trace(
     params: EnsembleParams,
     kind: str,
     m: int,
     chi_grid,
     *,
-    eps_bisect_tol: float = 1e-12,
-    state_tol: float = 1e-10,
-    eps_change_tol: float = 1e-10,
-    max_rounds: int = 200_000,
-    residual_tol: float = 1e-9,
+    alternative: bool = False,
 ) -> list[CurvePoint]:
     """Trace nontrivial DE fixed points at prescribed anchor values.
 
@@ -355,7 +336,9 @@ def ebp_trace(
     staged rounds, bisecting the channel parameter inside every round so the
     round output's anchor mean(p) meets the target, warm-starting from the
     previous point. Unreachable or non-converging targets are reported via
-    warnings and skipped, never interpolated.
+    warnings and skipped, never interpolated. Each point's h is the chain
+    mean of DensityEvolution.h_profile (f(z) * z**dg, or f(z) * z if
+    `alternative`).
     """
     chis = [float(c) for c in chi_grid]
     if any(not 0.0 < c <= 1.0 for c in chis):
@@ -370,16 +353,7 @@ def ebp_trace(
     q = np.ones(n)
     points: list[CurvePoint] = []
     for chi in chis:
-        sol = _anchored_point(
-            dev,
-            p,
-            q,
-            chi,
-            eps_bisect_tol=eps_bisect_tol,
-            state_tol=state_tol,
-            eps_change_tol=eps_change_tol,
-            max_rounds=max_rounds,
-        )
+        sol = _anchored_point(dev, p, q, chi)
         if sol is None:
             warnings.warn(
                 f"no anchored fixed point at chi={chi:.6g}; point skipped",
@@ -391,9 +365,9 @@ def ebp_trace(
         fcoef = dev.fpoly(eps)
         p_chk, q_chk = dev.sweep(p, q, fcoef)
         residual = max(np.abs(p_chk - p).max(), np.abs(q_chk - q).max())
-        if residual > residual_tol:
+        if residual > _RESIDUAL_TOL:
             warnings.warn(
-                f"fixed-point residual {residual:.2e} above {residual_tol:.0e} "
+                f"fixed-point residual {residual:.2e} above {_RESIDUAL_TOL:.0e} "
                 f"at chi={chi:.6g}; point skipped",
                 RuntimeWarning,
                 stacklevel=2,
@@ -402,7 +376,7 @@ def ebp_trace(
         points.append(
             CurvePoint(
                 epsilon=eps,
-                h=float(np.mean(dev.h_profile(p, q, fcoef))),
+                h=float(np.mean(dev.h_profile(p, q, fcoef, alternative=alternative))),
                 chi=chi,
                 state=DeState(L=params.L, p=p, q=q, epsilon=eps, iterations=rounds),
                 residual=float(residual),
@@ -412,23 +386,11 @@ def ebp_trace(
     return points
 
 
-def _anchored_point(
-    dev: DensityEvolution,
-    p: np.ndarray,
-    q: np.ndarray,
-    target: float,
-    *,
-    eps_bisect_tol: float,
-    state_tol: float,
-    eps_change_tol: float,
-    max_rounds: int,
-    anchor_tol: float = 1e-8,
-    stuck_limit: int = 200,
-):
+def _anchored_point(dev: DensityEvolution, p: np.ndarray, q: np.ndarray, target: float):
     """Anchored continuation loop; returns (p, q, eps, rounds) or None."""
     eps_prev = None
     stuck = 0
-    for r in range(1, max_rounds + 1):
+    for r in range(1, _MAX_ROUNDS + 1):
         staged = dev.staged_round_map(p, q)
         p_lo, q_lo = staged(0.0)
         p_hi, q_hi = staged(1.0)
@@ -440,7 +402,7 @@ def _anchored_point(
             eps, p1, q1 = 1.0, p_hi, q_hi
         else:
             lo, hi = 0.0, 1.0
-            while hi - lo > eps_bisect_tol:
+            while hi - lo > _EPS_BISECT_TOL:
                 mid = 0.5 * (lo + hi)
                 pm, _ = staged(mid)
                 # pm.mean() to the bit, without its per-call overhead.
@@ -453,13 +415,13 @@ def _anchored_point(
         d_state = max(np.abs(p1 - p).max(), np.abs(q1 - q).max())
         d_eps = float("inf") if eps_prev is None else abs(eps - eps_prev)
         p, q, eps_prev = p1, q1, eps
-        anchored = abs(p.mean() - target) <= anchor_tol
+        anchored = abs(p.mean() - target) <= _ANCHOR_TOL
         if eps in (0.0, 1.0) and not anchored:
             stuck += 1
-            if stuck > stuck_limit:
+            if stuck > _STUCK_LIMIT:
                 return None
         else:
             stuck = 0
-        if d_state < state_tol and d_eps < eps_change_tol and anchored:
+        if d_state < _STATE_TOL and d_eps < _EPS_CHANGE_TOL and anchored:
             return p, q, eps, r
     return None

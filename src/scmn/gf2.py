@@ -1,5 +1,6 @@
-"""Exact GF(2) linear algebra on bit-packed vectors, 2-Gaussian binomial
-coefficients, and brute-force subspace enumeration for small ambient width."""
+"""Exact GF(2) linear algebra on bit-packed vectors (a vector of F_2^m is a
+plain int whose bit t holds coordinate t), 2-Gaussian binomial coefficients,
+and brute-force subspace enumeration for small ambient width."""
 
 from __future__ import annotations
 
@@ -59,41 +60,22 @@ def _rref_ints(rows: Iterable[int]) -> tuple[int, ...]:
     return tuple(piv[c] for c in sorted(piv))
 
 
-@dataclass(frozen=True)
-class BitVec:
-    """Vector in F_2^width; bit t of `bits` holds coordinate t."""
-
-    width: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.width <= MAX_WIDTH:
-            raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {self.width}")
-        if self.bits < 0 or self.bits >> self.width:
-            raise ValueError(f"bits 0x{self.bits:x} exceed width {self.width}")
-
-    def bit(self, t: int) -> int:
-        return (self.bits >> t) & 1
-
-    def __xor__(self, other: "BitVec") -> "BitVec":
-        if self.width != other.width:
-            raise WidthMismatchError(f"widths differ: {self.width} != {other.width}")
-        return BitVec(self.width, self.bits ^ other.bits)
-
-    def __str__(self) -> str:
-        return "".join(str(self.bit(t)) for t in range(self.width))
+def _check_fits(v: int, width: int) -> None:
+    if v < 0 or v >> width:
+        raise WidthMismatchError(f"vector {v:#x} exceeds width {width}")
 
 
 @dataclass(frozen=True)
 class SubspaceBasis:
     """Linear subspace of F_2^ambient held as its reduced-row-echelon basis.
 
+    A vector of F_2^ambient is a plain int whose bit t holds coordinate t.
     The representation is canonical: two instances describe the same subspace
     iff their row tuples compare equal.
     """
 
     ambient: int
-    rows: tuple[BitVec, ...]
+    rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not 1 <= self.ambient <= MAX_WIDTH:
@@ -101,19 +83,16 @@ class SubspaceBasis:
         prev = -1
         pivot_mask = 0
         for r in self.rows:
-            if r.width != self.ambient:
-                raise WidthMismatchError(
-                    f"row width {r.width} != ambient {self.ambient}"
-                )
-            if r.bits == 0:
+            _check_fits(r, self.ambient)
+            if r == 0:
                 raise ValueError("zero row in basis")
-            c = _low_bit(r.bits)
+            c = _low_bit(r)
             if c <= prev:
                 raise ValueError("pivot columns must strictly increase")
             prev = c
             pivot_mask |= 1 << c
         for r in self.rows:
-            if r.bits & (pivot_mask & ~(1 << _low_bit(r.bits))):
+            if r & (pivot_mask & ~(1 << _low_bit(r))):
                 raise ValueError("basis is not fully reduced")
 
     @classmethod
@@ -122,51 +101,35 @@ class SubspaceBasis:
 
     @classmethod
     def full(cls, ambient: int) -> "SubspaceBasis":
-        return cls(ambient, tuple(BitVec(ambient, 1 << t) for t in range(ambient)))
+        return cls(ambient, tuple(1 << t for t in range(ambient)))
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def row_bits(self) -> tuple[int, ...]:
-        return tuple(r.bits for r in self.rows)
-
-    def vectors(self) -> Iterator[BitVec]:
+    def vectors(self) -> Iterator[int]:
         """All 2^dim elements (meant for small dimensions)."""
-        bits = self.row_bits()
-        for mask in range(1 << len(bits)):
+        for mask in range(1 << len(self.rows)):
             v = 0
-            for i, b in enumerate(bits):
+            for i, b in enumerate(self.rows):
                 if (mask >> i) & 1:
                     v ^= b
-            yield BitVec(self.ambient, v)
+            yield v
 
-    def contains(self, v: BitVec) -> bool:
-        if v.width != self.ambient:
-            raise WidthMismatchError(f"widths differ: {v.width} != {self.ambient}")
-        x = v.bits
-        for b in self.row_bits():
-            if (x >> _low_bit(b)) & 1:
-                x ^= b
-        return x == 0
-
-
-def rref(rows: Sequence[BitVec], ambient: int) -> SubspaceBasis:
-    """Canonical basis of the span of `rows`."""
-    for r in rows:
-        if r.width != ambient:
-            raise WidthMismatchError(f"row width {r.width} != ambient {ambient}")
-    return rref_bits((r.bits for r in rows), ambient)
+    def contains(self, v: int) -> bool:
+        _check_fits(v, self.ambient)
+        for b in self.rows:
+            if (v >> _low_bit(b)) & 1:
+                v ^= b
+        return v == 0
 
 
 def rref_bits(rows: Iterable[int], ambient: int) -> SubspaceBasis:
-    """rref() for plain-int rows; each must fit the ambient width."""
+    """Canonical basis of the span of `rows`; each must fit the ambient width."""
     rows = list(rows)
     for b in rows:
-        if b < 0 or b >> ambient:
-            raise ValueError(f"row 0x{b:x} exceeds ambient width {ambient}")
-    red = _rref_ints(rows)
-    return SubspaceBasis(ambient, tuple(BitVec(ambient, b) for b in red))
+        _check_fits(b, ambient)
+    return SubspaceBasis(ambient, _rref_ints(rows))
 
 
 def intersect(U: SubspaceBasis, V: SubspaceBasis) -> SubspaceBasis:
@@ -174,18 +137,18 @@ def intersect(U: SubspaceBasis, V: SubspaceBasis) -> SubspaceBasis:
     if U.ambient != V.ambient:
         raise WidthMismatchError(f"ambients differ: {U.ambient} != {V.ambient}")
     m = U.ambient
-    stacked = [b | (b << m) for b in U.row_bits()] + list(V.row_bits())
+    stacked = [b | (b << m) for b in U.rows] + list(V.rows)
     low = (1 << m) - 1
     inter = [r >> m for r in _rref_ints(stacked) if not r & low]
     return rref_bits(inter, m)
 
 
-def zero_coordinate_mask(U: SubspaceBasis) -> BitVec:
+def zero_coordinate_mask(U: SubspaceBasis) -> int:
     """Bit t set iff every vector of U has coordinate t equal to zero."""
     support = 0
-    for b in U.row_bits():
+    for b in U.rows:
         support |= b
-    return BitVec(U.ambient, ~support & ((1 << U.ambient) - 1))
+    return ~support & ((1 << U.ambient) - 1)
 
 
 def random_bits(rng, width: int) -> int:
@@ -208,7 +171,7 @@ def sample_subspace(m: int, d: int, rng) -> SubspaceBasis:
     while True:
         red = _rref_ints(random_bits(rng, m) for _ in range(d))
         if len(red) == d:
-            return SubspaceBasis(m, tuple(BitVec(m, b) for b in red))
+            return SubspaceBasis(m, red)
 
 
 @lru_cache(maxsize=None)
@@ -231,9 +194,7 @@ def enumerate_subspaces(m: int, d: int) -> tuple[SubspaceBasis, ...]:
         red = _rref_ints(combo)
         if len(red) == d:
             found.add(red)
-    return tuple(
-        SubspaceBasis(m, tuple(BitVec(m, b) for b in rows)) for rows in sorted(found)
-    )
+    return tuple(SubspaceBasis(m, rows) for rows in sorted(found))
 
 
 def solve_in_span(
@@ -243,7 +204,7 @@ def solve_in_span(
 
     Gaussian elimination on the coefficient system over the basis rows.
     """
-    rows = U.row_bits()
+    rows = U.rows
     piv: dict[int, tuple[int, int]] = {}
     for c, val in zip(coords, values):
         coef = 0

@@ -52,7 +52,7 @@ def detector_messages(V: SubspaceBasis, incoming) -> list[int]:
     for t in range(m):
         ex_rows = [1 << t] + [1 << u for u in erased if u != t]
         v_a = intersect(rref_bits(ex_rows, m), V)
-        if zero_coordinate_mask(v_a).bit(t):
+        if zero_coordinate_mask(v_a) >> t & 1:
             out.append((base >> t) & 1)
         else:
             out.append(ERASED)
@@ -88,11 +88,10 @@ class DetectorTables:
         self._outside = ~(np.arange(1 << m, dtype=np.int64)[:, None, None] | bit)
 
     def table(self, V: SubspaceBasis) -> np.ndarray:
-        key = V.row_bits()
-        tab = self._cache.get(key)
+        tab = self._cache.get(V.rows)
         if tab is None:
-            tab = self._build(key)
-            self._cache[key] = tab
+            tab = self._build(V.rows)
+            self._cache[V.rows] = tab
         return tab
 
     def _build(self, rows: tuple[int, ...]) -> np.ndarray:
@@ -155,9 +154,7 @@ def _sample_symbol_noise(dist: DimensionDistribution, n_symbols: int, rng):
             subs = enumerate_subspaces(m, d)
             if count:
                 pick = rng.integers(0, len(subs), size=count)
-                elems = np.array(
-                    [[v.bits for v in s.vectors()] for s in subs], dtype=np.int64
-                )
+                elems = np.array([list(s.vectors()) for s in subs], dtype=np.int64)
                 eidx = rng.integers(0, 1 << d, size=count)
                 z[mask] = elems[pick, eidx]
                 sub_idx[mask] = offset + pick
@@ -167,15 +164,14 @@ def _sample_symbol_noise(dist: DimensionDistribution, n_symbols: int, rng):
         seen: dict[tuple[int, ...], int] = {}
         for i in range(n_symbols):
             v = sample_subspace(m, int(dims[i]), rng)
-            key = v.row_bits()
-            if key not in seen:
-                seen[key] = len(subspaces)
+            if v.rows not in seen:
+                seen[v.rows] = len(subspaces)
                 subspaces.append(v)
-            sub_idx[i] = seen[key]
+            sub_idx[i] = seen[v.rows]
             zz = 0
             if v.dim:
                 combo = int(rng.integers(0, 1 << v.dim))
-                for ri, b in enumerate(v.row_bits()):
+                for ri, b in enumerate(v.rows):
                     if (combo >> ri) & 1:
                         zz ^= b
             z[i] = zz
@@ -187,8 +183,6 @@ def decode_trial(
     M: int,
     family: ChannelFamily,
     seed,
-    *,
-    max_rounds: int | None = None,
 ) -> TrialResult:
     """Sample a graph and noise, run flooding decoding to a stall, and report
     residual statistics under the all-zero transmission convention.
@@ -227,7 +221,8 @@ def decode_trial(
     b2c2 = np.full(len(t2_bit), ERASED, dtype=np.int64)
     d2b = np.full(n_t2, ERASED, dtype=np.int64)
     traj = [1.0]
-    cap = max_rounds if max_rounds is not None else e1 + len(t2_bit) + n_t2 + 2
+    # Every round that changes anything fixes at least one message for good.
+    cap = e1 + len(t2_bit) + n_t2 + 2
     rounds = 0
     bit_value = np.full(n_t2, ERASED, dtype=np.int64)
 
@@ -317,8 +312,6 @@ def run_experiment(
     parameter_grid,
     trials: int,
     master_seed: int,
-    *,
-    max_rounds: int | None = None,
 ) -> list[ExperimentRow]:
     """Run trials x |grid| independent decode_trials and aggregate.
 
@@ -332,10 +325,7 @@ def run_experiment(
     rows = []
     for g, par in enumerate(parameter_grid):
         family = ChannelFamily(kind, m, par)
-        results = [
-            decode_trial(params, M, family, (master_seed, g, t), max_rounds=max_rounds)
-            for t in range(trials)
-        ]
+        results = [decode_trial(params, M, family, (master_seed, g, t)) for t in range(trials)]
         bers = np.array([r.bit_erasure_rate for r in results])
         tmax = max(len(r.q_erasure_trajectory) for r in results)
         padded = np.array(

@@ -236,7 +236,7 @@ def test_criterion_10_combinatorial_oracles():
         V = subs[int(rng.integers(0, len(subs)))]
         truth = list(V.vectors())[int(rng.integers(0, 2**d))]
         mask = rng.integers(0, 2, size=m)
-        incoming = [truth.bit(t) if mask[t] else ERASED for t in range(m)]
+        incoming = [truth >> t & 1 if mask[t] else ERASED for t in range(m)]
         ok &= detector_messages(V, incoming) == detector_oracle(V, incoming)
         checked += 1
     report(

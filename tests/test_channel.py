@@ -1,11 +1,14 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scmn.channel import (
+    TRANSFER_MAX_M,
     ChannelFamily,
     DimensionDistribution,
     capacity,
@@ -14,8 +17,9 @@ from scmn.channel import (
     transfer_f,
     transfer_f_oracle,
     transfer_poly,
+    _erasure_kernel,
 )
-from scmn.gf2 import BitVec, SubspaceBasis
+from scmn.gf2 import SubspaceBasis
 from scmn.sim import _sample_symbol_noise
 
 
@@ -118,7 +122,7 @@ class TestSampleNoise:
             subs, idx, z = _sample_symbol_noise(cd(m, d / m), 200, rng)
             for i, zi in zip(idx.tolist(), z.tolist()):
                 assert subs[i].dim == d
-                assert subs[i].contains(BitVec(m, zi))
+                assert subs[i].contains(zi)
 
     def test_full_space_uniform_noise(self):
         rng = np.random.default_rng(2)
@@ -198,3 +202,34 @@ class TestTransfer:
 
     def test_poly_degree(self):
         assert transfer_poly(cd(3, 0.4)).shape == (3,)
+
+    def test_matches_exact_bernstein_sum(self):
+        # The float polynomial against the exact Bernstein-form sum over t
+        # erased companions of C(m-1, t) z^t (1-z)^(m-1-t) c[t+1][j], mixed
+        # by the dimension law, in rational arithmetic at the float z.
+        zs = np.linspace(0.0, 1.0, 41)
+        eps_grid = (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95)
+        for m in range(1, TRANSFER_MAX_M + 1):
+            c = _erasure_kernel(m)
+            n = m - 1
+            per_dim = []  # per z: exact f for unit mass at each dimension j
+            for z in zs:
+                zq = Fraction(float(z))
+                b = [math.comb(n, t) * zq**t * (1 - zq) ** (n - t) for t in range(m)]
+                per_dim.append(
+                    [sum(b[t] * c[t + 1][j] for t in range(m)) for j in range(m + 1)]
+                )
+            for dist in [law(m, eps) for law in (cd, bd) for eps in eps_grid]:
+                coef = transfer_poly(dist)
+                for z, g in zip(zs, per_dim):
+                    exact = sum(Fraction(p) * gj for p, gj in zip(dist.probs, g))
+                    got = npoly.polyval(float(z), coef)
+                    assert abs(got - float(exact)) <= 1e-12, (m, dist, z)
+
+    def test_width_past_limit_rejected(self):
+        with pytest.raises(ValueError, match="1..15"):
+            transfer_poly(cd(TRANSFER_MAX_M + 1, 0.5))
+        with pytest.raises(ValueError):
+            transfer_f(bd(64, 0.5), 0.5)
+        # capacity needs no transfer polynomial and keeps the full range
+        assert capacity(bd(64, 0.5)) == pytest.approx(0.5)

@@ -141,6 +141,26 @@ class TestExitCurve:
         rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
         assert [r.split(",")[0] for r in rows] == ["0.5", "0.4", "0.3", "0.2", "0.1"]
 
+    def test_h_alt(self, capsys):
+        argv = [
+            "exit-curve", "--dl", "4", "--dr", "2", "--dg", "2",
+            "-L", "10", "-w", "2", "--channel", "cd", "-m", "2",
+            "--chi-step", "0.05",
+        ]
+        tables = []
+        for extra in ([], ["--h-alt"]):
+            code, out, _ = run_cli(capsys, argv + extra)
+            assert code == 0
+            lines = [l for l in out.splitlines() if not l.startswith("#")]
+            assert lines[0] == "chi,epsilon,h,residual,iterations"
+            tables.append([l.split(",") for l in lines[1:]])
+        plain, alt = tables
+        assert len(plain) == 19
+        # f(z) * z against f(z) * z**dg on the same fixed points, 0 < z < 1
+        assert [r[:2] + r[3:] for r in alt] == [r[:2] + r[3:] for r in plain]
+        for a, p in zip(alt, plain):
+            assert float(p[2]) < float(a[2]) <= 1.0
+
     @pytest.mark.parametrize(
         "grid",
         [
@@ -163,6 +183,21 @@ class TestExitCurve:
         assert code == 2
         assert "invalid-config" in err
         assert out == ""
+
+
+@pytest.mark.parametrize("command", ["threshold", "exit-curve"])
+def test_de_symbol_width_past_transfer_limit(capsys, command):
+    code, out, err = run_cli(
+        capsys,
+        [
+            command, "--dl", "4", "--dr", "2", "--dg", "2",
+            "-L", "2", "-w", "2", "--channel", "cd", "-m", "16",
+        ],
+    )
+    assert code == 2
+    assert "invalid-config" in err
+    assert "1..15" in err
+    assert out == ""
 
 
 class TestSimulate:

@@ -8,8 +8,6 @@ from scmn.de import (
     DensityEvolution,
     DeState,
     ebp_trace,
-    h_ebp,
-    h_ebp_profile,
     run_de,
     threshold,
     trajectory,
@@ -213,32 +211,37 @@ class TestThreshold:
             threshold(P422, "cd", 2, bisect_tol=1e-3, max_iter=10)
 
 
+def h_mean(state, family, alternative=False):
+    """EXIT-like value of a state, averaged over the chain sections."""
+    dev = DensityEvolution(P422, family.kind, family.m)
+    fcoef = dev.fpoly(family.parameter)
+    return float(np.mean(dev.h_profile(state.p, state.q, fcoef, alternative=alternative)))
+
+
 class TestHExit:
     def test_trivial_fixed_point_is_zero(self):
         n = P422.n_sections
         zero = DeState(L=P422.L, p=np.zeros(n), q=np.zeros(n), epsilon=0.45)
-        assert h_ebp(zero, P422, CD2) == 0.0
+        assert h_mean(zero, CD2) == 0.0
 
     def test_bounded(self):
         st = ones_state(P422, 0.45)
-        assert 0.0 <= h_ebp(st, P422, CD2) <= 1.0
+        assert 0.0 <= h_mean(st, CD2) <= 1.0
 
     def test_alternative_dominates(self):
         # z**dg <= z on [0,1], so the written form is <= the alternative
         res = run_de(P422, ChannelFamily.concentrated(2, 0.55))
-        hw = h_ebp(res.state, P422, ChannelFamily.concentrated(2, 0.55))
-        ha = h_ebp(
-            res.state, P422, ChannelFamily.concentrated(2, 0.55), alternative=True
-        )
+        hw = h_mean(res.state, ChannelFamily.concentrated(2, 0.55))
+        ha = h_mean(res.state, ChannelFamily.concentrated(2, 0.55), alternative=True)
         assert hw <= ha <= 1.0
 
     def test_profile_monotone_in_state(self):
+        dev = DensityEvolution(P422, "cd", 2)
+        fcoef = dev.fpoly(0.45)
         n = P422.n_sections
-        lo = DeState(L=P422.L, p=np.full(n, 0.3), q=np.full(n, 0.3), epsilon=0.45)
-        hi = DeState(L=P422.L, p=np.full(n, 0.6), q=np.full(n, 0.6), epsilon=0.45)
-        assert np.all(
-            h_ebp_profile(lo, P422, CD2) <= h_ebp_profile(hi, P422, CD2) + 1e-14
-        )
+        lo = dev.h_profile(np.full(n, 0.3), np.full(n, 0.3), fcoef)
+        hi = dev.h_profile(np.full(n, 0.6), np.full(n, 0.6), fcoef)
+        assert np.all(lo <= hi + 1e-14)
 
 
     def test_profile_is_clipped_polyval(self):
@@ -355,7 +358,7 @@ def reference_trace(params, kind, m, chis):
         p_chk, q_chk = dev.sweep(p, q, fpoly(eps))
         if max(np.abs(p_chk - p).max(), np.abs(q_chk - q).max()) > 1e-9:
             continue
-        state = DeState(L=params.L, p=p, q=q, epsilon=eps, iterations=rounds)
-        h = h_ebp(state, params, ChannelFamily(kind, m, eps))
+        DeState(L=params.L, p=p, q=q, epsilon=eps, iterations=rounds)  # rates in [0, 1]
+        h = float(np.mean(dev.h_profile(p, q, fpoly(eps))))
         out.append((float(chi), rounds, eps, h))
     return out

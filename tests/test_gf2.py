@@ -4,22 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scmn.gf2 import (
-    BitVec,
     SubspaceBasis,
     WidthMismatchError,
     enumerate_subspaces,
     gbinom,
     intersect,
-    rref,
     rref_bits,
     sample_subspace,
     solve_in_span,
     zero_coordinate_mask,
 )
-
-
-def bv(width, bits):
-    return BitVec(width, bits)
 
 
 class TestGbinom:
@@ -52,44 +46,66 @@ class TestGbinom:
                 assert len(enumerate_subspaces(m, d)) == gbinom(m, d)
 
 
-class TestBitVec:
+class TestSubspaceBasis:
     def test_width_bounds(self):
         with pytest.raises(ValueError):
-            BitVec(0, 0)
+            SubspaceBasis(0, ())
         with pytest.raises(ValueError):
-            BitVec(65, 0)
+            SubspaceBasis(65, ())
+        assert SubspaceBasis(64, (1 << 63,)).dim == 1
 
     def test_overflow_rejected(self):
         with pytest.raises(ValueError):
-            BitVec(2, 4)
+            SubspaceBasis(2, (4,))
+        with pytest.raises(ValueError):
+            SubspaceBasis(64, (1 << 64,))
+        with pytest.raises(ValueError):
+            SubspaceBasis(2, (-1,))
 
-    def test_xor_width_mismatch(self):
+    def test_zero_row_rejected(self):
+        with pytest.raises(ValueError):
+            SubspaceBasis(2, (0,))
+
+    def test_pivots_must_increase(self):
+        with pytest.raises(ValueError):
+            SubspaceBasis(2, (2, 1))
+        with pytest.raises(ValueError):
+            SubspaceBasis(2, (1, 1))
+
+    def test_unreduced_rejected(self):
+        # rows 11, 01: the pivot of the second row is set in the first
+        with pytest.raises(ValueError):
+            SubspaceBasis(2, (0b11, 0b10))
+
+    def test_contains_width(self):
+        V = SubspaceBasis.full(2)
+        assert V.contains(0b11)
         with pytest.raises(WidthMismatchError):
-            bv(2, 1) ^ bv(3, 1)
-
-    def test_str_is_coordinate_order(self):
-        assert str(bv(3, 0b011)) == "110"
-        assert str(bv(3, 0b100)) == "001"
+            V.contains(0b100)
+        with pytest.raises(WidthMismatchError):
+            V.contains(-1)
 
 
 class TestRref:
     def test_span_of_full_plane(self):
         # rows 11, 01 span F_2^2; canonical basis is 10, 01
-        basis = rref([bv(2, 0b11), bv(2, 0b10)], 2)
-        assert basis.row_bits() == (1, 2)
+        basis = rref_bits([0b11, 0b10], 2)
+        assert basis.rows == (1, 2)
 
     def test_empty(self):
-        basis = rref([], 2)
+        basis = rref_bits([], 2)
         assert basis.dim == 0
         assert basis == SubspaceBasis.zero(2)
 
     def test_duplicates_collapse(self):
-        basis = rref([bv(2, 3), bv(2, 3)], 2)
-        assert basis.row_bits() == (3,)
+        basis = rref_bits([3, 3], 2)
+        assert basis.rows == (3,)
 
     def test_width_mismatch(self):
         with pytest.raises(WidthMismatchError):
-            rref([bv(3, 1)], 2)
+            rref_bits([0b100], 2)
+        with pytest.raises(WidthMismatchError):
+            rref_bits([-1], 2)
 
     @given(
         st.integers(min_value=1, max_value=8).flatmap(
@@ -102,7 +118,7 @@ class TestRref:
     def test_idempotent(self, m_rows):
         m, rows = m_rows
         once = rref_bits(rows, m)
-        again = rref_bits(once.row_bits(), m)
+        again = rref_bits(once.rows, m)
         assert once == again
 
     @given(
@@ -118,7 +134,7 @@ class TestRref:
         basis = rref_bits(rows, m)
         assert basis.dim <= min(len(rows), m)
         for r in rows:
-            assert basis.contains(bv(m, r))
+            assert basis.contains(r)
 
 
 class TestIntersect:
@@ -148,10 +164,8 @@ class TestIntersect:
                 assert got.dim <= min(U.dim, V.dim)
                 assert got.dim >= U.dim + V.dim - 3
                 # oracle: exhaustive membership
-                want = sorted(
-                    u.bits for u in U.vectors() if V.contains(u)
-                )
-                have = sorted(x.bits for x in got.vectors())
+                want = sorted(u for u in U.vectors() if V.contains(u))
+                have = sorted(got.vectors())
                 assert have == want
 
     def test_associative_m3(self):
@@ -165,21 +179,21 @@ class TestIntersect:
 class TestZeroCoordinateMask:
     def test_single_line(self):
         U = rref_bits([0b011], 3)  # vectors 000, 110
-        assert zero_coordinate_mask(U).bits == 0b100
+        assert zero_coordinate_mask(U) == 0b100
 
     def test_zero_subspace(self):
-        assert zero_coordinate_mask(SubspaceBasis.zero(3)).bits == 0b111
+        assert zero_coordinate_mask(SubspaceBasis.zero(3)) == 0b111
 
     def test_full_space(self):
-        assert zero_coordinate_mask(SubspaceBasis.full(2)).bits == 0
+        assert zero_coordinate_mask(SubspaceBasis.full(2)) == 0
 
     def test_matches_vector_enumeration(self):
         for d in range(4):
             for U in enumerate_subspaces(3, d):
                 mask = zero_coordinate_mask(U)
                 for t in range(3):
-                    all_zero = all(v.bit(t) == 0 for v in U.vectors())
-                    assert mask.bit(t) == int(all_zero)
+                    all_zero = all(v >> t & 1 == 0 for v in U.vectors())
+                    assert mask >> t & 1 == int(all_zero)
 
 
 class TestSampleSubspace:
@@ -201,7 +215,7 @@ class TestSampleSubspace:
         counts = {}
         for _ in range(n):
             v = sample_subspace(2, 1, rng)
-            counts[v.row_bits()] = counts.get(v.row_bits(), 0) + 1
+            counts[v.rows] = counts.get(v.rows, 0) + 1
         assert len(counts) == 3
         sigma = (1 / 3 * 2 / 3 / n) ** 0.5
         for c in counts.values():
@@ -248,8 +262,8 @@ class TestSolveInSpan:
         coords = data.draw(
             st.lists(st.integers(min_value=0, max_value=m - 1), max_size=m)
         )
-        values = [truth.bit(c) for c in coords]
+        values = [truth >> c & 1 for c in coords]
         got = solve_in_span(V, coords, values)
         assert got is not None
-        assert V.contains(BitVec(m, got))
+        assert V.contains(got)
         assert all((got >> c) & 1 == v for c, v in zip(coords, values))

@@ -25,10 +25,10 @@ def detector_oracle(V, incoming):
     out = []
     for t in range(m):
         vals = {
-            u.bits >> t & 1
+            u >> t & 1
             for u in V.vectors()
             if all(
-                u.bit(s) == incoming[s]
+                u >> s & 1 == incoming[s]
                 for s in range(m)
                 if s != t and incoming[s] != ERASED
             )
@@ -77,7 +77,7 @@ class TestDetector:
             truth = list(V.vectors())[int(rng.integers(0, 2**d))]
             known_mask = rng.integers(0, 2, size=m)
             incoming = [
-                truth.bit(t) if known_mask[t] else ERASED for t in range(m)
+                truth >> t & 1 if known_mask[t] else ERASED for t in range(m)
             ]
             assert detector_messages(V, incoming) == detector_oracle(V, incoming)
 
