@@ -5,8 +5,6 @@ with the DE trajectory printed alongside for comparison."""
 import argparse
 import sys
 
-import numpy as np
-
 from scmn.channel import ChannelFamily
 from scmn.de import trajectory
 from scmn.ensemble import EnsembleParams

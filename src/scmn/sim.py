@@ -1,5 +1,10 @@
 """Monte-Carlo joint decoding of sampled coupled graphs: flooding erasure
-message passing with an exact subspace detector at every channel symbol."""
+message passing with an exact subspace detector at every channel symbol.
+
+Trials send the all-zero word, so every known message is 0 and the decoder
+tracks only which messages are known. A detector's erased outputs then depend
+only on its erased inputs, and each noise subspace gets a table of 2^m
+erased-output masks indexed by the erased-input mask."""
 
 from __future__ import annotations
 
@@ -22,8 +27,9 @@ from .gf2 import (
 
 ERASED = -1
 
-# Largest symbol width the decoder serves: a table has 3^m entries, and
-# building one matches all 3^m codes against the 2^d elements of V.
+# Largest symbol width the decoder serves: a table has only 2^m entries, but
+# building one matches the 2^d elements of V against all 2^m erasure patterns
+# at each of the m outputs.
 DETECTOR_MAX_M = 8
 
 
@@ -60,32 +66,25 @@ def detector_messages(V: SubspaceBasis, incoming) -> list[int]:
 
 
 class DetectorTables:
-    """Base-3 lookup tables per noise subspace: incoming message code to
-    outgoing code; -1 marks inputs inconsistent with the subspace.
+    """Erased-output masks per noise subspace, indexed by the erased-input
+    mask E of a symbol: bit t of table(V)[E] is set iff output t is erased.
 
-    Digit t of a code is the message at position t: 0 or 1 for a known bit
-    of u, 2 for an erasure. A table gives what detector_messages gives, built
-    from erasure patterns: with E the erased inputs, output t is erased iff
-    some v in V with v_t = 1 has support inside E + {t}, and a known output
-    is bit t of any element of V matching the known inputs.
+    Under the all-zero word the detector output depends on E alone: output t
+    is erased iff some v in V with v_t = 1 has support inside E + {t}, which
+    is what detector_messages gives on any inputs with that erasure pattern.
     """
 
     def __init__(self, m: int):
         if not 1 <= m <= DETECTOR_MAX_M:
             raise ValueError(
-                f"the decoder's 3^m detector tables serve m in 1..{DETECTOR_MAX_M}, got m={m}"
+                f"the decoder's detector tables serve m in 1..{DETECTOR_MAX_M}, got m={m}"
             )
         self.m = m
         self._cache: dict[tuple[int, ...], np.ndarray] = {}
-        self._pow3 = 3 ** np.arange(m, dtype=np.int64)
         self._shift = np.arange(m, dtype=np.int64)
-        bit = np.int64(1) << self._shift
-        digits = (np.arange(3**m, dtype=np.int64)[:, None] // self._pow3) % 3
-        self._known = (digits != 2) @ bit  # per code: mask of known inputs
-        self._value = (digits == 1) @ bit  # per code: mask of known ones
-        self._pattern = (((1 << m) - 1) ^ self._known)[:, None]  # per code: E
+        self._bit = np.int64(1) << self._shift
         # per erasure pattern E and output t: the positions outside E + {t}
-        self._outside = ~(np.arange(1 << m, dtype=np.int64)[:, None, None] | bit)
+        self._outside = ~(np.arange(1 << m, dtype=np.int64)[:, None, None] | self._bit)
 
     def table(self, V: SubspaceBasis) -> np.ndarray:
         tab = self._cache.get(V.rows)
@@ -101,13 +100,7 @@ class DetectorTables:
         # erased[E, t]: some v with v_t = 1 has no support outside E + {t}
         v = elems[:, None]
         hits = ((v & self._outside) == 0) & (((v >> self._shift) & 1) == 1)
-        erased = hits.any(axis=1)
-        match = (elems & self._known[:, None]) == self._value[:, None]
-        base = elems[match.argmax(axis=1)]
-        digits = np.where(
-            erased[self._pattern, self._shift], 2, (base[:, None] >> self._shift) & 1
-        )
-        return np.where(match.any(axis=1), digits @ self._pow3, -1)
+        return hits.any(axis=1) @ self._bit
 
 
 @dataclass(frozen=True)
@@ -178,6 +171,28 @@ def _sample_symbol_noise(dist: DimensionDistribution, n_symbols: int, rng):
     return subspaces, sub_idx, z
 
 
+def _grouped(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edges grouped by node: node k owns edges order[ptr[k]:ptr[k + 1]]."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=ptr[1:])
+    return np.argsort(keys), ptr
+
+
+def _edges_of(nodes: np.ndarray, order: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """The edges of the given nodes, in node order."""
+    starts = ptr[nodes]
+    counts = ptr[nodes + 1] - starts
+    offsets = np.cumsum(counts) - counts  # where each node's run begins
+    return order[np.repeat(starts - offsets, counts) + np.arange(counts.sum())]
+
+
+def _take(mark: np.ndarray) -> np.ndarray:
+    """The marked nodes, each once; clears the marks."""
+    nodes = np.flatnonzero(mark)
+    mark[nodes] = False
+    return nodes
+
+
 def decode_trial(
     params: EnsembleParams,
     M: int,
@@ -190,6 +205,14 @@ def decode_trial(
     Schedule per round: check-to-bit from the current bit-to-check messages,
     then transmitted-to-detector, then the detector outputs, then fresh
     bit-to-check messages. This is the parallel schedule DE models.
+
+    Under the all-zero word every known message is 0, so each message is a
+    known flag alone, and known messages stay known. A round therefore
+    updates only the nodes next to a message that became known: the checks
+    with a newly known input, and the bits and symbols with a newly known
+    check message. Running counts (erased inputs per check, known check
+    messages per bit, erased centre edges) stand in for recounting every
+    edge.
     """
     m = family.m
     tables = DetectorTables(m)  # rejects an m the tables cannot serve, before sampling
@@ -198,7 +221,7 @@ def decode_trial(
     dist = dimension_distribution(family)
     L = params.L
 
-    subspaces, sub_idx, z = _sample_symbol_noise(dist, graph.n_symbols, rng)
+    subspaces, sub_idx, _ = _sample_symbol_noise(dist, graph.n_symbols, rng)
     used = np.unique(sub_idx)
     dense = np.zeros(int(used.max()) + 1, dtype=np.int64)
     dense[used] = np.arange(len(used))
@@ -206,98 +229,92 @@ def decode_trial(
     sub_dense = dense[sub_idx]
 
     n_t2 = graph.n_transmitted
+    n_sym = graph.n_symbols
     ncheck = graph.n_checks
-    t1_bit, t1_check = graph.t1_bit, graph.t1_check
-    t2_bit, t2_check = graph.t2_bit, graph.t2_check
+    t1_bit, t2_bit = graph.t1_bit, graph.t2_bit
     e1 = len(t1_bit)
-    check_all = np.concatenate([t1_check, t2_check])
-    pow3 = 3 ** np.arange(m, dtype=np.int64)
-    y_sym = ((z[:, None] >> np.arange(m)) & 1).astype(np.int64)  # y = z (x = 0)
+    check_all = np.concatenate([graph.t1_check, graph.t2_check])
+    by_check = _grouped(check_all, ncheck)
+    by_punctured = _grouped(t1_bit, graph.n_punctured)
+    by_transmitted = _grouped(t2_bit, n_t2)
     members = graph.symbols
+    sym_of = np.empty(n_t2, dtype=np.int64)
+    sym_of[members.ravel()] = np.repeat(np.arange(n_sym), m)
+    shift = np.arange(m, dtype=np.int64)
+    bit = np.int64(1) << shift
     center_edges = (t2_bit // M) == L
     n_center = int(center_edges.sum())
 
-    b2c1 = np.full(e1, ERASED, dtype=np.int64)
-    b2c2 = np.full(len(t2_bit), ERASED, dtype=np.int64)
-    d2b = np.full(n_t2, ERASED, dtype=np.int64)
+    # known flags: bit-to-check and check-to-bit per edge (type 1, then
+    # type 2), detector-to-bit per transmitted bit
+    b2c = np.zeros(len(check_all), dtype=bool)
+    c2b = np.zeros(len(check_all), dtype=bool)
+    d2b = np.zeros(n_t2, dtype=bool)
+    n_erased_in = np.bincount(check_all, minlength=ncheck)
+    n_known_p = np.zeros(graph.n_punctured, dtype=np.int64)
+    n_known_t = np.zeros(n_t2, dtype=np.int64)
+    center_erased = n_center
+    # nodes to update this round; every check and symbol in the first
+    dirty_check = np.ones(ncheck, dtype=bool)
+    dirty_sym = np.ones(n_sym, dtype=bool)
+    dirty_p = np.zeros(graph.n_punctured, dtype=bool)
+    dirty_t = np.zeros(n_t2, dtype=bool)
     traj = [1.0]
     # Every round that changes anything fixes at least one message for good.
     cap = e1 + len(t2_bit) + n_t2 + 2
     rounds = 0
-    bit_value = np.full(n_t2, ERASED, dtype=np.int64)
 
     while True:
         if rounds >= cap:
             raise DecodingFaultError(f"no stall within {cap} rounds (seed={seed!r})")
-        # check -> bit
-        msgs = np.concatenate([b2c1, b2c2])
-        known = msgs != ERASED
-        ones = np.bincount(check_all[msgs == 1], minlength=ncheck) & 1
-        n_er = np.bincount(check_all[~known], minlength=ncheck)
-        own_one = (msgs == 1).astype(np.int64)
-        ext = ones[check_all] ^ own_one
-        c2b = np.where(n_er[check_all] - (~known).astype(np.int64) > 0, ERASED, ext)
-        c2b1 = c2b[:e1]
-        c2b2 = c2b[e1:]
+        # check -> bit: known once every other input of the check is known
+        e = _edges_of(_take(dirty_check), *by_check)
+        e = e[(n_erased_in[check_all[e]] - ~b2c[e] == 0) & ~c2b[e]]
+        c2b[e] = True
+        e_p = e[e < e1]
+        e_t = e[e >= e1] - e1
 
-        # punctured bit -> check
-        k0 = np.bincount(t1_bit[c2b1 == 0], minlength=graph.n_punctured)
-        k1 = np.bincount(t1_bit[c2b1 == 1], minlength=graph.n_punctured)
-        if ((k0 > 0) & (k1 > 0)).any():
-            raise DecodingFaultError(f"conflicting punctured-bit values (seed={seed!r})")
-        bv1 = np.where(k0 > 0, 0, np.where(k1 > 0, 1, ERASED))
-        own = c2b1 != ERASED
-        nb2c1 = np.where((k0 + k1)[t1_bit] - own > 0, bv1[t1_bit], ERASED)
+        # punctured bit -> check: known once another check message is
+        bits = t1_bit[e_p]
+        np.add.at(n_known_p, bits, 1)
+        dirty_p[bits] = True
+        f = _edges_of(_take(dirty_p), *by_punctured)
+        new_b2c_p = f[(n_known_p[t1_bit[f]] - c2b[f] > 0) & ~b2c[f]]
 
         # transmitted bit -> detector (checks only), then detector -> bit
-        ck0 = np.bincount(t2_bit[c2b2 == 0], minlength=n_t2)
-        ck1 = np.bincount(t2_bit[c2b2 == 1], minlength=n_t2)
-        if ((ck0 > 0) & (ck1 > 0)).any():
-            raise DecodingFaultError(f"conflicting check values at a transmitted bit (seed={seed!r})")
-        b2d = np.where(ck0 > 0, 0, np.where(ck1 > 0, 1, ERASED))
+        bits = t2_bit[e_t]
+        np.add.at(n_known_t, bits, 1)
+        dirty_t[bits] = True
+        dirty_sym[sym_of[bits]] = True
+        syms = _take(dirty_sym)
+        inputs = members[syms]
+        out = tab_stack[sub_dense[syms], (n_known_t[inputs] == 0) @ bit]
+        now = inputs[(out[:, None] >> shift) & 1 == 0]
+        new_d2b = now[~d2b[now]]
+        d2b[new_d2b] = True
+        dirty_t[new_d2b] = True
 
-        dig = b2d[members]
-        u_dig = np.where(dig == ERASED, 2, dig ^ y_sym)
-        codes = u_dig @ pow3
-        out_codes = tab_stack[sub_dense, codes]
-        if (out_codes < 0).any():
-            raise DecodingFaultError(f"detector saw inconsistent inputs (seed={seed!r})")
-        out_dig = (out_codes[:, None] // pow3) % 3
-        d_sym = np.where(out_dig == 2, ERASED, out_dig ^ y_sym)
-        nd2b = np.empty(n_t2, dtype=np.int64)
-        nd2b[members.ravel()] = d_sym.ravel()
+        # transmitted bit -> check, from the detector and the other checks
+        f = _edges_of(_take(dirty_t), *by_transmitted)
+        n_in = n_known_t[t2_bit[f]] - c2b[e1 + f] + d2b[t2_bit[f]]
+        new_b2c_t = f[(n_in > 0) & ~b2c[e1 + f]]
 
-        # transmitted bit -> check, combining detector and other checks
-        any0 = (ck0 > 0) | (nd2b == 0)
-        any1 = (ck1 > 0) | (nd2b == 1)
-        if (any0 & any1).any():
-            raise DecodingFaultError(f"conflicting transmitted-bit values (seed={seed!r})")
-        bit_value = np.where(any0, 0, np.where(any1, 1, ERASED))
-        own2 = c2b2 != ERASED
-        n_in = (ck0 + ck1)[t2_bit] - own2 + (nd2b[t2_bit] != ERASED)
-        nb2c2 = np.where(n_in > 0, bit_value[t2_bit], ERASED)
-
-        for old, new in ((b2c1, nb2c1), (b2c2, nb2c2), (d2b, nd2b)):
-            if (new == 1).any():
-                raise DecodingFaultError(f"known-1 under all-zero transmission (seed={seed!r})")
-            if ((old != ERASED) & (new == ERASED)).any():
-                raise DecodingFaultError(f"known message reverted to erased (seed={seed!r})")
+        new_b2c = np.concatenate([new_b2c_p, e1 + new_b2c_t])
+        b2c[new_b2c] = True
+        np.subtract.at(n_erased_in, check_all[new_b2c], 1)
+        dirty_check[check_all[new_b2c]] = True
+        center_erased -= int(center_edges[new_b2c_t].sum())
         rounds += 1
-        changed = (
-            not np.array_equal(b2c1, nb2c1)
-            or not np.array_equal(b2c2, nb2c2)
-            or not np.array_equal(d2b, nd2b)
-        )
-        b2c1, b2c2, d2b = nb2c1, nb2c2, nd2b
-        traj.append(float((b2c2[center_edges] == ERASED).sum() / n_center))
-        if not changed:
+        traj.append(center_erased / n_center)
+        if not (len(new_b2c) or len(new_d2b)):
             break
 
+    bit_erased = (n_known_t == 0) & ~d2b
     sections = np.arange(n_t2) // M
-    residual = np.bincount(sections[bit_value == ERASED], minlength=params.n_sections)
+    residual = np.bincount(sections[bit_erased], minlength=params.n_sections)
     return TrialResult(
         residual_erasures_per_section=tuple(int(x) for x in residual),
-        bit_erasure_rate=float((bit_value == ERASED).sum() / n_t2),
+        bit_erasure_rate=float(bit_erased.sum() / n_t2),
         iterations_to_stall=rounds,
         seed=seed,
         q_erasure_trajectory=tuple(traj),

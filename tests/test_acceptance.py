@@ -6,7 +6,6 @@ assertion band; the full module takes roughly ten minutes on a laptop.
 """
 
 import numpy as np
-import pytest
 
 from scmn.channel import (
     ChannelFamily,

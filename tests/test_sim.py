@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from scmn.channel import ChannelFamily, dimension_distribution
+from reference_decoder import ValueTables
+from reference_decoder import decode_trial as reference_trial
+from scmn.channel import ChannelFamily
+from scmn.de import trajectory
 from scmn.ensemble import EnsembleParams
 from scmn.gf2 import SubspaceBasis, enumerate_subspaces, rref_bits, sample_subspace
 from scmn.sim import (
@@ -9,7 +12,6 @@ from scmn.sim import (
     ERASED,
     DecodingFaultError,
     DetectorTables,
-    TrialResult,
     decode_trial,
     detector_messages,
     run_experiment,
@@ -83,7 +85,8 @@ class TestDetector:
 
 
 def detector_code(V, code):
-    """Table entry for one base-3 input code, from direct detector calls."""
+    """Base-3 table entry for one input code, from direct detector calls:
+    -1 when detector_messages rejects the inputs."""
     m = V.ambient
     digits = [(code // 3**t) % 3 for t in range(m)]
     incoming = [ERASED if d == 2 else d for d in digits]
@@ -97,10 +100,12 @@ def detector_code(V, code):
 class TestDetectorTables:
     def test_table_matches_direct_calls(self):
         # seeded random subspaces of every dimension: three per dimension for
-        # m = 1..6, one for m = 7, plus the line span{11} at m = 2
+        # m = 1..6, one for m = 7 and 8, plus the line span{11} at m = 2.
+        # For every input code the detector accepts, the erased outputs must
+        # be table(V)[E] with E the erased inputs, so they depend on E alone;
+        # the referee's base-3 table must give the direct call's code.
         rng = np.random.default_rng(2024)
         for m in range(1, 8):
-            tables = DetectorTables(m)
             subspaces = [
                 sample_subspace(m, d, rng)
                 for d in range(m + 1)
@@ -108,9 +113,26 @@ class TestDetectorTables:
             ]
             if m == 2:
                 subspaces.append(rref_bits([0b11], 2))
-            for V in subspaces:
-                tab = tables.table(V)
-                assert tab.tolist() == [detector_code(V, c) for c in range(3**m)]
+            self.check_tables(m, subspaces)
+        self.check_tables(8, [sample_subspace(8, 5, np.random.default_rng(2025))])
+
+    @staticmethod
+    def check_tables(m, subspaces):
+        tables, reference = DetectorTables(m), ValueTables(m)
+        for V in subspaces:
+            tab, ref = tables.table(V), reference.table(V)
+            assert tab.shape == (2**m,)
+            accepted = 0
+            for code in range(3**m):
+                direct = detector_code(V, code)
+                assert ref[code] == direct
+                if direct < 0:
+                    continue
+                accepted += 1
+                erased_in = sum(1 << t for t in range(m) if code // 3**t % 3 == 2)
+                erased_out = sum(1 << t for t in range(m) if direct // 3**t % 3 == 2)
+                assert tab[erased_in] == erased_out
+            assert accepted == 3**m if V.dim == m else accepted >= 2**m
 
     def test_cache_reuse(self):
         tables = DetectorTables(2)
@@ -165,6 +187,85 @@ class TestDecodeTrial:
     def test_divisibility_propagates(self):
         with pytest.raises(ValueError):
             decode_trial(P422, 7, ChannelFamily.concentrated(2, 0.4), 0)
+
+
+# Seeded m=6, M=48 trials at eps=0.45 (cd): master seed -> (BER, rounds to
+# stall) of the trial with seed (master, 0, 0), as pinned in the benchmark.
+M6_PINS = {
+    0: (0.691468253968254, 34),
+    1: (0.7757936507936508, 17),
+    2: (0.7529761904761905, 14),
+    3: (0.7797619047619048, 14),
+    4: (0.7559523809523809, 17),
+    5: (0.8492063492063492, 8),
+    6: (0.7648809523809523, 15),
+    7: (0.8174603174603174, 19),
+    8: (0.7440476190476191, 11),
+    9: (0.7202380952380952, 28),
+    10: (0.8303571428571429, 11),
+    11: (0.7619047619047619, 9),
+    12: (0.7162698412698413, 22),
+    13: (0.7668650793650794, 12),
+    14: (0.7390873015873016, 14),
+    15: (0.8184523809523809, 8),
+}
+
+
+class TestMatchesReferee:
+    """The erasure-only decoder against the value-tracking referee in
+    `reference_decoder`: the whole TrialResult must be equal.
+
+    The referee carries message values and raises DecodingFaultError on a
+    known 1 under the all-zero word, on a known message reverting to erased,
+    on conflicting punctured-bit, check or transmitted-bit values, and on
+    detector inputs inconsistent with the subspace. The erasure-only decoder
+    holds known flags alone, so it cannot express any of these and no longer
+    checks them; equal results here show that none of them occurs.
+    """
+
+    def test_m6_pins(self):
+        fam = ChannelFamily.concentrated(6, 0.45)
+        for master, pinned in M6_PINS.items():
+            seed = (master, 0, 0)
+            r = decode_trial(P422, 48, fam, seed)
+            assert r == reference_trial(P422, 48, fam, seed)
+            assert (r.bit_erasure_rate, r.iterations_to_stall) == pinned
+
+    def test_m2_full_size(self):
+        fam = ChannelFamily.concentrated(2, 0.45)
+        for seed in range(4):
+            assert decode_trial(P422, 2000, fam, seed) == reference_trial(
+                P422, 2000, fam, seed
+            )
+
+    @pytest.mark.parametrize("m", range(2, DETECTOR_MAX_M + 1))
+    def test_seeded_cells(self, m):
+        for kind in ("cd", "bd"):
+            for w in (1, 2, 3):
+                params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=w)
+                M = 6 * m * (2 if m < 4 else 1)  # divisible by 2, w and m
+                for eps in (0.0, 0.4, 0.5, 1.0):
+                    fam = ChannelFamily(kind, m, eps)
+                    seed = (m, w, int(kind == "cd"), int(eps * 10))
+                    assert decode_trial(params, M, fam, seed) == reference_trial(
+                        params, M, fam, seed
+                    )
+
+
+class TestDensityEvolutionAgreement:
+    @pytest.mark.parametrize("m, M", [(4, 2000), (6, 2004)])
+    def test_centre_trajectory_within_3_se(self, m, M):
+        # mean centre-section transmitted-to-check erasure rate of 20 trials
+        # against DE over iterations 0..30; the m bits of a symbol share one
+        # noise draw, so the trials * M/m symbols are the independent units
+        trials = 20
+        row = run_experiment(P422, M, "cd", m, [0.45], trials, 1)[0]
+        _, Q = trajectory(P422, ChannelFamily.concentrated(m, 0.45), 30)
+        q = Q[:, P422.L]
+        traj = row.q_trajectory_mean
+        emp = np.array([traj[min(i, len(traj) - 1)] for i in range(len(q))])
+        se = np.maximum(np.sqrt(q * (1 - q) / (trials * M // m)), 1e-12)
+        assert np.max(np.abs(emp - q) / se) <= 3.0
 
 
 class TestRunExperiment:
