@@ -4,7 +4,9 @@ and EXIT-like curve tracing by entropy-anchored fixed-point continuation."""
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -22,6 +24,13 @@ DEFAULT_STALL_TOL = 1e-15
 DEFAULT_MAX_ITER = 2_000_000
 DEFAULT_BISECT_TOL = 1e-6
 _MONOTONE_SLACK = 1e-12
+# Bisection steps that `threshold` decides per lockstep DE run, on
+# 2**levels - 1 rows. Timed on the 12 L=10/w=2 cells and cd m=6, bd m=4 at
+# L=20/w=3: 3 levels beat 2 on all 14 and 4 on the benchmark's two.
+_BISECT_LEVELS = 3
+# Sweeps between run_de's tests. Testing a block costs about as much numpy
+# call overhead as testing one sweep, which costs about a third of a sweep.
+_SWEEP_BLOCK = 128
 
 # Curve tracing. A round's channel parameter is bisected to _EPS_BISECT_TOL; a
 # point is accepted once a round moves the state by less than _STATE_TOL and
@@ -63,7 +72,8 @@ class DeState:
         q = np.array(self.q, dtype=float)
         if p.shape != (n,) or q.shape != (n,):
             raise ValueError(f"p and q must have shape ({n},)")
-        if (p < 0).any() or (p > 1).any() or (q < 0).any() or (q > 1).any():
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if not (((0 <= p) & (p <= 1)).all() and ((0 <= q) & (q <= 1)).all()):
             raise ValueError("erasure probabilities must lie in [0, 1]")
         p.setflags(write=False)
         q.setflags(write=False)
@@ -220,17 +230,25 @@ class DensityEvolution:
 
 def run_de(
     params: EnsembleParams,
-    family: ChannelFamily,
+    family: ChannelFamily | Sequence[ChannelFamily],
     *,
     tol: float = DEFAULT_TOL,
     stall_tol: float = DEFAULT_STALL_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-) -> DeResult:
+) -> DeResult | list[DeResult]:
     """Iterate the sweep from the all-ones initialization.
 
     Succeeds when max_i p_i drops below tol; reports a stall when the
     per-sweep sup-norm change falls below stall_tol first; flags iteration
     budget exhaustion separately.
+
+    `family` may also be a sequence of families of one kind and m, which
+    gives a list of results. The families run as lockstep rows of one
+    state; a single family is the one-row case. A row is held as a column
+    vector, so `W @ x` couples it by one gemv per row, and each row gets
+    the bits of its own run. Sweeps run in blocks of _SWEEP_BLOCK and are
+    tested sweep by sweep after each block: a row that decided is frozen at
+    the sweep where it did, and the sweeps it ran after that are dropped.
     """
     # Comparisons with NaN are false, so NaN is rejected too. p never exceeds
     # 1, so a tol of 1 or more would declare the all-ones start converged.
@@ -238,31 +256,63 @@ def run_de(
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if not 0 <= stall_tol < float("inf"):
         raise ValueError(f"stall_tol must be finite and >= 0, got {stall_tol}")
-    dev = DensityEvolution(params, family.kind, family.m)
-    fcoef = transfer_poly(dimension_distribution(family))
-    n = params.n_sections
-    p = np.ones(n)
-    q = np.ones(n)
+    if isinstance(max_iter, bool) or not isinstance(max_iter, Integral) or max_iter < 1:
+        raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
+    single = isinstance(family, ChannelFamily)
+    families = [family] if single else list(family)
+    if not families:
+        raise ValueError("run_de needs at least one channel family")
+    kind, m = families[0].kind, families[0].m
+    if any((f.kind, f.m) != (kind, m) for f in families):
+        raise ValueError("lockstep families must share one kind and m")
+    dev = DensityEvolution(params, kind, m)
+    # Shape (deg, rows, 1, 1), so the q-update's Horner loop broadcasts.
+    fcoef = np.stack(
+        [transfer_poly(dimension_distribution(f)) for f in families], axis=1
+    )[..., None, None]
+    shape = (len(families), params.n_sections, 1)
+    p = np.ones(shape)
+    q = np.ones(shape)
+    rows = np.arange(len(families))  # the family of each live row
+    results: list = [None] * len(families)
     it = 0
-    status = "iter-limit"
-    while it < max_iter:
-        p1, q1 = dev.sweep(p, q, fcoef)
-        it += 1
-        dp = p1 - p
-        dq = q1 - q
-        if it % 100 == 0 and max(dp.max(), dq.max()) > _MONOTONE_SLACK:
-            raise AssertionError(
-                "monotone decrease from all-ones violated; update is broken"
-            )
-        change = max(np.abs(dp).max(), np.abs(dq).max())
-        p, q = p1, q1
-        if p.max() < tol:
-            status = "converged"
-            break
-        if change < stall_tol:
-            status = "stalled"
-            break
-    state = DeState(L=params.L, p=p, q=q, epsilon=family.parameter, iterations=it)
+    while rows.size and it < max_iter:
+        sweeps = min(_SWEEP_BLOCK, max_iter - it)
+        P = np.empty((sweeps + 1, *p.shape))
+        Q = np.empty((sweeps + 1, *q.shape))
+        P[0], Q[0] = p, q
+        for t in range(1, sweeps + 1):
+            p, q = dev.sweep(p, q, fcoef)
+            P[t], Q[t] = p, q
+        # The block's tests, on arrays indexed (sweep, row, section).
+        P, Q = P[..., 0], Q[..., 0]
+        dP, dQ = P[1:] - P[:-1], Q[1:] - Q[:-1]
+        change = np.maximum(np.abs(dP).max(axis=2), np.abs(dQ).max(axis=2))
+        converged = P[1:].max(axis=2) < tol
+        decided = converged | (change < stall_tol)
+        # The block index of the sweep where each row decides, else `sweeps`.
+        t_dec = np.where(decided.any(axis=0), decided.argmax(axis=0), sweeps)
+        # Every 100th sweep, on the rows still live at it.
+        for t in range(-(it + 1) % 100, sweeps, 100):
+            if (np.maximum(dP[t], dQ[t])[t <= t_dec] > _MONOTONE_SLACK).any():
+                raise AssertionError(
+                    "monotone decrease from all-ones violated; update is broken"
+                )
+        for r in np.flatnonzero(t_dec < sweeps):
+            t = int(t_dec[r])
+            status = "converged" if converged[t, r] else "stalled"
+            fam = families[rows[r]]
+            results[rows[r]] = _de_result(params, fam, P[t + 1, r], Q[t + 1, r], it + t + 1, status)
+        it += sweeps
+        live = t_dec == sweeps
+        rows, p, q, fcoef = rows[live], p[live], q[live], fcoef[:, live]
+    for r, i in enumerate(rows):
+        results[i] = _de_result(params, families[i], p[r, :, 0], q[r, :, 0], it, "iter-limit")
+    return results[0] if single else results
+
+
+def _de_result(params, family, p, q, iterations, status) -> DeResult:
+    state = DeState(L=params.L, p=p, q=q, epsilon=family.parameter, iterations=iterations)
     return DeResult(state=state, success=status == "converged", status=status)
 
 
@@ -294,32 +344,58 @@ def threshold(
 
     Assumes the success predicate is monotone in the parameter. A run that
     exhausts max_iter leaves the bracket inconclusive and raises.
+
+    Each lockstep `run_de` decides every midpoint that the next
+    _BISECT_LEVELS bisection steps can visit, and the walk below takes the
+    steps plain bisection takes, so the value is the same to the bit. The
+    midpoints off the walk lie beyond the walk's midpoint where they branch
+    off, farther from the threshold, so they decide sooner than it and do
+    not set the run's length.
     """
     if kind not in ("cd", "bd"):
         raise ValueError(f"threshold search needs kind 'cd' or 'bd', got {kind!r}")
     # The bracket starts as [0, 1], so bisect_tol < 1 runs DE at least once
-    # (which checks tol and stall_tol).
+    # (which checks tol, stall_tol and max_iter).
     if not 0 < bisect_tol < 1:
         raise ValueError(f"bisect_tol must lie in (0, 1), got {bisect_tol}")
     lo, hi = 0.0, 1.0
     while hi - lo > bisect_tol:
-        mid = 0.5 * (lo + hi)
-        res = run_de(
+        mids = _bisection_subtree(lo, hi, bisect_tol)
+        runs = run_de(
             params,
-            ChannelFamily(kind, m, mid),
+            [ChannelFamily(kind, m, mid) for mid in mids],
             tol=tol,
             stall_tol=stall_tol,
             max_iter=max_iter,
         )
-        if res.status == "iter-limit":
-            raise ConvergenceError(
-                f"DE hit the {max_iter}-sweep cap at parameter {mid}; bracket inconclusive"
-            )
-        if res.success:
-            lo = mid
-        else:
-            hi = mid
+        decided = dict(zip(mids, runs))
+        while hi - lo > bisect_tol and (mid := 0.5 * (lo + hi)) in decided:
+            res = decided[mid]
+            if res.status == "iter-limit":
+                raise ConvergenceError(
+                    f"DE hit the {max_iter}-sweep cap at parameter {mid}; bracket inconclusive"
+                )
+            if res.success:
+                lo = mid
+            else:
+                hi = mid
     return 0.5 * (lo + hi)
+
+
+def _bisection_subtree(lo: float, hi: float, bisect_tol: float) -> list[float]:
+    """Every midpoint that the next _BISECT_LEVELS steps of bisection from
+    [lo, hi] can visit, whichever way each step decides."""
+    mids: list[float] = []
+    brackets = [(lo, hi)]
+    for _ in range(_BISECT_LEVELS):
+        brackets = [(a, b) for a, b in brackets if b - a > bisect_tol]
+        halves = []
+        for a, b in brackets:
+            mid = 0.5 * (a + b)
+            mids.append(mid)
+            halves += [(a, mid), (mid, b)]
+        brackets = halves
+    return mids
 
 
 def ebp_trace(

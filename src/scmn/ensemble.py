@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
@@ -22,6 +23,10 @@ class EnsembleParams:
     w: int
 
     def __post_init__(self) -> None:
+        for name in ("dl", "dr", "dg", "L", "w"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("dl", "dr", "dg", "w"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

@@ -97,6 +97,8 @@ class TestThreshold:
             ["--bisect-tol", "2"],
             ["--tol", "inf", "--bisect-tol", "0.01"],
             ["--tol", "1.5", "--bisect-tol", "0.01"],
+            ["--max-iter", "0", "--bisect-tol", "0.01"],
+            ["--max-iter", "-5", "--bisect-tol", "0.01"],
         ],
     )
     def test_nan_tolerance_rejected(self, capsys, extra):

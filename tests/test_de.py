@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+from scmn import de
 from scmn.channel import ChannelFamily, dimension_distribution, transfer_poly
 from scmn.de import (
+    DEFAULT_MAX_ITER,
     ConvergenceError,
     DensityEvolution,
+    DeResult,
     DeState,
     ebp_trace,
     run_de,
@@ -40,6 +43,13 @@ class TestDeState:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             DeState(L=0, p=np.array([1.5]), q=np.array([0.0]), epsilon=0.1)
+
+    def test_nan_rejected(self):
+        nan = float("nan")
+        with pytest.raises(ValueError):
+            DeState(L=1, p=[nan] * 3, q=[0.0] * 3, epsilon=0.5)
+        with pytest.raises(ValueError):
+            DeState(L=1, p=[0.0] * 3, q=[0.0, nan, 0.0], epsilon=0.5)
 
     def test_arrays_frozen(self):
         st = ones_state(P422, 0.3)
@@ -99,6 +109,31 @@ class TestSweep:
         assert p1 == pytest.approx(p, abs=1e-9)
         assert q1 == pytest.approx(q, abs=1e-9)
 
+    def test_stacked_coupling_matches_gemv(self):
+        # Rows held as (K, n, 1) columns: W @ X is one gemv per row and
+        # gives each row the bits of W @ x, whatever K is.
+        rng = np.random.default_rng(11)
+        for w in range(1, 6):
+            dev = DensityEvolution(EnsembleParams(dl=4, dr=2, dg=2, L=4, w=w), "cd", 2)
+            for W in (dev.Wb, dev.Wf):
+                for K in range(1, 9):
+                    X = rng.uniform(0, 1, (K, W.shape[1], 1))
+                    Y = W @ X
+                    assert Y.shape == (K, W.shape[0], 1)
+                    for k in range(K):
+                        assert np.array_equal(Y[k, :, 0], W @ X[k, :, 0])
+
+    def test_row_batched_q_update(self):
+        rng = np.random.default_rng(12)
+        for kind, m in (("cd", 2), ("bd", 5)):
+            dev = DensityEvolution(P422, kind, m)
+            fcoefs = [dev.fpoly(float(e)) for e in rng.uniform(0, 1, 5)]
+            z = rng.uniform(-0.2, 1.2, (5, P422.n_sections, 1))
+            s1 = rng.uniform(0, 1, z.shape)
+            got = dev._q_update(z, s1, np.stack(fcoefs, axis=1)[..., None, None])
+            for k, fcoef in enumerate(fcoefs):
+                assert np.array_equal(got[k, :, 0], dev._q_update(z[k, :, 0], s1[k, :, 0], fcoef))
+
     def test_staged_round_map_matches_staged_round(self):
         # States partly outside [0, 1] drive the q-update past both ends of
         # its clip; the map must agree there too.
@@ -151,9 +186,63 @@ class TestRunDe:
             {"stall_tol": float("nan")},
             {"stall_tol": -1e-15},
             {"stall_tol": float("inf")},
+            {"max_iter": 0},
+            {"max_iter": -5},
+            {"max_iter": 2.5},
+            {"max_iter": True},
         ):
             with pytest.raises(ValueError):
                 run_de(P422, CD2, **kwargs)
+
+    def test_monotone_check_every_100th_sweep(self, monkeypatch):
+        # A broken update that flips q between 1 and 0 raises it at every
+        # even sweep; run_de checks every 100th sweep, in one run and in
+        # lockstep rows.
+        monkeypatch.setattr(DensityEvolution, "sweep", lambda self, p, q, fcoef: (p, 1.0 - q))
+        for family in (CD2, [CD2, ChannelFamily.concentrated(2, 0.3)]):
+            res = run_de(P422, family, max_iter=99)
+            assert all(r.status == "iter-limit" for r in np.atleast_1d(res))
+            with pytest.raises(AssertionError, match="monotone"):
+                run_de(P422, family, max_iter=100)
+
+    def test_family_validation(self):
+        with pytest.raises(ValueError):
+            run_de(P422, [])
+        with pytest.raises(ValueError):
+            run_de(P422, [CD2, ChannelFamily.binomial(2, 0.45)])
+        with pytest.raises(ValueError):
+            run_de(P422, [CD2, ChannelFamily.concentrated(3, 0.45)])
+
+    def test_single_family_matches_reference(self):
+        # The one-row run against the 1-D loop it replaced.
+        params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=3)
+        for fam in (CD2, ChannelFamily.binomial(3, 0.3), ChannelFamily.concentrated(2, 0.6)):
+            assert_same_result(run_de(params, fam), reference_run_de(params, fam))
+        fam = ChannelFamily.concentrated(2, 0.49)
+        got = run_de(params, fam, max_iter=40)
+        assert got.status == "iter-limit"
+        assert_same_result(got, reference_run_de(params, fam, max_iter=40))
+
+    def test_lockstep_rows_match_single_runs(self):
+        # Rows decide at different sweeps: some converge, some stall, and
+        # with a budget below the slowest row's, that row hits the cap.
+        for w in (2, 3, 4):
+            params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=w)
+            for kind, m in (("cd", 2), ("bd", 3)):
+                th = threshold(params, kind, m, bisect_tol=1e-3)
+                eps = [0.0, 0.2, th - 0.05, th - 2e-4, th + 2e-4, th + 0.05, 0.9]
+                families = [ChannelFamily(kind, m, float(e)) for e in eps]
+                singles = [run_de(params, f) for f in families]
+                assert {r.status for r in singles} == {"converged", "stalled"}
+                sweeps = sorted({r.state.iterations for r in singles})
+                assert len(sweeps) == len(eps)
+                for max_iter in (DEFAULT_MAX_ITER, sweeps[-2]):
+                    rows = run_de(params, families, max_iter=max_iter)
+                    assert len(rows) == len(families)
+                    for fam, row in zip(families, rows):
+                        assert_same_result(row, run_de(params, fam, max_iter=max_iter))
+                assert rows[-1].status != "iter-limit"
+                assert sum(r.status == "iter-limit" for r in rows) == 1
 
 
 class TestTrajectory:
@@ -202,6 +291,9 @@ class TestThreshold:
             {"bisect_tol": 0.01, "tol": float("inf")},
             {"bisect_tol": 0.01, "tol": 1.5},
             {"bisect_tol": 0.01, "stall_tol": float("nan")},
+            {"bisect_tol": 0.01, "max_iter": 0},
+            {"bisect_tol": 0.01, "max_iter": -5},
+            {"bisect_tol": 0.01, "max_iter": 2.5},
         ):
             with pytest.raises(ValueError):
                 threshold(P422, "cd", 2, **kwargs)
@@ -209,6 +301,103 @@ class TestThreshold:
     def test_iter_limit_propagates(self):
         with pytest.raises(ConvergenceError):
             threshold(P422, "cd", 2, bisect_tol=1e-3, max_iter=10)
+
+    @pytest.mark.parametrize("L, w", [(4, 2), (4, 3), (6, 4)])
+    def test_matches_plain_bisection(self, L, w):
+        params = EnsembleParams(dl=4, dr=2, dg=2, L=L, w=w)
+        for kind in ("cd", "bd"):
+            for m in (1, 2, 3, 6):
+                got = threshold(params, kind, m, bisect_tol=1e-3)
+                assert got == reference_threshold(params, kind, m, bisect_tol=1e-3)
+
+    def test_iter_limit_names_the_same_parameter(self):
+        # At L=4/w=3, cd m=2, bisection steps 4, 5 and 12 are the first to
+        # take more than 150, 300 and 3000 sweeps (196, 374 and 3702). So
+        # these budgets stop the search at a midpoint on each level of a
+        # three-level lockstep batch.
+        params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=3)
+        capped = set()
+        for max_iter in (150, 300, 3000):
+            with pytest.raises(ConvergenceError) as got:
+                threshold(params, "cd", 2, bisect_tol=1e-4, max_iter=max_iter)
+            with pytest.raises(ConvergenceError) as ref:
+                reference_threshold(params, "cd", 2, bisect_tol=1e-4, max_iter=max_iter)
+            assert str(got.value) == str(ref.value)
+            capped.add(str(ref.value).split("parameter ")[1])
+        assert len(capped) == 3
+
+    def test_reaches_traced_attributes(self, monkeypatch):
+        # The benchmark's tracer wraps scmn.de.run_de and
+        # DensityEvolution.sweep where they are looked up, so threshold must
+        # call them through the module and the class.
+        calls = {"run_de": 0, "sweep": 0, "longest": 0}
+        run_de_orig = de.run_de
+        sweep_orig = DensityEvolution.sweep
+
+        def counted_run_de(*args, **kwargs):
+            calls["run_de"] += 1
+            results = run_de_orig(*args, **kwargs)
+            calls["longest"] += max(r.state.iterations for r in results)
+            return results
+
+        def counted_sweep(self, *args):
+            calls["sweep"] += 1
+            return sweep_orig(self, *args)
+
+        monkeypatch.setattr(de, "run_de", counted_run_de)
+        monkeypatch.setattr(DensityEvolution, "sweep", counted_sweep)
+        threshold(P422, "cd", 2, bisect_tol=1e-2)
+        # 7 bisection steps, _BISECT_LEVELS per batch. A batch runs until
+        # its slowest row decides, rounded up to whole blocks of sweeps.
+        assert calls["run_de"] == -(-7 // de._BISECT_LEVELS)
+        assert 0 < calls["longest"] <= calls["sweep"]
+        assert calls["sweep"] < calls["longest"] + calls["run_de"] * de._SWEEP_BLOCK
+
+
+def assert_same_result(got, ref):
+    assert got.status == ref.status and got.success == ref.success
+    assert got.state.iterations == ref.state.iterations
+    assert got.state.epsilon == ref.state.epsilon
+    assert np.array_equal(got.state.p, ref.state.p)
+    assert np.array_equal(got.state.q, ref.state.q)
+
+
+def reference_run_de(params, family, *, tol=1e-10, stall_tol=1e-15, max_iter=DEFAULT_MAX_ITER):
+    """run_de for one family as a 1-D loop, before lockstep rows."""
+    dev = DensityEvolution(params, family.kind, family.m)
+    fcoef = transfer_poly(dimension_distribution(family))
+    p = q = np.ones(params.n_sections)
+    it, status = 0, "iter-limit"
+    while it < max_iter:
+        p1, q1 = dev.sweep(p, q, fcoef)
+        it += 1
+        change = max(np.abs(p1 - p).max(), np.abs(q1 - q).max())
+        p, q = p1, q1
+        if p.max() < tol:
+            status = "converged"
+            break
+        if change < stall_tol:
+            status = "stalled"
+            break
+    state = DeState(L=params.L, p=p, q=q, epsilon=family.parameter, iterations=it)
+    return DeResult(state=state, success=status == "converged", status=status)
+
+
+def reference_threshold(params, kind, m, *, bisect_tol, max_iter=DEFAULT_MAX_ITER):
+    """Plain bisection, one DE run per step."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > bisect_tol:
+        mid = 0.5 * (lo + hi)
+        res = reference_run_de(params, ChannelFamily(kind, m, mid), max_iter=max_iter)
+        if res.status == "iter-limit":
+            raise ConvergenceError(
+                f"DE hit the {max_iter}-sweep cap at parameter {mid}; bracket inconclusive"
+            )
+        if res.success:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def h_mean(state, family, alternative=False):

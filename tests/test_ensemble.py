@@ -32,6 +32,14 @@ class TestRateFormulas:
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-3
 
+    def test_params_must_be_integers(self):
+        for name in ("dl", "dr", "dg", "L", "w"):
+            for bad in (4.5, 2.0, True, "2"):
+                values = {"dl": 4, "dr": 2, "dg": 2, "L": 2, "w": 2, name: bad}
+                with pytest.raises(ValueError, match=name):
+                    EnsembleParams(**values)
+        assert EnsembleParams(np.int64(4), 2, 2, np.int64(2), 2).L == 2
+
     def test_check_count_reference(self):
         assert check_count(P422, 16) == 350
 
