@@ -30,7 +30,7 @@ _MONOTONE_SLACK = 1e-12
 _BISECT_LEVELS = 3
 # Sweeps between run_de's tests. Testing a block costs about as much numpy
 # call overhead as testing one sweep, which costs about a third of a sweep.
-_SWEEP_BLOCK = 128
+_SWEEP_BLOCK = 64
 
 # Curve tracing. A round's channel parameter is bisected to _EPS_BISECT_TOL; a
 # point is accepted once a round moves the state by less than _STATE_TOL and
