@@ -25,11 +25,13 @@ DEFAULT_MAX_ITER = 2_000_000
 DEFAULT_BISECT_TOL = 1e-6
 _MONOTONE_SLACK = 1e-12
 # Bisection steps that `threshold` decides per lockstep DE run, on
-# 2**levels - 1 rows. Timed on the 12 L=10/w=2 cells and cd m=6, bd m=4 at
-# L=20/w=3: 3 levels beat 2 on all 14 and 4 on the benchmark's two.
+# 2**levels - 1 rows. Timed at bisect_tol 1e-5: 3 levels were faster than 2
+# on the 12 L=10/w=2 cells and on cd m=6 and bd m=4 at L=20/w=3, and faster
+# than 4 on L=10/w=2 cd m=2 and bd m=4.
 _BISECT_LEVELS = 3
-# Sweeps between run_de's tests. Testing a block costs about as much numpy
-# call overhead as testing one sweep, which costs about a third of a sweep.
+# Sweeps that run_de runs between its tests. At L=10/w=2 a sweep takes about
+# 25 us; testing each sweep on its own cost about 9 us more in numpy call
+# overhead, testing a block of 64 at once about 1 us per sweep at 3 rows.
 _SWEEP_BLOCK = 64
 
 # Curve tracing. A round's channel parameter is bisected to _EPS_BISECT_TOL; a
@@ -258,7 +260,9 @@ def run_de(
         raise ValueError(f"stall_tol must be finite and >= 0, got {stall_tol}")
     if isinstance(max_iter, bool) or not isinstance(max_iter, Integral) or max_iter < 1:
         raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
-    single = isinstance(family, ChannelFamily)
+    # Not isinstance(family, ChannelFamily): the benchmark's tracer replaces
+    # this module's ChannelFamily with a wrapper function.
+    single = not isinstance(family, Sequence)
     families = [family] if single else list(family)
     if not families:
         raise ValueError("run_de needs at least one channel family")

@@ -329,14 +329,20 @@ class TestThreshold:
     def test_reaches_traced_attributes(self, monkeypatch):
         # The benchmark's tracer wraps scmn.de.run_de and
         # DensityEvolution.sweep where they are looked up, so threshold must
-        # call them through the module and the class.
-        calls = {"run_de": 0, "sweep": 0, "longest": 0}
+        # call them through the module and the class. It also replaces
+        # scmn.de.ChannelFamily with a function, so scmn.de may only call it.
+        calls = {"run_de": 0, "sweep": 0, "longest": 0, "family": 0, "rows": 0}
         run_de_orig = de.run_de
         sweep_orig = DensityEvolution.sweep
+
+        def counted_family(*args):
+            calls["family"] += 1
+            return ChannelFamily(*args)
 
         def counted_run_de(*args, **kwargs):
             calls["run_de"] += 1
             results = run_de_orig(*args, **kwargs)
+            calls["rows"] += len(results)
             calls["longest"] += max(r.state.iterations for r in results)
             return results
 
@@ -346,7 +352,9 @@ class TestThreshold:
 
         monkeypatch.setattr(de, "run_de", counted_run_de)
         monkeypatch.setattr(DensityEvolution, "sweep", counted_sweep)
+        monkeypatch.setattr(de, "ChannelFamily", counted_family)
         threshold(P422, "cd", 2, bisect_tol=1e-2)
+        assert calls["family"] == calls["rows"] > 0
         # 7 bisection steps, _BISECT_LEVELS per batch. A batch runs until
         # its slowest row decides, rounded up to whole blocks of sweeps.
         assert calls["run_de"] == -(-7 // de._BISECT_LEVELS)
@@ -363,7 +371,8 @@ def assert_same_result(got, ref):
 
 
 def reference_run_de(params, family, *, tol=1e-10, stall_tol=1e-15, max_iter=DEFAULT_MAX_ITER):
-    """run_de for one family as a 1-D loop, before lockstep rows."""
+    """run_de for one family as the 1-D loop it was before lockstep rows,
+    without its monotone check."""
     dev = DensityEvolution(params, family.kind, family.m)
     fcoef = transfer_poly(dimension_distribution(family))
     p = q = np.ones(params.n_sections)
