@@ -3,6 +3,7 @@ and EXIT-like curve tracing by entropy-anchored fixed-point continuation."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ DEFAULT_TOL = 1e-10
 DEFAULT_STALL_TOL = 1e-15
 DEFAULT_MAX_ITER = 2_000_000
 DEFAULT_BISECT_TOL = 1e-6
+_MIN_BISECT_TOL = 2.0**-52
 _MONOTONE_SLACK = 1e-12
 # Bisection steps that `threshold` decides per lockstep DE run, on
 # 2**levels - 1 rows. Timed at bisect_tol 1e-5: 3 levels were faster than 2
@@ -41,6 +43,16 @@ _SWEEP_BLOCK = 64
 # _RESIDUAL_TOL. A target is given up after _MAX_ROUNDS rounds, or after
 # _STUCK_LIMIT rounds in a row at a parameter end without meeting it.
 _EPS_BISECT_TOL = 1e-12
+# From a point's third round on, a round's bisection starts from the deepest
+# dyadic interval [j * 2**-k, (j + 1) * 2**-k], k <= _WARM_DEPTH, holding the
+# last ε plus or minus _WARM_WIDTH times its last change, if probes at its two
+# ends bracket the target. Plain bisection from [0, 1] would pass through that
+# interval: mean(p) is monotone in ε, and each coarser midpoint is an end of
+# the interval or lies at least 2**-k >= 2**-30 (9.3e-10) outside it, far
+# beyond the float error of mean(p) (4e-13 at m = 15). So those midpoints
+# decide as the probes imply, and the bisection tests the same midpoints below.
+_WARM_DEPTH = 30
+_WARM_WIDTH = 2.0
 _STATE_TOL = 1e-10
 _EPS_CHANGE_TOL = 1e-10
 _ANCHOR_TOL = 1e-8
@@ -161,11 +173,16 @@ class DensityEvolution:
     def _q_update(z: np.ndarray, s1: np.ndarray, fcoef) -> np.ndarray:
         """Transmitted-bit rates clip(f(z) * s1), with z = s**dg and
         s1 = s**(dg-1). f is evaluated by Horner's rule in place, step for
-        step as numpy's polyval does it."""
-        q1 = np.full(z.shape, fcoef[-1])
-        for c in fcoef[-2::-1]:
-            q1 *= z
-            q1 += c
+        step as numpy's polyval does it. Its first step is the one product
+        z * c_n, which has the bits of c_n * z."""
+        if len(fcoef) == 1:  # a constant f (m = 1) takes no product with z
+            q1 = np.full(z.shape, fcoef[0])
+        else:
+            q1 = np.multiply(z, fcoef[-1])
+            for c in fcoef[-2:0:-1]:
+                q1 += c
+                q1 *= z
+            q1 += fcoef[0]
         q1 *= s1
         # np.clip(q1, 0, 1), without its per-call overhead.
         np.maximum(q1, 0.0, out=q1)
@@ -359,9 +376,12 @@ def threshold(
     if kind not in ("cd", "bd"):
         raise ValueError(f"threshold search needs kind 'cd' or 'bd', got {kind!r}")
     # The bracket starts as [0, 1], so bisect_tol < 1 runs DE at least once
-    # (which checks tol, stall_tol and max_iter).
-    if not 0 < bisect_tol < 1:
-        raise ValueError(f"bisect_tol must lie in (0, 1), got {bisect_tol}")
+    # (which checks tol, stall_tol and max_iter). Adjacent floats below 1 lie
+    # at most 2**-53 apart, so a bracket wider than 2**-52 has its midpoint
+    # strictly inside. Below that floor the bracket could shrink to two
+    # adjacent floats whose midpoint is one of them, and never end.
+    if not _MIN_BISECT_TOL <= bisect_tol < 1:
+        raise ValueError(f"bisect_tol must lie in [2**-52, 1), got {bisect_tol}")
     lo, hi = 0.0, 1.0
     while hi - lo > bisect_tol:
         mids = _bisection_subtree(lo, hi, bisect_tol)
@@ -467,26 +487,41 @@ def ebp_trace(
 
 
 def _anchored_point(dev: DensityEvolution, p: np.ndarray, q: np.ndarray, target: float):
-    """Anchored continuation loop; returns (p, q, eps, rounds) or None."""
+    """Anchored continuation loop; returns (p, q, eps, rounds) or None.
+
+    A round bisects ε from the warm bracket of _warm_bracket when the target
+    lies strictly between mean(p) at its two ends. Otherwise it takes the
+    cold path: the ends of [0, 1] first, then bisection from [0, 1]. Both
+    paths test the same dyadic midpoints below the warm bracket, so every ε
+    is the one the cold path alone gives.
+    """
     eps_prev = None
+    d_eps = float("inf")
     stuck = 0
     for r in range(1, _MAX_ROUNDS + 1):
         staged = dev.staged_round_map(p, q)
-        p_lo, q_lo = staged(0.0)
-        p_hi, q_hi = staged(1.0)
-        chi_lo = p_lo.mean()
-        chi_hi = p_hi.mean()
-        if target <= chi_lo:
-            eps, p1, q1 = 0.0, p_lo, q_lo
-        elif target >= chi_hi:
-            eps, p1, q1 = 1.0, p_hi, q_hi
-        else:
+
+        def chi_at(e: float) -> float:
+            pe, _ = staged(e)
+            # pe.mean() to the bit, without its per-call overhead.
+            return pe.sum() / pe.size
+
+        lo, hi = (0.0, 1.0) if d_eps == float("inf") else _warm_bracket(eps_prev, d_eps)
+        # Strictly inside, as on the cold path's way to its bisection.
+        if (lo, hi) != (0.0, 1.0) and not chi_at(lo) < target < chi_at(hi):
             lo, hi = 0.0, 1.0
+        eps = None
+        if (lo, hi) == (0.0, 1.0):
+            p_lo, q_lo = staged(0.0)
+            p_hi, q_hi = staged(1.0)
+            if target <= p_lo.mean():
+                eps, p1, q1 = 0.0, p_lo, q_lo
+            elif target >= p_hi.mean():
+                eps, p1, q1 = 1.0, p_hi, q_hi
+        if eps is None:
             while hi - lo > _EPS_BISECT_TOL:
                 mid = 0.5 * (lo + hi)
-                pm, _ = staged(mid)
-                # pm.mean() to the bit, without its per-call overhead.
-                if pm.sum() / pm.size < target:
+                if chi_at(mid) < target:
                     lo = mid
                 else:
                     hi = mid
@@ -505,3 +540,19 @@ def _anchored_point(dev: DensityEvolution, p: np.ndarray, q: np.ndarray, target:
         if d_state < _STATE_TOL and d_eps < _EPS_CHANGE_TOL and anchored:
             return p, q, eps, r
     return None
+
+
+def _warm_bracket(eps: float, d_eps: float) -> tuple[float, float]:
+    """The deepest dyadic interval [j * 2**-k, (j + 1) * 2**-k] inside [0, 1],
+    k <= _WARM_DEPTH, that holds eps -/+ _WARM_WIDTH * d_eps (clipped to
+    [0, 1])."""
+    cells = 2**_WARM_DEPTH
+    # The depth-_WARM_DEPTH cells holding the window's two ends; a window of
+    # one point on a cell edge takes the cell to its right.
+    j_lo = min(math.floor(max(eps - _WARM_WIDTH * d_eps, 0.0) * cells), cells - 1)
+    j_hi = max(math.ceil(min(eps + _WARM_WIDTH * d_eps, 1.0) * cells) - 1, j_lo)
+    # Their deepest common ancestor is `shift` levels up.
+    shift = (j_lo ^ j_hi).bit_length()
+    width = 2.0 ** (shift - _WARM_DEPTH)
+    j = j_lo >> shift
+    return j * width, (j + 1) * width

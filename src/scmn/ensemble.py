@@ -143,7 +143,9 @@ def _short_cycle_reps(bits: np.ndarray, checks: np.ndarray, max_bits: int) -> li
     def partners(ends: np.ndarray) -> np.ndarray:
         # The other edge at the same endpoint; n for none, and n maps to n.
         out = np.full(n + 1, n, dtype=np.int64)
-        order = np.argsort(ends, kind="stable")
+        # Any sort will do: an endpoint has at most two edges, and the pair
+        # is written both ways.
+        order = np.argsort(ends)
         pair = np.nonzero(ends[order[1:]] == ends[order[:-1]])[0]
         out[order[pair]] = order[pair + 1]
         out[order[pair + 1]] = order[pair]

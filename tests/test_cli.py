@@ -95,6 +95,7 @@ class TestThreshold:
             ["--bisect-tol", "nan"],
             ["--bisect-tol", "1"],
             ["--bisect-tol", "2"],
+            ["--bisect-tol", "1e-17"],
             ["--tol", "inf", "--bisect-tol", "0.01"],
             ["--tol", "1.5", "--bisect-tol", "0.01"],
             ["--max-iter", "0", "--bisect-tol", "0.01"],

@@ -134,6 +134,31 @@ class TestSweep:
             for k, fcoef in enumerate(fcoefs):
                 assert np.array_equal(got[k, :, 0], dev._q_update(z[k, :, 0], s1[k, :, 0], fcoef))
 
+    def test_q_update_matches_full_start(self):
+        # The Horner loop starts with the product z * c_n; Horner's rule
+        # started from an array full of c_n gives the same bits, also for a
+        # constant f, on 1-D states and on lockstep (K, n, 1) rows.
+        def full_start(z, s1, fcoef):
+            q1 = np.full(z.shape, fcoef[-1])
+            for c in fcoef[-2::-1]:
+                q1 *= z
+                q1 += c
+            return np.clip(q1 * s1, 0.0, 1.0)
+
+        rng = np.random.default_rng(13)
+        for deg in range(1, 17):
+            z = rng.uniform(-0.2, 1.2, 21)
+            s1 = rng.uniform(0, 1, z.shape)
+            fcoef = rng.normal(0, 1, deg)
+            got = DensityEvolution._q_update(z, s1, fcoef)
+            assert np.array_equal(got, full_start(z, s1, fcoef))
+            z = rng.uniform(-0.2, 1.2, (3, 21, 1))
+            s1 = rng.uniform(0, 1, z.shape)
+            fcoef = rng.normal(0, 1, (deg, 3, 1, 1))
+            got = DensityEvolution._q_update(z, s1, fcoef)
+            assert got.shape == z.shape
+            assert np.array_equal(got, full_start(z, s1, fcoef))
+
     def test_staged_round_map_matches_staged_round(self):
         # States partly outside [0, 1] drive the q-update past both ends of
         # its clip; the map must agree there too.
@@ -286,6 +311,9 @@ class TestThreshold:
             {"bisect_tol": 0.0},
             {"bisect_tol": 1.0},
             {"bisect_tol": 2.0},
+            # Below the float spacing at 1 the bracket can stop shrinking.
+            {"bisect_tol": 1e-17},
+            {"bisect_tol": 2.0**-53},
             {"bisect_tol": 2.0, "tol": float("nan")},
             {"bisect_tol": 2.0, "stall_tol": float("nan")},
             {"bisect_tol": 0.01, "tol": float("inf")},
@@ -495,6 +523,71 @@ class TestEbpTrace:
                 assert abs(pt.epsilon - eps) <= 1e-11
                 assert abs(pt.h - h) <= 1e-11
 
+    @pytest.mark.parametrize("L, w", [(4, 2), (6, 3), (8, 4)])
+    def test_matches_cold_bisection(self, L, w, monkeypatch):
+        # Warm brackets give every point of the cold-bisection tracer bit for
+        # bit, on either dimension law up to m = 15 and at windows 2..4.
+        params = EnsembleParams(dl=4, dr=2, dg=2, L=L, w=w)
+        grid = np.arange(0.9, 0.05, -0.1)
+        for kind in ("cd", "bd"):
+            for m in (1, 2, 6, 15):
+                got = ebp_trace(params, kind, m, grid)
+                with monkeypatch.context() as mp:
+                    mp.setattr(de, "_anchored_point", cold_anchored_point)
+                    ref = ebp_trace(params, kind, m, grid)
+                assert len(got) == len(grid)
+                assert_same_points(got, ref)
+
+    def test_fewer_evaluations_per_round(self, monkeypatch):
+        # Every round of the cold tracer here evaluates the detector half 43
+        # times: both ends of [0, 1], 40 bisection steps and the final state.
+        params = EnsembleParams(dl=4, dr=2, dg=2, L=6, w=3)
+        grid = np.arange(0.9, 0.05, -0.1)
+        got, rounds, evals = counted_trace(monkeypatch, params, "cd", 6, grid)
+        monkeypatch.setattr(de, "_anchored_point", cold_anchored_point)
+        ref, ref_rounds, ref_evals = counted_trace(monkeypatch, params, "cd", 6, grid)
+        assert_same_points(got, ref)
+        assert rounds == ref_rounds and ref_evals == 43 * ref_rounds
+        assert evals < 35 * rounds
+
+    def test_probe_miss_falls_back_to_cold_path(self, monkeypatch):
+        # A warm bracket below every ε of the trace: each probe finds mean(p)
+        # below the target at both ends, and the round takes the cold path.
+        params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=2)
+        grid = np.arange(0.9, 0.05, -0.1)
+        warm = []
+
+        def low_bracket(eps, d_eps):
+            warm.append(eps)
+            return 0.0, 2.0**-30
+
+        with monkeypatch.context() as mp:
+            mp.setattr(de, "_anchored_point", cold_anchored_point)
+            ref, rounds, ref_evals = counted_trace(mp, params, "bd", 3, grid)
+        monkeypatch.setattr(de, "_warm_bracket", low_bracket)
+        got, got_rounds, evals = counted_trace(monkeypatch, params, "bd", 3, grid)
+        assert_same_points(got, ref)
+        assert got_rounds == rounds and min(warm) > 2.0**-30
+        # Two probes per warm round, then the cold round.
+        assert evals == ref_evals + 2 * len(warm)
+
+    def test_warm_bracket_is_the_deepest_dyadic_interval(self):
+        rng = np.random.default_rng(17)
+        cases = [(0.0, 0.0), (1.0, 0.0), (0.5, 0.0), (0.5, 1e-12), (0.3, 1.0)]
+        cases += [(float(e), 0.0) for e in rng.uniform(0, 1, 50)]
+        cases += [(float(e), float(10 ** rng.uniform(-13, 0))) for e in rng.uniform(0, 1, 500)]
+        for eps, d_eps in cases:
+            lo, hi = de._warm_bracket(eps, d_eps)
+            w_lo = max(eps - de._WARM_WIDTH * d_eps, 0.0)
+            w_hi = min(eps + de._WARM_WIDTH * d_eps, 1.0)
+            k = -np.log2(hi - lo)
+            assert k == int(k) <= de._WARM_DEPTH
+            assert lo * 2**k == int(lo * 2**k) and 0.0 <= lo < hi <= 1.0
+            assert lo <= w_lo and w_hi <= hi
+            if k < de._WARM_DEPTH:
+                mid = 0.5 * (lo + hi)
+                assert w_lo < mid < w_hi
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             ebp_trace(P422, "cd", 2, [0.5, 0.6])
@@ -502,6 +595,81 @@ class TestEbpTrace:
             ebp_trace(P422, "cd", 2, [1.2, 0.5])
         with pytest.raises(ValueError):
             ebp_trace(P422, "w", 2, [0.5])
+
+
+def assert_same_points(got, ref):
+    assert len(got) == len(ref)
+    for pt, rp in zip(got, ref):
+        assert (pt.epsilon, pt.h, pt.chi, pt.residual, pt.rounds) == (
+            rp.epsilon, rp.h, rp.chi, rp.residual, rp.rounds
+        )
+        assert pt.state.epsilon == rp.state.epsilon
+        assert pt.state.iterations == rp.state.iterations
+        assert np.array_equal(pt.state.p, rp.state.p)
+        assert np.array_equal(pt.state.q, rp.state.q)
+
+
+def counted_trace(monkeypatch, params, kind, m, chis):
+    """ebp_trace with its rounds (staged maps built) and detector-half
+    evaluations (calls of those maps) counted."""
+    counts = {"rounds": 0, "evals": 0}
+    map_orig = DensityEvolution.staged_round_map
+
+    def counted_map(self, p, q):
+        counts["rounds"] += 1
+        at = map_orig(self, p, q)
+
+        def counted_at(eps):
+            counts["evals"] += 1
+            return at(eps)
+
+        return counted_at
+
+    with monkeypatch.context() as mp:
+        mp.setattr(DensityEvolution, "staged_round_map", counted_map)
+        points = ebp_trace(params, kind, m, chis)
+    return points, counts["rounds"], counts["evals"]
+
+
+def cold_anchored_point(dev, p, q, target):
+    """de._anchored_point with every round bisecting ε from [0, 1] after
+    testing both ends, as it was before warm brackets."""
+    eps_prev = None
+    stuck = 0
+    for r in range(1, de._MAX_ROUNDS + 1):
+        staged = dev.staged_round_map(p, q)
+        p_lo, q_lo = staged(0.0)
+        p_hi, q_hi = staged(1.0)
+        chi_lo = p_lo.mean()
+        chi_hi = p_hi.mean()
+        if target <= chi_lo:
+            eps, p1, q1 = 0.0, p_lo, q_lo
+        elif target >= chi_hi:
+            eps, p1, q1 = 1.0, p_hi, q_hi
+        else:
+            lo, hi = 0.0, 1.0
+            while hi - lo > de._EPS_BISECT_TOL:
+                mid = 0.5 * (lo + hi)
+                pm, _ = staged(mid)
+                if pm.sum() / pm.size < target:
+                    lo = mid
+                else:
+                    hi = mid
+            eps = 0.5 * (lo + hi)
+            p1, q1 = staged(eps)
+        d_state = max(np.abs(p1 - p).max(), np.abs(q1 - q).max())
+        d_eps = float("inf") if eps_prev is None else abs(eps - eps_prev)
+        p, q, eps_prev = p1, q1, eps
+        anchored = abs(p.mean() - target) <= de._ANCHOR_TOL
+        if eps in (0.0, 1.0) and not anchored:
+            stuck += 1
+            if stuck > de._STUCK_LIMIT:
+                return None
+        else:
+            stuck = 0
+        if d_state < de._STATE_TOL and d_eps < de._EPS_CHANGE_TOL and anchored:
+            return p, q, eps, r
+    return None
 
 
 def reference_trace(params, kind, m, chis):
