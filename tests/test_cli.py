@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -275,3 +276,45 @@ class TestArgErrors:
             main(["threshold", "--dl", "4", "--dr", "2", "--dg", "2",
                   "-L", "2", "-w", "2", "--channel", "xx", "-m", "1"])
         assert exc.value.code == 2
+
+
+ENS = ["--dl", "4", "--dr", "2", "--dg", "2"]
+GOLDEN = Path(__file__).parent / "golden"
+# Seeded outputs written by the CLI and committed under tests/golden/; any
+# change to a result, an RNG stream or the output format shows up here.
+GOLDEN_CASES = {
+    "threshold_bd3_L4_w3.csv": [
+        "threshold", *ENS, "-L", "4", "-w", "3", "--channel", "bd", "-m", "3",
+        "--bisect-tol", "1e-4",
+    ],
+    "threshold_cd2_L10_w2.csv": [
+        "threshold", *ENS, "-L", "10", "-w", "2", "--channel", "cd", "-m", "2",
+        "--bisect-tol", "1e-3",
+    ],
+    "exit_curve_cd6_L4_w3.csv": [
+        "exit-curve", *ENS, "-L", "4", "-w", "3", "--channel", "cd", "-m", "6",
+        "--chi-step", "0.1",
+    ],
+    "exit_curve_bd4_L6_w4_alt.json": [
+        "exit-curve", *ENS, "-L", "6", "-w", "4", "--channel", "bd", "-m", "4",
+        "--chi-step", "0.1", "--h-alt", "--format", "json",
+    ],
+    "simulate_bd6_M48_L4_w2.csv": [
+        "simulate", *ENS, "-L", "4", "-w", "2", "--channel", "bd", "-m", "6",
+        "-M", "48", "--eps-grid", "0.3,0.45", "--trials", "2", "--seed", "3",
+    ],
+    "simulate_cd2_M120_L4_w3.json": [
+        "simulate", *ENS, "-L", "4", "-w", "3", "--channel", "cd", "-m", "2",
+        "-M", "120", "--eps-grid", "0.4,0.5", "--trials", "3", "--seed", "5",
+        "--format", "json",
+    ],
+    "capacity_w4_dim1.csv": ["capacity", "--channel", "w", "-m", "4", "--dim", "1"],
+    "rate_L10_w2.csv": ["rate", *ENS, "-L", "10", "-w", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_output(tmp_path, name):
+    out = tmp_path / name
+    assert main([*GOLDEN_CASES[name], "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
