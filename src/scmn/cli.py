@@ -6,12 +6,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .channel import ChannelFamily, capacity, dimension_distribution
-from .de import ConvergenceError, ebp_trace, threshold
+from .de import (
+    DEFAULT_BISECT_TOL,
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    ConvergenceError,
+    ebp_trace,
+    threshold,
+)
 from .ensemble import EnsembleParams, design_rate, design_rate_exact
 from .sim import DecodingFaultError, run_experiment
 
@@ -28,9 +36,7 @@ def _fmt(x) -> str:
 
 
 def _emit(args, command: str, config: dict, columns: list[str], rows: list[dict]) -> None:
-    config = dict(config)
-    config["command"] = command
-    config["version"] = __version__
+    config = {**config, "command": command, "seed": args.seed, "version": __version__}
     if args.format == "json":
         text = json.dumps({"config": config, "rows": rows}, sort_keys=True, indent=2)
         text += "\n"
@@ -71,17 +77,12 @@ def _add_channel(sp, kinds=("cd", "bd")) -> None:
 
 
 def _cmd_capacity(args) -> int:
-    if args.channel == "w":
-        if args.dim is None:
-            raise ValueError("channel 'w' needs --dim")
-        family = ChannelFamily("w", args.m, args.dim)
-    else:
-        if args.eps is None:
-            raise ValueError(f"channel {args.channel!r} needs --eps")
-        family = ChannelFamily(args.channel, args.m, args.eps)
+    option, value = ("--dim", args.dim) if args.channel == "w" else ("--eps", args.eps)
+    if value is None:
+        raise ValueError(f"channel {args.channel!r} needs {option}")
+    family = ChannelFamily(args.channel, args.m, value)
     cap = capacity(dimension_distribution(family))
-    config = {"channel": args.channel, "m": args.m, "parameter": family.parameter,
-              "seed": args.seed}
+    config = {"channel": args.channel, "m": args.m, "parameter": family.parameter}
     rows = [{"m": args.m, "family": args.channel,
              "parameter": float(family.parameter), "capacity": cap}]
     _emit(args, "capacity", config, ["m", "family", "parameter", "capacity"], rows)
@@ -90,11 +91,9 @@ def _cmd_capacity(args) -> int:
 
 def _cmd_rate(args) -> int:
     params = _ensemble(args)
-    config = {"dl": params.dl, "dr": params.dr, "dg": params.dg,
-              "L": params.L, "w": params.w, "seed": args.seed}
+    config = asdict(params)
     rows = [{
-        "dl": params.dl, "dr": params.dr, "dg": params.dg,
-        "L": params.L, "w": params.w,
+        **config,
         "rate": design_rate(params),
         "rate_exact": str(design_rate_exact(params)),
     }]
@@ -109,10 +108,8 @@ def _cmd_threshold(args) -> int:
         params, args.channel, args.m,
         bisect_tol=args.bisect_tol, tol=args.tol, max_iter=args.max_iter,
     )
-    config = {"dl": params.dl, "dr": params.dr, "dg": params.dg,
-              "L": params.L, "w": params.w, "channel": args.channel,
-              "m": args.m, "bisect_tol": args.bisect_tol, "tol": args.tol,
-              "max_iter": args.max_iter, "seed": args.seed}
+    config = {**asdict(params), "channel": args.channel, "m": args.m,
+              "bisect_tol": args.bisect_tol, "tol": args.tol, "max_iter": args.max_iter}
     rows = [{"m": args.m, "family": args.channel, "L": params.L, "w": params.w,
              "epsilon_star": eps_star, "bisect_tol": args.bisect_tol}]
     _emit(args, "threshold", config,
@@ -131,10 +128,9 @@ def _cmd_exit_curve(args) -> int:
     # stays on the grid but no point falls below it (or to a drifted zero).
     chis = np.arange(args.chi_max, args.chi_min - 1e-6 * args.chi_step, -args.chi_step)
     points = ebp_trace(params, args.channel, args.m, chis, alternative=args.h_alt)
-    config = {"dl": params.dl, "dr": params.dr, "dg": params.dg,
-              "L": params.L, "w": params.w, "channel": args.channel,
-              "m": args.m, "chi_max": args.chi_max, "chi_min": args.chi_min,
-              "chi_step": args.chi_step, "h_alt": args.h_alt, "seed": args.seed}
+    config = {**asdict(params), "channel": args.channel, "m": args.m,
+              "chi_max": args.chi_max, "chi_min": args.chi_min,
+              "chi_step": args.chi_step, "h_alt": args.h_alt}
     rows = [{"chi": pt.chi, "epsilon": pt.epsilon, "h": pt.h,
              "residual": pt.residual, "iterations": pt.rounds} for pt in points]
     _emit(args, "exit-curve", config,
@@ -151,10 +147,8 @@ def _cmd_simulate(args) -> int:
         params, args.section_size, args.channel, args.m,
         grid, args.trials, args.seed,
     )
-    config = {"dl": params.dl, "dr": params.dr, "dg": params.dg,
-              "L": params.L, "w": params.w, "channel": args.channel,
-              "m": args.m, "M": args.section_size, "trials": args.trials,
-              "eps_grid": args.eps_grid, "seed": args.seed}
+    config = {**asdict(params), "channel": args.channel, "m": args.m,
+              "M": args.section_size, "trials": args.trials, "eps_grid": args.eps_grid}
     rows = [{"epsilon": r.parameter, "trials": r.trials, "M": r.M,
              "ber_mean": r.ber_mean, "ber_std": r.ber_std, "seed": args.seed}
             for r in rows_out]
@@ -187,9 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("threshold", help="DE threshold by bisection")
     _add_ensemble(sp)
     _add_channel(sp)
-    sp.add_argument("--bisect-tol", type=float, default=1e-6)
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--max-iter", type=int, default=2_000_000)
+    sp.add_argument("--bisect-tol", type=float, default=DEFAULT_BISECT_TOL)
+    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sp.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     _add_common(sp)
     sp.set_defaults(func=_cmd_threshold)
 

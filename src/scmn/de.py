@@ -21,10 +21,11 @@ from .channel import (
 from .ensemble import EnsembleParams
 
 DEFAULT_TOL = 1e-10
-DEFAULT_STALL_TOL = 1e-15
 DEFAULT_MAX_ITER = 2_000_000
 DEFAULT_BISECT_TOL = 1e-6
 _MIN_BISECT_TOL = 2.0**-52
+# run_de reports a stall once a sweep changes every rate by less than this.
+_STALL_TOL = 1e-15
 _MONOTONE_SLACK = 1e-12
 # Bisection steps that `threshold` decides per lockstep DE run, on
 # 2**levels - 1 rows. Timed at bisect_tol 1e-5: 3 levels were faster than 2
@@ -132,21 +133,14 @@ class DensityEvolution:
         self.params = params
         self.kind = kind
         self.m = m
-        n = params.n_sections
-        nc = params.n_check_sections
         w = params.w
-        # Wb averages bit sections over the window feeding one check section;
-        # Wf averages check sections back over one bit section's window.
-        Wb = np.zeros((nc, n))
-        for c in range(nc):
-            lo = max(0, c - w + 1)
-            hi = min(n - 1, c)
-            Wb[c, lo : hi + 1] = 1.0 / w
-        Wf = np.zeros((n, nc))
-        for i in range(n):
-            Wf[i, i : i + w] = 1.0 / w
-        self.Wb = Wb
-        self.Wf = Wf
+        # Check section c sees bit sections i with 0 <= c - i < w. Wb averages
+        # bit sections over the window feeding one check section; Wf averages
+        # check sections back over one bit section's window. Wf is stored
+        # C-contiguous: a product with a transposed view sums in another order.
+        lag = np.arange(params.n_check_sections)[:, None] - np.arange(params.n_sections)
+        self.Wb = np.where((0 <= lag) & (lag < w), 1.0 / w, 0.0)
+        self.Wf = np.ascontiguousarray(self.Wb.T)
         # Row j: transfer polynomial for noise dimension exactly j.
         self.K = _mixture_poly_matrix(m)
 
@@ -252,13 +246,12 @@ def run_de(
     family: ChannelFamily | Sequence[ChannelFamily],
     *,
     tol: float = DEFAULT_TOL,
-    stall_tol: float = DEFAULT_STALL_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> DeResult | list[DeResult]:
     """Iterate the sweep from the all-ones initialization.
 
     Succeeds when max_i p_i drops below tol; reports a stall when the
-    per-sweep sup-norm change falls below stall_tol first; flags iteration
+    per-sweep sup-norm change falls below _STALL_TOL first; flags iteration
     budget exhaustion separately.
 
     `family` may also be a sequence of families of one kind and m, which
@@ -273,8 +266,6 @@ def run_de(
     # 1, so a tol of 1 or more would declare the all-ones start converged.
     if not 0 < tol < 1:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    if not 0 <= stall_tol < float("inf"):
-        raise ValueError(f"stall_tol must be finite and >= 0, got {stall_tol}")
     if isinstance(max_iter, bool) or not isinstance(max_iter, Integral) or max_iter < 1:
         raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
     # Not isinstance(family, ChannelFamily): the benchmark's tracer replaces
@@ -310,7 +301,7 @@ def run_de(
         dP, dQ = P[1:] - P[:-1], Q[1:] - Q[:-1]
         change = np.maximum(np.abs(dP).max(axis=2), np.abs(dQ).max(axis=2))
         converged = P[1:].max(axis=2) < tol
-        decided = converged | (change < stall_tol)
+        decided = converged | (change < _STALL_TOL)
         # The block index of the sweep where each row decides, else `sweeps`.
         t_dec = np.where(decided.any(axis=0), decided.argmax(axis=0), sweeps)
         # Every 100th sweep, on the rows still live at it.
@@ -358,7 +349,6 @@ def threshold(
     *,
     bisect_tol: float = DEFAULT_BISECT_TOL,
     tol: float = DEFAULT_TOL,
-    stall_tol: float = DEFAULT_STALL_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> float:
     """Bisect the channel parameter for the largest decodable value.
@@ -376,7 +366,7 @@ def threshold(
     if kind not in ("cd", "bd"):
         raise ValueError(f"threshold search needs kind 'cd' or 'bd', got {kind!r}")
     # The bracket starts as [0, 1], so bisect_tol < 1 runs DE at least once
-    # (which checks tol, stall_tol and max_iter). Adjacent floats below 1 lie
+    # (which checks tol and max_iter). Adjacent floats below 1 lie
     # at most 2**-53 apart, so a bracket wider than 2**-52 has its midpoint
     # strictly inside. Below that floor the bracket could shrink to two
     # adjacent floats whose midpoint is one of them, and never end.
@@ -389,7 +379,6 @@ def threshold(
             params,
             [ChannelFamily(kind, m, mid) for mid in mids],
             tol=tol,
-            stall_tol=stall_tol,
             max_iter=max_iter,
         )
         decided = dict(zip(mids, runs))

@@ -162,6 +162,10 @@ def _short_cycle_reps(bits: np.ndarray, checks: np.ndarray, max_bits: int) -> li
     return np.unique(low[closed]).tolist()
 
 
+# Re-wiring passes _condition_matching makes before it gives up.
+_MAX_PASSES = 500
+
+
 def _condition_matching(
     bits: np.ndarray,
     checks: np.ndarray,
@@ -169,7 +173,6 @@ def _condition_matching(
     rng,
     *,
     forbid_cycle_bits: int = 0,
-    max_passes: int = 500,
 ) -> None:
     """Re-wire check sockets until the edge set has no parallel edges and,
     when forbid_cycle_bits > 0, no cycles spanning that few bits.
@@ -177,7 +180,7 @@ def _condition_matching(
     Swaps stay inside the offset group of each edge (consecutive quota-sized
     blocks), so every per-(section, offset) quota is preserved exactly.
     """
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         bad = _parallel_edge_reps(bits, checks)
         if forbid_cycle_bits:
             bad += _short_cycle_reps(bits, checks, forbid_cycle_bits)
@@ -209,6 +212,8 @@ def sample_graph(
     section sizes; simple=False keeps the plain configuration model.
     """
     dl, dr, dg, w = params.dl, params.dr, params.dg, params.w
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
     if dr * M % dl:
         raise ValueError(f"dl={dl} must divide dr*M={dr * M}")
     if dr * M % w:

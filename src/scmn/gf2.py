@@ -107,14 +107,18 @@ class SubspaceBasis:
     def dim(self) -> int:
         return len(self.rows)
 
+    def element(self, mask: int) -> int:
+        """The sum of the basis rows whose index is a set bit of `mask`."""
+        v = 0
+        for i, b in enumerate(self.rows):
+            if (mask >> i) & 1:
+                v ^= b
+        return v
+
     def vectors(self) -> Iterator[int]:
-        """All 2^dim elements (meant for small dimensions)."""
-        for mask in range(1 << len(self.rows)):
-            v = 0
-            for i, b in enumerate(self.rows):
-                if (mask >> i) & 1:
-                    v ^= b
-            yield v
+        """All 2^dim elements, in the order of their masks (meant for small
+        dimensions)."""
+        return map(self.element, range(1 << self.dim))
 
     def contains(self, v: int) -> bool:
         _check_fits(v, self.ambient)
@@ -229,8 +233,4 @@ def solve_in_span(
         parity = (coef & sol).bit_count() & 1
         if rhs ^ parity:
             sol |= 1 << lead
-    v = 0
-    for ri, b in enumerate(rows):
-        if (sol >> ri) & 1:
-            v ^= b
-    return v
+    return U.element(sol)

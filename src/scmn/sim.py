@@ -80,27 +80,21 @@ class DetectorTables:
                 f"the decoder's detector tables serve m in 1..{DETECTOR_MAX_M}, got m={m}"
             )
         self.m = m
-        self._cache: dict[tuple[int, ...], np.ndarray] = {}
-        self._shift = np.arange(m, dtype=np.int64)
-        self._bit = np.int64(1) << self._shift
+        self.shift = np.arange(m, dtype=np.int64)
+        self.bit = np.int64(1) << self.shift
         # per erasure pattern E and output t: the positions outside E + {t}
-        self._outside = ~(np.arange(1 << m, dtype=np.int64)[:, None, None] | self._bit)
+        self._outside = ~(np.arange(1 << m, dtype=np.int64)[:, None, None] | self.bit)
 
     def table(self, V: SubspaceBasis) -> np.ndarray:
-        tab = self._cache.get(V.rows)
-        if tab is None:
-            tab = self._build(V.rows)
-            self._cache[V.rows] = tab
-        return tab
-
-    def _build(self, rows: tuple[int, ...]) -> np.ndarray:
+        """The table of V, built anew on each call: decode_trial asks once
+        per distinct subspace."""
         elems = np.zeros(1, dtype=np.int64)
-        for b in rows:
+        for b in V.rows:
             elems = np.concatenate([elems, elems ^ b])
         # erased[E, t]: some v with v_t = 1 has no support outside E + {t}
         v = elems[:, None]
-        hits = ((v & self._outside) == 0) & (((v >> self._shift) & 1) == 1)
-        return hits.any(axis=1) @ self._bit
+        hits = ((v & self._outside) == 0) & (((v >> self.shift) & 1) == 1)
+        return hits.any(axis=1) @ self.bit
 
 
 @dataclass(frozen=True)
@@ -161,13 +155,8 @@ def _sample_symbol_noise(dist: DimensionDistribution, n_symbols: int, rng):
                 seen[v.rows] = len(subspaces)
                 subspaces.append(v)
             sub_idx[i] = seen[v.rows]
-            zz = 0
-            if v.dim:
-                combo = int(rng.integers(0, 1 << v.dim))
-                for ri, b in enumerate(v.rows):
-                    if (combo >> ri) & 1:
-                        zz ^= b
-            z[i] = zz
+            # The zero subspace takes no draw from rng.
+            z[i] = v.element(int(rng.integers(0, 1 << v.dim))) if v.dim else 0
     return subspaces, sub_idx, z
 
 
@@ -222,11 +211,9 @@ def decode_trial(
     L = params.L
 
     subspaces, sub_idx, _ = _sample_symbol_noise(dist, graph.n_symbols, rng)
-    used = np.unique(sub_idx)
-    dense = np.zeros(int(used.max()) + 1, dtype=np.int64)
-    dense[used] = np.arange(len(used))
-    tab_stack = np.stack([tables.table(subspaces[int(i)]) for i in used])
-    sub_dense = dense[sub_idx]
+    # One table per distinct subspace; sub_dense indexes the symbol's table.
+    used, sub_dense = np.unique(sub_idx, return_inverse=True)
+    tab_stack = np.stack([tables.table(subspaces[i]) for i in used])
 
     n_t2 = graph.n_transmitted
     n_sym = graph.n_symbols
@@ -240,8 +227,7 @@ def decode_trial(
     members = graph.symbols
     sym_of = np.empty(n_t2, dtype=np.int64)
     sym_of[members.ravel()] = np.repeat(np.arange(n_sym), m)
-    shift = np.arange(m, dtype=np.int64)
-    bit = np.int64(1) << shift
+    shift, bit = tables.shift, tables.bit
     center_edges = (t2_bit // M) == L
     n_center = int(center_edges.sum())
 
@@ -359,7 +345,7 @@ def run_experiment(
                 M=M,
                 ber_mean=float(bers.mean()),
                 ber_std=float(bers.std(ddof=1)) if trials > 1 else 0.0,
-                n_fully_decoded=int((bers == 0.0).sum()),
+                n_fully_decoded=sum(r.fully_decoded for r in results),
                 q_trajectory_mean=tuple(float(x) for x in padded.mean(axis=0)),
             )
         )

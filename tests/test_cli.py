@@ -251,6 +251,20 @@ class TestSimulate:
         assert out == ""
         assert path.read_text().startswith("#")
 
+    @pytest.mark.parametrize("M", ["0", "-4"])
+    def test_section_size_below_one(self, capsys, M):
+        code, out, err = run_cli(
+            capsys,
+            [
+                "simulate", "--dl", "4", "--dr", "2", "--dg", "2",
+                "-L", "2", "-w", "2", "--channel", "cd", "-m", "2",
+                "-M", M, "--eps-grid", "0.4", "--trials", "1",
+            ],
+        )
+        assert code == 2
+        assert f"invalid-config: M must be >= 1, got {M}" in err
+        assert out == ""
+
     def test_symbol_width_past_table_limit(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -134,11 +134,6 @@ class TestDetectorTables:
                 assert tab[erased_in] == erased_out
             assert accepted == 3**m if V.dim == m else accepted >= 2**m
 
-    def test_cache_reuse(self):
-        tables = DetectorTables(2)
-        V = rref_bits([0b11], 2)
-        assert tables.table(V) is tables.table(V)
-
 
 class TestDecodeTrial:
     def test_noiseless_channel_decodes_immediately(self):
