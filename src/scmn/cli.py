@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -16,6 +17,7 @@ from .de import (
     DEFAULT_BISECT_TOL,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    _ANCHOR_TOL,
     ConvergenceError,
     ebp_trace,
     threshold,
@@ -51,6 +53,18 @@ def _emit(args, command: str, config: dict, columns: list[str], rows: list[dict]
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_out(path: str) -> None:
+    """Reject an --out path that cannot be written; main calls this before
+    the command runs, so a bad path costs no computation."""
+    if os.path.exists(path):
+        ok = not os.path.isdir(path) and os.access(path, os.W_OK)
+    else:
+        parent = os.path.dirname(os.path.abspath(path))
+        ok = os.path.isdir(parent) and os.access(parent, os.W_OK)
+    if not ok:
+        raise ValueError(f"--out {path!r} is not a writable file path")
 
 
 def _ensemble(args) -> EnsembleParams:
@@ -122,8 +136,11 @@ def _cmd_exit_curve(args) -> int:
     # Comparisons with NaN are false, so NaN is rejected too.
     if not 0.0 < args.chi_min <= args.chi_max <= 1.0:
         raise ValueError("need 0 < --chi-min <= --chi-max <= 1")
-    if not 0.0 < args.chi_step < float("inf"):
-        raise ValueError(f"--chi-step must be positive and finite, got {args.chi_step}")
+    # Targets closer than the anchor tolerance can be met by the same state.
+    if not _ANCHOR_TOL <= args.chi_step < float("inf"):
+        raise ValueError(
+            f"--chi-step must be finite and at least {_ANCHOR_TOL:g}, got {args.chi_step}"
+        )
     # The stop sits just below chi_min, so chi_min reached with rounding error
     # stays on the grid but no point falls below it (or to a drifted zero).
     chis = np.arange(args.chi_max, args.chi_min - 1e-6 * args.chi_step, -args.chi_step)
@@ -213,6 +230,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except ValueError as exc:
         print(f"error: invalid-config: {exc}", file=sys.stderr)

@@ -223,8 +223,7 @@ class DensityEvolution:
         z, s1 = s**dg, s ** (dg - 1)
 
         def at(eps: float) -> tuple[np.ndarray, np.ndarray]:
-            fcoef = np.asarray(dimension_law(self.kind, self.m, eps)) @ self.K
-            q1 = self._q_update(z, s1, fcoef)
+            q1 = self._q_update(z, s1, self.fpoly(eps))
             return self._p_update(rp, q1), q1
 
         return at

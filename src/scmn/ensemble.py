@@ -190,26 +190,21 @@ def _condition_matching(
             g = e // quota
             p = g * quota + int(rng.integers(0, quota))
             checks[e], checks[p] = int(checks[p]), int(checks[e])
-    raise ValueError(
-        "unable to condition the socket matching; use simple=False or a larger M"
-    )
+    raise ValueError("unable to condition the socket matching; use a larger M")
 
 
-def sample_graph(
-    params: EnsembleParams, M: int, m: int, rng, *, simple: bool = True
-) -> TannerGraph:
+def sample_graph(params: EnsembleParams, M: int, m: int, rng) -> TannerGraph:
     """Uniform socket matching honoring the per-offset edge quotas.
 
     Each bit section splits its sockets uniformly into w offset groups of
     exact quota size; each check section does the same keyed by source
     offset; groups are paired elementwise after independent shuffles.
 
-    With simple=True (default) the matching is conditioned on having no
-    parallel (bit, check) edges and, when dg == 2, no transmitted-bit cycles
-    spanning four bits or fewer, via quota-preserving socket swaps inside
-    each offset group. Unconditioned matchings put doubled sockets and short
-    degree-2 cycles on the graph, which cost an error floor at practical
-    section sizes; simple=False keeps the plain configuration model.
+    The matching is then conditioned on having no parallel (bit, check)
+    edges and, when dg == 2, no transmitted-bit cycles spanning four bits or
+    fewer, via quota-preserving socket swaps inside each offset group.
+    Unconditioned matchings put doubled sockets and short degree-2 cycles on
+    the graph, which cost an error floor at practical section sizes.
     """
     dl, dr, dg, w = params.dl, params.dr, params.dg, params.w
     if M < 1:
@@ -247,13 +242,12 @@ def sample_graph(
     t1_check = np.concatenate([dst1[s + j, j] for s in range(nsec) for j in range(w)])
     t2_bit = np.concatenate([src2[s, j] for s in range(nsec) for j in range(w)])
     t2_check = np.concatenate([dst2[s + j, j] for s in range(nsec) for j in range(w)])
-    if simple:
-        # A (bit, check) pair fixes its offset group (j = check section minus
-        # bit section), so in-group re-wiring reaches every violation.
-        _condition_matching(t1_bit, t1_check, q1, rng)
-        _condition_matching(
-            t2_bit, t2_check, q2, rng, forbid_cycle_bits=4 if dg == 2 else 0
-        )
+    # A (bit, check) pair fixes its offset group (j = check section minus bit
+    # section), so in-group re-wiring reaches every violation.
+    _condition_matching(t1_bit, t1_check, q1, rng)
+    _condition_matching(
+        t2_bit, t2_check, q2, rng, forbid_cycle_bits=4 if dg == 2 else 0
+    )
 
     symbols = np.concatenate(
         [(rng.permutation(M) + s * M).reshape(M // m, m) for s in range(nsec)]

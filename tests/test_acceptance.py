@@ -7,12 +7,11 @@ assertion band; the full module takes roughly ten minutes on a laptop.
 
 import numpy as np
 
+from oracles import transfer_f, transfer_f_oracle
 from scmn.channel import (
     ChannelFamily,
     capacity,
     dimension_distribution,
-    transfer_f,
-    transfer_f_oracle,
 )
 from scmn.de import ebp_trace, run_de, threshold, trajectory
 from scmn.ensemble import (

@@ -7,6 +7,7 @@ from numpy.polynomial import polynomial as npoly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import transfer_f, transfer_f_oracle
 from scmn.channel import (
     TRANSFER_MAX_M,
     ChannelFamily,
@@ -14,8 +15,6 @@ from scmn.channel import (
     capacity,
     dimension_distribution,
     dimension_law,
-    transfer_f,
-    transfer_f_oracle,
     transfer_poly,
     _erasure_kernel,
 )

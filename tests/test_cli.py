@@ -1,9 +1,11 @@
 import json
+import shlex
 from pathlib import Path
 
 import pytest
 
-from scmn.cli import main
+from scmn import cli
+from scmn.cli import build_parser, main
 
 
 def run_cli(capsys, argv):
@@ -171,6 +173,7 @@ class TestExitCurve:
             ["--chi-step", "0"],
             ["--chi-step", "-0.1"],
             ["--chi-step", "nan"],
+            ["--chi-step", "1e-11"],
             ["--chi-max", "0.3", "--chi-min", "0.5"],
             ["--chi-min", "0", "--chi-max", "0.5", "--chi-step", "0.1"],
             ["--chi-max", "1.1"],
@@ -279,6 +282,28 @@ class TestSimulate:
         assert "1..8" in err
 
 
+def test_out_into_missing_directory(capsys, monkeypatch, tmp_path):
+    def no_run(*args, **kwargs):
+        raise AssertionError("threshold ran before --out was checked")
+
+    monkeypatch.setattr(cli, "threshold", no_run)
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(
+        capsys,
+        [
+            "threshold", "--dl", "4", "--dr", "2", "--dg", "2",
+            "-L", "2", "-w", "2", "--channel", "cd", "-m", "2",
+            "--out", str(path),
+        ],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: invalid-config: --out {str(path)!r} is not a writable file path"
+    ]
+    assert not path.parent.exists()
+
+
 class TestArgErrors:
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc:
@@ -332,3 +357,21 @@ def test_golden_output(tmp_path, name):
     out = tmp_path / name
     assert main([*GOLDEN_CASES[name], "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """argv of each `scmn ...` line in README's CLI block, continuations joined."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("scmn ")]
+
+
+def test_readme_examples_parse():
+    examples = readme_cli_examples()
+    assert {argv[0] for argv in examples} == {
+        "capacity", "rate", "threshold", "exit-curve", "simulate",
+    }
+    parser = build_parser()
+    for argv in examples:
+        parser.parse_args(argv)  # exits 2 on a flag the CLI does not take

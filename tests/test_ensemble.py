@@ -183,15 +183,22 @@ def walk_cycle_reps(bits, checks, max_bits):
 
 class TestConditioning:
     def test_cycle_reps_match_walk(self):
-        # Unconditioned degree-2 transmitted edge sets hold parallel edges
-        # (1-bit cycles) and short cycles at every size.
+        # Unconditioned degree-2 edge sets hold parallel edges (1-bit cycles)
+        # and short cycles at every size. Each bit and each check gets two
+        # sockets, matched by one seeded permutation; as in a coupled graph
+        # there are more checks than bits, so some checks keep open sockets
+        # and the edge set holds paths too. The symbol width m does not enter
+        # an edge set, so only the section size M varies.
         found = 0
-        for M, m in ((2000, 2), (504, 6), (48, 6), (12, 2), (8, 2)):
+        for M in (2000, 504, 48, 12, 8):
+            n_bits, n_checks = P422.n_sections * M, P422.n_check_sections * M
+            bits = np.repeat(np.arange(n_bits), 2)
             for seed in range(3):
-                g = sample_graph(P422, M, m, np.random.default_rng(seed), simple=False)
+                order = np.random.default_rng(seed).permutation(2 * n_checks)
+                checks = np.repeat(np.arange(n_checks), 2)[order[: 2 * n_bits]]
                 for max_bits in (1, 2, 4, 8):
-                    want = walk_cycle_reps(g.t2_bit, g.t2_check, max_bits)
-                    assert _short_cycle_reps(g.t2_bit, g.t2_check, max_bits) == want
+                    want = walk_cycle_reps(bits, checks, max_bits)
+                    assert _short_cycle_reps(bits, checks, max_bits) == want
                     found += len(want)
         assert found > 0
 
