@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -29,6 +30,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_INTERNAL = 4
+
+# Most targets an exit-curve grid may hold: at about 9 ms per point of an
+# L=20/w=3 cd m=6 trace, some 15 minutes of tracing and 0.8 MB of targets.
+MAX_CURVE_POINTS = 100_000
 
 
 def _fmt(x) -> str:
@@ -143,6 +148,13 @@ def _cmd_exit_curve(args) -> int:
         )
     # The stop sits just below chi_min, so chi_min reached with rounding error
     # stays on the grid but no point falls below it (or to a drifted zero).
+    # Its length is counted as np.arange counts it, before it is allocated.
+    n_points = math.ceil((args.chi_max - args.chi_min) / args.chi_step + 1e-6)
+    if n_points > MAX_CURVE_POINTS:
+        raise ValueError(
+            f"the chi grid has {n_points} points, more than {MAX_CURVE_POINTS}; "
+            "raise --chi-step or narrow --chi-min..--chi-max"
+        )
     chis = np.arange(args.chi_max, args.chi_min - 1e-6 * args.chi_step, -args.chi_step)
     points = ebp_trace(params, args.channel, args.m, chis, alternative=args.h_alt)
     config = {**asdict(params), "channel": args.channel, "m": args.m,

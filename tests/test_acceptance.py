@@ -81,24 +81,21 @@ def test_criterion_01_threshold_table_L10_w2():
 
 
 def test_criterion_02_threshold_table_L20_w3_directional():
-    ok = True
+    # For m <= 3 the two parameters of a law run as lockstep rows of one
+    # run_de call; each row is decided, bit for bit, as its own run would be.
     details = []
     for kind in ("cd", "bd"):
         for m in range(1, 7):
-            ref = table_threshold(kind, m) + 1e-6
-            res = run_de(P20W3, ChannelFamily(kind, m, ref))
-            ok &= res.success
-            if not res.success:
-                details.append(f"{kind} m={m} not above L10/w2 value")
-    for kind in ("cd", "bd"):
-        for m in (1, 2, 3):
-            res = run_de(P20W3, ChannelFamily(kind, m, 0.49999))
-            ok &= res.success
-            if not res.success:
-                details.append(f"{kind} m={m} not above 0.49999")
+            checks = [(table_threshold(kind, m) + 1e-6, "L10/w2 value")]
+            if m <= 3:
+                checks.append((0.49999, "0.49999"))
+            runs = run_de(P20W3, [ChannelFamily(kind, m, eps) for eps, _ in checks])
+            for res, (_, bound) in zip(runs, checks):
+                if not res.success:
+                    details.append(f"{kind} m={m} not above {bound}")
     report(
         2,
-        ok,
+        not details,
         "L=20/w=3 thresholds exceed every L=10/w=2 value and exceed 0.49999 "
         "for m <= 3" + ("; " + "; ".join(details) if details else ""),
     )

@@ -192,6 +192,50 @@ class TestExitCurve:
         assert out == ""
 
 
+    def test_grid_size_bounded_before_allocation(self, capsys, monkeypatch):
+        # --chi-step 1e-8 over the default range would be 93,000,001 targets.
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid allocated")
+
+        monkeypatch.setattr(cli.np, "arange", no_grid)
+        code, out, err = run_cli(
+            capsys,
+            [
+                "exit-curve", "--dl", "4", "--dr", "2", "--dg", "2",
+                "-L", "2", "-w", "2", "--channel", "cd", "-m", "2",
+                "--chi-step", "1e-8",
+            ],
+        )
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: invalid-config:")
+        assert "93000001" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("extra, ok", [(0, True), (1, False)])
+    def test_grid_size_bound_is_exact(self, capsys, monkeypatch, extra, ok):
+        # chi_min = 1 - (n - 1) * 2**-17 is exact, so the grid from 1 down to
+        # it holds n points.
+        traced = []
+
+        def count_targets(params, kind, m, chis, **kwargs):
+            traced.append(len(chis))
+            return []
+
+        monkeypatch.setattr(cli, "ebp_trace", count_targets)
+        n = cli.MAX_CURVE_POINTS + extra
+        code, _, err = run_cli(
+            capsys,
+            [
+                "exit-curve", "--dl", "4", "--dr", "2", "--dg", "2",
+                "-L", "2", "-w", "2", "--channel", "cd", "-m", "2",
+                "--chi-max", "1", "--chi-min", repr(1 - (n - 1) * 2.0**-17),
+                "--chi-step", repr(2.0**-17),
+            ],
+        )
+        assert (code, traced) == ((0, [n]) if ok else (2, []))
+        assert ok or str(n) in err
+
+
 @pytest.mark.parametrize("command", ["threshold", "exit-curve"])
 def test_de_symbol_width_past_transfer_limit(capsys, command):
     code, out, err = run_cli(

@@ -535,20 +535,22 @@ class TestEbpTrace:
                 assert abs(pt.epsilon - eps) <= 1e-11
                 assert abs(pt.h - h) <= 1e-11
 
-    @pytest.mark.parametrize("L, w", [(4, 2), (6, 3), (8, 4)])
+    @pytest.mark.parametrize("L, w", [(4, 2), (6, 3), (8, 4), (20, 3)])
     def test_matches_cold_bisection(self, L, w, monkeypatch):
-        # Warm brackets give every point of the cold-bisection tracer bit for
-        # bit, on either dimension law up to m = 15 and at windows 2..4.
+        # Warm brackets and zooms give every point of the cold-bisection
+        # tracer bit for bit, on either dimension law up to m = 15 and at
+        # windows 2..4. At L=20/w=3 the cd m=6 curve sits just below 0.5, so
+        # many warm windows straddle 0.5 and those rounds start from [0, 1].
         params = EnsembleParams(dl=4, dr=2, dg=2, L=L, w=w)
         grid = np.arange(0.9, 0.05, -0.1)
-        for kind in ("cd", "bd"):
-            for m in (1, 2, 6, 15):
-                got = ebp_trace(params, kind, m, grid)
-                with monkeypatch.context() as mp:
-                    mp.setattr(de, "_anchored_point", cold_anchored_point)
-                    ref = ebp_trace(params, kind, m, grid)
-                assert len(got) == len(grid)
-                assert_same_points(got, ref)
+        laws = [("cd", 6)] if L == 20 else [(k, m) for k in ("cd", "bd") for m in (1, 2, 6, 15)]
+        for kind, m in laws:
+            got = ebp_trace(params, kind, m, grid)
+            with monkeypatch.context() as mp:
+                mp.setattr(de, "_anchored_point", cold_anchored_point)
+                ref = ebp_trace(params, kind, m, grid)
+            assert len(got) == len(grid)
+            assert_same_points(got, ref)
 
     def test_fewer_evaluations_per_round(self, monkeypatch):
         # Every round of the cold tracer here evaluates the detector half 43
@@ -560,7 +562,7 @@ class TestEbpTrace:
         ref, ref_rounds, ref_evals = counted_trace(monkeypatch, params, "cd", 6, grid)
         assert_same_points(got, ref)
         assert rounds == ref_rounds and ref_evals == 43 * ref_rounds
-        assert evals < 35 * rounds
+        assert evals < 22 * rounds
 
     def test_probe_miss_falls_back_to_cold_path(self, monkeypatch):
         # A warm bracket below every ε of the trace: each probe finds mean(p)
@@ -575,13 +577,67 @@ class TestEbpTrace:
 
         with monkeypatch.context() as mp:
             mp.setattr(de, "_anchored_point", cold_anchored_point)
+            cold = ebp_trace(params, "bd", 3, grid)
+        with monkeypatch.context() as mp:
+            mp.setattr(de, "_warm_bracket", lambda eps, d_eps: (0.0, 1.0))
             ref, rounds, ref_evals = counted_trace(mp, params, "bd", 3, grid)
         monkeypatch.setattr(de, "_warm_bracket", low_bracket)
         got, got_rounds, evals = counted_trace(monkeypatch, params, "bd", 3, grid)
+        assert_same_points(ref, cold)
         assert_same_points(got, ref)
         assert got_rounds == rounds and min(warm) > 2.0**-30
-        # Two probes per warm round, then the cold round.
-        assert evals == ref_evals + 2 * len(warm)
+        # One probe per warm round, at 2**-30: the cold round that follows
+        # reuses mean(p) at 0 and is the round the tracer takes without warm
+        # brackets.
+        assert evals == ref_evals + len(warm)
+
+    def test_zoom_miss_falls_back_to_bisection(self, monkeypatch):
+        # Every zoom interval lies just outside the bracket, on the side where
+        # mean(p) at the bracket's end already decides: mean(p) is below the
+        # target at lo and not below it at hi, so the probes never bracket
+        # the target strictly and each zoom falls back to a bisection step.
+        # Warm brackets (the [0, 1] case of the same helper) stay [0, 1].
+        params = EnsembleParams(dl=4, dr=2, dg=2, L=6, w=3)
+        grid = np.arange(0.9, 0.05, -0.1)
+        cell = 2.0**-de._WARM_DEPTH
+        missed = []
+
+        def outside_cover(lo, hi, a, b):
+            if (lo, hi) == (0.0, 1.0):
+                return lo, hi
+            missed.append((lo, hi))
+            return (hi, hi + cell) if hi < 1.0 else (lo - cell, lo)
+
+        for kind, m in (("cd", 6), ("bd", 2)):
+            with monkeypatch.context() as mp:
+                mp.setattr(de, "_anchored_point", cold_anchored_point)
+                ref = ebp_trace(params, kind, m, grid)
+            with monkeypatch.context() as mp:
+                mp.setattr(de, "_dyadic_cover", outside_cover)
+                got = ebp_trace(params, kind, m, grid)
+            assert len(got) == len(grid)
+            assert_same_points(got, ref)
+        assert missed
+
+    def test_dyadic_cover_inside_a_bracket(self):
+        # Inside any dyadic bracket [lo, hi], as a zoom calls it: a dyadic
+        # interval inside the bracket holding the clipped window, and no
+        # deeper one holds it.
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            k = int(rng.integers(0, de._WARM_DEPTH + 1))
+            j = int(rng.integers(0, 2**k))
+            lo, hi = j * 2.0**-k, (j + 1) * 2.0**-k
+            c, r = float(rng.uniform(lo, hi)), float(10 ** rng.uniform(-12, 0))
+            a, b = de._dyadic_cover(lo, hi, c - r, c + r)
+            assert lo <= a < b <= hi
+            kk = -np.log2(b - a)
+            assert kk == int(kk) <= de._WARM_DEPTH
+            assert a * 2**kk == int(a * 2**kk)
+            assert a <= max(c - r, lo) and min(c + r, hi) <= b
+            if kk < de._WARM_DEPTH:
+                mid = 0.5 * (a + b)
+                assert max(c - r, lo) < mid < min(c + r, hi)
 
     def test_warm_bracket_is_the_deepest_dyadic_interval(self):
         rng = np.random.default_rng(17)
