@@ -242,6 +242,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0 <= args.seed < 1 << 64:
+            raise ValueError(f"--seed must be in [0, 2^64), got {args.seed}")
         if args.out:
             _check_out(args.out)
         return args.func(args)

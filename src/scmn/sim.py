@@ -9,6 +9,7 @@ erased-output masks indexed by the erased-input mask."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -17,19 +18,21 @@ from .ensemble import EnsembleParams, sample_graph
 from .gf2 import (
     ENUM_MAX_AMBIENT,
     SubspaceBasis,
+    _rref_ints,
     enumerate_subspaces,
     intersect,
     rref_bits,
-    sample_subspace,
+    sample_subspace,  # noqa: F401 (kept: perfbench/tracing.py wraps this name)
     solve_in_span,
     zero_coordinate_mask,
 )
 
 ERASED = -1
 
-# Largest symbol width the decoder serves: a table has only 2^m entries, but
-# building one matches the 2^d elements of V against all 2^m erasure patterns
-# at each of the m outputs.
+# Largest symbol width the decoder serves: a distinct subspace's table costs
+# O((2^d + 2^m) * m) (one pass over its elements, then m passes over its 2^m
+# erasure patterns), and at m >= 6 nearly every symbol has its own subspace
+# and reads only a few of those entries.
 DETECTOR_MAX_M = 8
 
 
@@ -67,7 +70,8 @@ def detector_messages(V: SubspaceBasis, incoming) -> list[int]:
 
 class DetectorTables:
     """Erased-output masks per noise subspace, indexed by the erased-input
-    mask E of a symbol: bit t of table(V)[E] is set iff output t is erased.
+    mask E of a symbol: bit t of a table's entry E is set iff output t is
+    erased.
 
     Under the all-zero word the detector output depends on E alone: output t
     is erased iff some v in V with v_t = 1 has support inside E + {t}, which
@@ -82,19 +86,34 @@ class DetectorTables:
         self.m = m
         self.shift = np.arange(m, dtype=np.int64)
         self.bit = np.int64(1) << self.shift
-        # per erasure pattern E and output t: the positions outside E + {t}
-        self._outside = ~(np.arange(1 << m, dtype=np.int64)[:, None, None] | self.bit)
 
-    def table(self, V: SubspaceBasis) -> np.ndarray:
-        """The table of V, built anew on each call: decode_trial asks once
-        per distinct subspace."""
-        elems = np.zeros(1, dtype=np.int64)
-        for b in V.rows:
-            elems = np.concatenate([elems, elems ^ b])
-        # erased[E, t]: some v with v_t = 1 has no support outside E + {t}
-        v = elems[:, None]
-        hits = ((v & self._outside) == 0) & (((v >> self.shift) & 1) == 1)
-        return hits.any(axis=1) @ self.bit
+    def table(self, subspaces: Sequence[SubspaceBasis]) -> np.ndarray:
+        """The (n, 2^m) stack of the tables of n subspaces, in their order,
+        built anew on each call: decode_trial asks once per trial, for its
+        distinct subspaces.
+
+        Each v in V with v_t = 1 sets bit t at E = supp(v) - {t}; ORing every
+        entry into its supersets, one coordinate at a time, then marks every E
+        holding such a support (a superset zeta transform).
+        """
+        n, m = len(subspaces), self.m
+        dmax = max((V.dim for V in subspaces), default=0)
+        rows = np.zeros((n, dmax), dtype=np.int64)
+        for i, V in enumerate(subspaces):
+            rows[i, : V.dim] = V.rows
+        # every element of each V; a zero pad row repeats them, harmlessly
+        elems = np.zeros((n, 1), dtype=np.int64)
+        for k in range(dmax):
+            elems = np.concatenate([elems, elems ^ rows[:, k : k + 1]], axis=1)
+        tab = np.zeros((n, 1 << m), dtype=np.int64)
+        for t in range(m):
+            i, k = np.nonzero((elems >> t) & 1)
+            # repeated (i, E) pairs all write the same value
+            tab[i, elems[i, k] ^ (1 << t)] |= 1 << t
+        for t in range(m):
+            half = tab.reshape(n, 1 << (m - 1 - t), 2, 1 << t)
+            half[:, :, 1] |= half[:, :, 0]
+        return tab
 
 
 @dataclass(frozen=True)
@@ -148,15 +167,37 @@ def _sample_symbol_noise(dist: DimensionDistribution, n_symbols: int, rng):
             subspaces.extend(subs)
             offset += len(subs)
     else:
+        # Drawing a basis row (rng.bytes(1)) or a z index (rng.integers(0,
+        # 2^d)) consumes one 32-bit word: a row is its low m bits, an index
+        # its top d bits. Words come in chunks of the fewest draws still to
+        # come, d + 1 per symbol with d > 0, so the generator ends as the
+        # per-symbol draws would leave it; rejections are met in the same
+        # order.
+        low = (1 << m) - 1
+        need = np.where(dims > 0, dims + 1, 0)
+        left = np.cumsum(need[::-1])[::-1].tolist()  # words of symbols i.. if none rejects
+        words: list[int] = []
+        k = 0
         seen: dict[tuple[int, ...], int] = {}
-        for i in range(n_symbols):
-            v = sample_subspace(m, int(dims[i]), rng)
-            if v.rows not in seen:
-                seen[v.rows] = len(subspaces)
-                subspaces.append(v)
-            sub_idx[i] = seen[v.rows]
+        for i, d in enumerate(dims.tolist()):
+            rows: tuple[int, ...] = ()
+            while d:
+                short = left[i] - (len(words) - k)
+                if short > 0:
+                    words += rng.integers(0, 1 << 32, size=short, dtype=np.uint32).tolist()
+                rows = _rref_ints(w & low for w in words[k : k + d])
+                k += d
+                if len(rows) == d:
+                    break
+            j = seen.get(rows)
+            if j is None:
+                j = seen[rows] = len(subspaces)
+                subspaces.append(SubspaceBasis(m, rows))
+            sub_idx[i] = j
             # The zero subspace takes no draw from rng.
-            z[i] = v.element(int(rng.integers(0, 1 << v.dim))) if v.dim else 0
+            if d:
+                z[i] = subspaces[j].element(words[k] >> (32 - d))
+                k += 1
     return subspaces, sub_idx, z
 
 
@@ -213,7 +254,7 @@ def decode_trial(
     subspaces, sub_idx, _ = _sample_symbol_noise(dist, graph.n_symbols, rng)
     # One table per distinct subspace; sub_dense indexes the symbol's table.
     used, sub_dense = np.unique(sub_idx, return_inverse=True)
-    tab_stack = np.stack([tables.table(subspaces[i]) for i in used])
+    tab_stack = tables.table([subspaces[i] for i in used])
 
     n_t2 = graph.n_transmitted
     n_sym = graph.n_symbols

@@ -13,13 +13,9 @@ import numpy as np
 from scmn.channel import ChannelFamily, dimension_distribution
 from scmn.ensemble import EnsembleParams, sample_graph
 from scmn.gf2 import SubspaceBasis
-from scmn.sim import (
-    DETECTOR_MAX_M,
-    ERASED,
-    DecodingFaultError,
-    TrialResult,
-    _sample_symbol_noise,
-)
+from scmn.sim import DETECTOR_MAX_M, ERASED, DecodingFaultError, TrialResult
+
+from oracles import sample_symbol_noise
 
 
 class ValueTables:
@@ -91,7 +87,7 @@ def decode_trial(
     dist = dimension_distribution(family)
     L = params.L
 
-    subspaces, sub_idx, z = _sample_symbol_noise(dist, graph.n_symbols, rng)
+    subspaces, sub_idx, z = sample_symbol_noise(dist, graph.n_symbols, rng)
     used = np.unique(sub_idx)
     dense = np.zeros(int(used.max()) + 1, dtype=np.int64)
     dense[used] = np.arange(len(used))

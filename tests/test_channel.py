@@ -103,7 +103,8 @@ class TestSampleNoise:
     """The decoder's per-symbol noise sampler, on both of its branches:
     enumeration for m <= 4 and per-symbol subspace sampling above."""
 
-    # (m, symbols per draw); the m > 4 branch costs ~0.3 ms per symbol.
+    # (m, symbols per draw); the m > 4 branch costs up to ~0.05 ms per symbol
+    # (the full space, whose bases are rejected most often).
     SIZES = ((2, 80000), (3, 80000), (5, 2000), (6, 2000))
 
     def test_noiseless(self):

@@ -419,3 +419,42 @@ def test_readme_examples_parse():
     parser = build_parser()
     for argv in examples:
         parser.parse_args(argv)  # exits 2 on a flag the CLI does not take
+
+
+# One cheap command line per subcommand, for checks made before any command runs.
+COMMANDS = {
+    "capacity": ["capacity", "--channel", "cd", "-m", "2", "--eps", "0.3"],
+    "rate": ["rate", *ENS, "-L", "2", "-w", "2"],
+    "threshold": ["threshold", *ENS, "-L", "2", "-w", "2", "--channel", "cd", "-m", "2"],
+    "exit-curve": ["exit-curve", *ENS, "-L", "2", "-w", "2", "--channel", "cd", "-m", "2"],
+    "simulate": [
+        "simulate", *ENS, "-L", "2", "-w", "2", "--channel", "cd", "-m", "2",
+        "-M", "8", "--eps-grid", "0.4", "--trials", "1",
+    ],
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_seed_outside_u64_rejected(capsys, monkeypatch, command, seed):
+    def no_run(args):
+        raise AssertionError(f"{command} ran before --seed was checked")
+
+    for name in ("capacity", "rate", "threshold", "exit_curve", "simulate"):
+        monkeypatch.setattr(cli, f"_cmd_{name}", no_run)
+    code, out, err = run_cli(capsys, [*COMMANDS[command], "--seed", str(seed)])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: invalid-config: --seed must be in [0, 2^64), got {seed}"
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seed_range_ends_accepted(capsys, seed):
+    code, out, _ = run_cli(capsys, [*COMMANDS["rate"], "--seed", str(seed)])
+    assert code == 0
+    assert f"# seed={seed}" in out.splitlines()
+    code, out, _ = run_cli(capsys, [*COMMANDS["simulate"], "--seed", str(seed)])
+    assert code == 0
+    assert out.splitlines()[-1].endswith(f",{seed}")

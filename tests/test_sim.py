@@ -1,17 +1,25 @@
 import numpy as np
 import pytest
 
+from oracles import sample_symbol_noise
 from reference_decoder import ValueTables
 from reference_decoder import decode_trial as reference_trial
-from scmn.channel import ChannelFamily
+from scmn.channel import ChannelFamily, dimension_distribution
 from scmn.de import trajectory
 from scmn.ensemble import EnsembleParams
-from scmn.gf2 import SubspaceBasis, enumerate_subspaces, rref_bits, sample_subspace
+from scmn.gf2 import (
+    ENUM_MAX_AMBIENT,
+    SubspaceBasis,
+    enumerate_subspaces,
+    rref_bits,
+    sample_subspace,
+)
 from scmn.sim import (
     DETECTOR_MAX_M,
     ERASED,
     DecodingFaultError,
     DetectorTables,
+    _sample_symbol_noise,
     decode_trial,
     detector_messages,
     run_experiment,
@@ -99,29 +107,35 @@ def detector_code(V, code):
 
 class TestDetectorTables:
     def test_table_matches_direct_calls(self):
-        # seeded random subspaces of every dimension: three per dimension for
-        # m = 1..6, one for m = 7 and 8, plus the line span{11} at m = 2.
+        # One batched table call per m over seeded subspaces of mixed
+        # dimensions, in shuffled order: three per dimension for m = 1..6,
+        # one for m = 7, a d = 5 one for m = 8, plus the zero subspace and
+        # the full space at every m and the line span{11} at m = 2.
         # For every input code the detector accepts, the erased outputs must
-        # be table(V)[E] with E the erased inputs, so they depend on E alone;
-        # the referee's base-3 table must give the direct call's code.
-        rng = np.random.default_rng(2024)
-        for m in range(1, 8):
-            subspaces = [
-                sample_subspace(m, d, rng)
-                for d in range(m + 1)
-                for _ in range(3 if m <= 6 else 1)
-            ]
+        # be the row's entry E with E the erased inputs, so they depend on E
+        # alone; the referee's base-3 table must give the direct call's code.
+        rng, order = np.random.default_rng(2024), np.random.default_rng(7)
+        for m in range(1, DETECTOR_MAX_M + 1):
+            if m < 8:
+                per_dim = 3 if m <= 6 else 1
+                subspaces = [
+                    sample_subspace(m, d, rng) for d in range(m + 1) for _ in range(per_dim)
+                ]
+            else:
+                subspaces = [sample_subspace(8, 5, np.random.default_rng(2025))]
+            subspaces += [SubspaceBasis.zero(m), SubspaceBasis.full(m)]
             if m == 2:
                 subspaces.append(rref_bits([0b11], 2))
+            order.shuffle(subspaces)
             self.check_tables(m, subspaces)
-        self.check_tables(8, [sample_subspace(8, 5, np.random.default_rng(2025))])
 
     @staticmethod
     def check_tables(m, subspaces):
-        tables, reference = DetectorTables(m), ValueTables(m)
-        for V in subspaces:
-            tab, ref = tables.table(V), reference.table(V)
-            assert tab.shape == (2**m,)
+        tabs = DetectorTables(m).table(subspaces)
+        assert tabs.shape == (len(subspaces), 2**m)
+        reference = ValueTables(m)
+        for V, tab in zip(subspaces, tabs):
+            ref = reference.table(V)
             accepted = 0
             for code in range(3**m):
                 direct = detector_code(V, code)
@@ -133,6 +147,38 @@ class TestDetectorTables:
                 erased_out = sum(1 << t for t in range(m) if direct // 3**t % 3 == 2)
                 assert tab[erased_in] == erased_out
             assert accepted == 3**m if V.dim == m else accepted >= 2**m
+
+
+class TestSampleSymbolNoise:
+    """The word-stream sampler of the m > 4 branch against the per-call
+    sampler it replaced (`oracles.sample_symbol_noise`): the same subspaces in
+    the same order, the same indices and noise, and the same generator state
+    afterwards. Noise of dimension 0 takes no draw (eps = 0 draws nothing past
+    the dimensions); the full space (eps = 1) rejects the most bases."""
+
+    @pytest.mark.parametrize("m", range(ENUM_MAX_AMBIENT + 1, DETECTOR_MAX_M + 1))
+    def test_matches_per_call_oracle(self, m):
+        for kind in ("cd", "bd"):
+            for eps in (0.0, 0.1, 0.45, 0.9, 1.0):
+                dist = dimension_distribution(ChannelFamily(kind, m, eps))
+                # ten seeds from a buffered half-word, two from none
+                for seed in range(12):
+                    for n in (1, 300):
+                        self.check(dist, n, seed, buffered=seed < 10)
+
+    @staticmethod
+    def check(dist, n, seed, buffered):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:  # one byte takes 32 bits of a 64-bit output; 32 stay buffered
+            rng.bytes(1)
+            ref_rng.bytes(1)
+            assert rng.bit_generator.state["has_uint32"] == 1
+        subspaces, sub_idx, z = _sample_symbol_noise(dist, n, rng)
+        ref_subspaces, ref_idx, ref_z = sample_symbol_noise(dist, n, ref_rng)
+        assert subspaces == ref_subspaces
+        assert np.array_equal(sub_idx, ref_idx)
+        assert np.array_equal(z, ref_z)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestDecodeTrial:
