@@ -16,8 +16,8 @@ from . import __version__
 from .channel import ChannelFamily, capacity, dimension_distribution
 from .de import (
     DEFAULT_BISECT_TOL,
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
+    MAX_ITER,
+    TOL,
     _ANCHOR_TOL,
     ConvergenceError,
     ebp_trace,
@@ -123,12 +123,9 @@ def _cmd_rate(args) -> int:
 
 def _cmd_threshold(args) -> int:
     params = _ensemble(args)
-    eps_star = threshold(
-        params, args.channel, args.m,
-        bisect_tol=args.bisect_tol, tol=args.tol, max_iter=args.max_iter,
-    )
+    eps_star = threshold(params, args.channel, args.m, bisect_tol=args.bisect_tol)
     config = {**asdict(params), "channel": args.channel, "m": args.m,
-              "bisect_tol": args.bisect_tol, "tol": args.tol, "max_iter": args.max_iter}
+              "bisect_tol": args.bisect_tol, "tol": TOL, "max_iter": MAX_ITER}
     rows = [{"m": args.m, "family": args.channel, "L": params.L, "w": params.w,
              "epsilon_star": eps_star, "bisect_tol": args.bisect_tol}]
     _emit(args, "threshold", config,
@@ -211,8 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ensemble(sp)
     _add_channel(sp)
     sp.add_argument("--bisect-tol", type=float, default=DEFAULT_BISECT_TOL)
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    sp.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     _add_common(sp)
     sp.set_defaults(func=_cmd_threshold)
 

@@ -7,21 +7,24 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .channel import (
     ChannelFamily,
     _mixture_poly_matrix,
-    dimension_distribution,
+    dimension_distribution,  # noqa: F401 (kept: perfbench/tracing.py wraps this name)
     dimension_law,
-    transfer_poly,
+    transfer_poly,  # noqa: F401 (kept: perfbench/tracing.py wraps this name)
 )
 from .ensemble import EnsembleParams
 
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 2_000_000
+# run_de succeeds once every p_i is below TOL and gives up after MAX_ITER
+# sweeps; both are read at call time. TOL is fixed because the success test
+# races the stall test: at TOL 1e-14 the (2, 2, 2) L=4/w=2 cd m=2 chain
+# stalls on every ε of a grid below its threshold, ε = 0 included.
+TOL = 1e-10
+MAX_ITER = 2_000_000
 DEFAULT_BISECT_TOL = 1e-6
 _MIN_BISECT_TOL = 2.0**-52
 # run_de reports a stall once a sweep changes every rate by less than this.
@@ -257,17 +260,13 @@ class DensityEvolution:
 
 
 def run_de(
-    params: EnsembleParams,
-    family: ChannelFamily | Sequence[ChannelFamily],
-    *,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    params: EnsembleParams, family: ChannelFamily | Sequence[ChannelFamily]
 ) -> DeResult | list[DeResult]:
     """Iterate the sweep from the all-ones initialization.
 
-    Succeeds when max_i p_i drops below tol; reports a stall when the
-    per-sweep sup-norm change falls below _STALL_TOL first; flags iteration
-    budget exhaustion separately.
+    Succeeds when max_i p_i drops below TOL; reports a stall when the
+    per-sweep sup-norm change falls below _STALL_TOL first; flags a run that
+    reaches MAX_ITER sweeps separately.
 
     `family` may also be a sequence of families of one kind and m, which
     gives a list of results. The families run as lockstep rows of one
@@ -277,12 +276,6 @@ def run_de(
     tested sweep by sweep after each block: a row that decided is frozen at
     the sweep where it did, and the sweeps it ran after that are dropped.
     """
-    # Comparisons with NaN are false, so NaN is rejected too. p never exceeds
-    # 1, so a tol of 1 or more would declare the all-ones start converged.
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, Integral) or max_iter < 1:
-        raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
     # Not isinstance(family, ChannelFamily): the benchmark's tracer replaces
     # this module's ChannelFamily with a wrapper function.
     single = not isinstance(family, Sequence)
@@ -294,28 +287,22 @@ def run_de(
         raise ValueError("lockstep families must share one kind and m")
     dev = DensityEvolution(params, kind, m)
     # Shape (deg, rows, 1, 1), so the q-update's Horner loop broadcasts.
-    fcoef = np.stack(
-        [transfer_poly(dimension_distribution(f)) for f in families], axis=1
-    )[..., None, None]
+    fcoef = np.stack([dev.fpoly(f.parameter) for f in families], axis=1)[..., None, None]
     shape = (len(families), params.n_sections, 1)
     p = np.ones(shape)
     q = np.ones(shape)
     rows = np.arange(len(families))  # the family of each live row
     results: list = [None] * len(families)
     it = 0
-    while rows.size and it < max_iter:
-        sweeps = min(_SWEEP_BLOCK, max_iter - it)
-        P = np.empty((sweeps + 1, *p.shape))
-        Q = np.empty((sweeps + 1, *q.shape))
-        P[0], Q[0] = p, q
-        for t in range(1, sweeps + 1):
-            p, q = dev.sweep(p, q, fcoef)
-            P[t], Q[t] = p, q
+    while rows.size and it < MAX_ITER:
+        sweeps = min(_SWEEP_BLOCK, MAX_ITER - it)
+        P, Q = _sweeps(dev, p, q, fcoef, sweeps)
+        p, q = P[-1], Q[-1]
         # The block's tests, on arrays indexed (sweep, row, section).
         P, Q = P[..., 0], Q[..., 0]
         dP, dQ = P[1:] - P[:-1], Q[1:] - Q[:-1]
         change = np.maximum(np.abs(dP).max(axis=2), np.abs(dQ).max(axis=2))
-        converged = P[1:].max(axis=2) < tol
+        converged = P[1:].max(axis=2) < TOL
         decided = converged | (change < _STALL_TOL)
         # The block index of the sweep where each row decides, else `sweeps`.
         t_dec = np.where(decided.any(axis=0), decided.argmax(axis=0), sweeps)
@@ -343,33 +330,33 @@ def _de_result(params, family, p, q, iterations, status) -> DeResult:
     return DeResult(state=state, success=status == "converged", status=status)
 
 
+def _sweeps(dev: DensityEvolution, p, q, fcoef, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(p, q) and the next n sweeps from them, stacked along a new first axis."""
+    P = np.empty((n + 1, *np.shape(p)))
+    Q = np.empty((n + 1, *np.shape(q)))
+    P[0], Q[0] = p, q
+    for t in range(1, n + 1):
+        p, q = dev.sweep(p, q, fcoef)
+        P[t], Q[t] = p, q
+    return P, Q
+
+
 def trajectory(
     params: EnsembleParams, family: ChannelFamily, n_sweeps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """First n_sweeps iterates from all-ones; rows are (sweep, section)."""
     dev = DensityEvolution(params, family.kind, family.m)
-    fcoef = transfer_poly(dimension_distribution(family))
-    n = params.n_sections
-    P = np.ones((n_sweeps + 1, n))
-    Q = np.ones((n_sweeps + 1, n))
-    for ell in range(n_sweeps):
-        P[ell + 1], Q[ell + 1] = dev.sweep(P[ell], Q[ell], fcoef)
-    return P, Q
+    ones = np.ones(params.n_sections)
+    return _sweeps(dev, ones, ones, dev.fpoly(family.parameter), n_sweeps)
 
 
 def threshold(
-    params: EnsembleParams,
-    kind: str,
-    m: int,
-    *,
-    bisect_tol: float = DEFAULT_BISECT_TOL,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    params: EnsembleParams, kind: str, m: int, *, bisect_tol: float = DEFAULT_BISECT_TOL
 ) -> float:
     """Bisect the channel parameter for the largest decodable value.
 
     Assumes the success predicate is monotone in the parameter. A run that
-    exhausts max_iter leaves the bracket inconclusive and raises.
+    reaches MAX_ITER sweeps leaves the bracket inconclusive and raises.
 
     Each lockstep `run_de` decides every midpoint that the next
     _BISECT_LEVELS bisection steps can visit, and the walk below takes the
@@ -380,28 +367,23 @@ def threshold(
     """
     if kind not in ("cd", "bd"):
         raise ValueError(f"threshold search needs kind 'cd' or 'bd', got {kind!r}")
-    # The bracket starts as [0, 1], so bisect_tol < 1 runs DE at least once
-    # (which checks tol and max_iter). Adjacent floats below 1 lie
-    # at most 2**-53 apart, so a bracket wider than 2**-52 has its midpoint
-    # strictly inside. Below that floor the bracket could shrink to two
-    # adjacent floats whose midpoint is one of them, and never end.
+    # The bracket starts as [0, 1], so bisect_tol < 1 runs DE at least once.
+    # Adjacent floats below 1 lie at most 2**-53 apart, so a bracket wider
+    # than 2**-52 has its midpoint strictly inside. Below that floor the
+    # bracket could shrink to two adjacent floats whose midpoint is one of
+    # them, and never end.
     if not _MIN_BISECT_TOL <= bisect_tol < 1:
         raise ValueError(f"bisect_tol must lie in [2**-52, 1), got {bisect_tol}")
     lo, hi = 0.0, 1.0
     while hi - lo > bisect_tol:
         mids = _bisection_subtree(lo, hi, bisect_tol)
-        runs = run_de(
-            params,
-            [ChannelFamily(kind, m, mid) for mid in mids],
-            tol=tol,
-            max_iter=max_iter,
-        )
+        runs = run_de(params, [ChannelFamily(kind, m, mid) for mid in mids])
         decided = dict(zip(mids, runs))
         while hi - lo > bisect_tol and (mid := 0.5 * (lo + hi)) in decided:
             res = decided[mid]
             if res.status == "iter-limit":
                 raise ConvergenceError(
-                    f"DE hit the {max_iter}-sweep cap at parameter {mid}; bracket inconclusive"
+                    f"DE hit the {MAX_ITER}-sweep cap at parameter {mid}; bracket inconclusive"
                 )
             if res.success:
                 lo = mid
@@ -412,18 +394,15 @@ def threshold(
 
 def _bisection_subtree(lo: float, hi: float, bisect_tol: float) -> list[float]:
     """Every midpoint that the next _BISECT_LEVELS steps of bisection from
-    [lo, hi] can visit, whichever way each step decides."""
-    mids: list[float] = []
-    brackets = [(lo, hi)]
-    for _ in range(_BISECT_LEVELS):
-        brackets = [(a, b) for a, b in brackets if b - a > bisect_tol]
-        halves = []
-        for a, b in brackets:
-            mid = 0.5 * (a + b)
-            mids.append(mid)
-            halves += [(a, mid), (mid, b)]
-        brackets = halves
-    return mids
+    the dyadic bracket [lo, hi] can visit, whichever way each step decides.
+
+    The brackets of level i all have width (hi - lo) / 2**i, so bisection
+    splits the first j levels, those wider than bisect_tol, and their
+    midpoints are the 2**j - 1 inner points of the uniform grid on [lo, hi].
+    Each is an exact dyadic, equal to the 0.5 * (a + b) that bisection forms.
+    """
+    n = 2 ** sum(hi - lo > bisect_tol * 2**i for i in range(_BISECT_LEVELS))
+    return [lo + (hi - lo) * k / n for k in range(1, n)]
 
 
 def ebp_trace(

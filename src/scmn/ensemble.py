@@ -238,10 +238,14 @@ def sample_graph(params: EnsembleParams, M: int, m: int, rng) -> TannerGraph:
     dst1 = socket_chunks(ncsec, M, dr, q1)
     dst2 = socket_chunks(ncsec, M, dg, q2)
 
-    t1_bit = np.concatenate([src1[s, j] for s in range(nsec) for j in range(w)])
-    t1_check = np.concatenate([dst1[s + j, j] for s in range(nsec) for j in range(w)])
-    t2_bit = np.concatenate([src2[s, j] for s in range(nsec) for j in range(w)])
-    t2_check = np.concatenate([dst2[s + j, j] for s in range(nsec) for j in range(w)])
+    # Edges run section-major, then by offset j: group (s, j) pairs bit
+    # section s with check section s + j.
+    off = np.arange(w)
+    dst_sec = np.arange(nsec)[:, None] + off
+    t1_bit = src1.ravel()
+    t1_check = dst1[dst_sec, off].ravel()
+    t2_bit = src2.ravel()
+    t2_check = dst2[dst_sec, off].ravel()
     # A (bit, check) pair fixes its offset group (j = check section minus bit
     # section), so in-group re-wiring reaches every violation.
     _condition_matching(t1_bit, t1_check, q1, rng)

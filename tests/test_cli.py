@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from scmn import cli
+from scmn import cli, de
 from scmn.cli import build_parser, main
 
 
@@ -78,13 +78,14 @@ class TestThreshold:
         # well above 1/2
         assert 0.5 < eps_star < 0.7
 
-    def test_nonconvergence_exit_code(self, capsys):
+    def test_nonconvergence_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(de, "MAX_ITER", 3)
         code, _, err = run_cli(
             capsys,
             [
                 "threshold", "--dl", "4", "--dr", "2", "--dg", "2",
                 "-L", "2", "-w", "2", "--channel", "cd", "-m", "1",
-                "--bisect-tol", "0.01", "--max-iter", "3",
+                "--bisect-tol", "0.01",
             ],
         )
         assert code == 3
@@ -106,15 +107,22 @@ class TestThreshold:
         ],
     )
     def test_nan_tolerance_rejected(self, capsys, extra):
-        code, out, err = run_cli(
-            capsys,
-            [
-                "threshold", "--dl", "4", "--dr", "2", "--dg", "2",
-                "-L", "2", "-w", "2", "--channel", "cd", "-m", "2", *extra,
-            ],
-        )
-        assert code == 2
-        assert "invalid-config" in err
+        argv = [
+            "threshold", "--dl", "4", "--dr", "2", "--dg", "2",
+            "-L", "2", "-w", "2", "--channel", "cd", "-m", "2", *extra,
+        ]
+        if extra[0] in ("--tol", "--max-iter"):
+            # Not options: DE's success tolerance and sweep cap are the
+            # constants de.TOL and de.MAX_ITER, so argparse rejects them.
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert f"unrecognized arguments: {extra[0]} {extra[1]}" in err
+        else:
+            code, out, err = run_cli(capsys, argv)
+            assert code == 2
+            assert "invalid-config" in err
         assert out == ""
 
 

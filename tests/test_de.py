@@ -5,7 +5,6 @@ from numpy.polynomial import polynomial as npoly
 from scmn import de
 from scmn.channel import ChannelFamily, dimension_distribution, transfer_poly
 from scmn.de import (
-    DEFAULT_MAX_ITER,
     ConvergenceError,
     DensityEvolution,
     DeResult,
@@ -213,25 +212,32 @@ class TestRunDe:
         assert not res.success and res.status == "stalled"
         assert res.state.p.max() > 0.1
 
-    def test_iter_limit_flagged(self):
-        res = run_de(P422, ChannelFamily.concentrated(2, 0.45), max_iter=5)
+    def test_iter_limit_flagged(self, monkeypatch):
+        monkeypatch.setattr(de, "MAX_ITER", 5)
+        res = run_de(P422, ChannelFamily.concentrated(2, 0.45))
         assert res.status == "iter-limit"
+        assert res.state.iterations == 5
         assert not res.success
 
-    def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            run_de(P422, CD2, tol=0.0)
-        for kwargs in (
-            {"tol": float("nan")},
-            {"tol": float("inf")},
-            {"tol": 1.5},
-            {"max_iter": 0},
-            {"max_iter": -5},
-            {"max_iter": 2.5},
-            {"max_iter": True},
-        ):
-            with pytest.raises(ValueError):
+    @pytest.mark.parametrize("dr", [2, 1])
+    def test_fixed_tol_decides_below_threshold(self, monkeypatch, dr):
+        # The success test (max p < TOL) races the stall test (a sweep
+        # changes every rate by less than 1e-15). With TOL at 1e-14 the
+        # (2, 2, 2) chain stalls on every one of these rows and the (2, 1, 2)
+        # chain on at least one, so a threshold would come out far too low.
+        params = EnsembleParams(dl=2, dr=dr, dg=2, L=4, w=2)
+        th = threshold(params, "cd", 2, bisect_tol=1e-3)
+        families = [ChannelFamily.concentrated(2, float(e)) for e in np.linspace(0, th - 2e-3, 8)]
+        assert {r.status for r in run_de(params, families)} == {"converged"}
+        monkeypatch.setattr(de, "TOL", 1e-14)
+        assert "stalled" in {r.status for r in run_de(params, families)}
+
+    def test_takes_no_tol_or_max_iter(self):
+        for kwargs in ({"tol": 1e-12}, {"max_iter": 10}):
+            with pytest.raises(TypeError):
                 run_de(P422, CD2, **kwargs)
+            with pytest.raises(TypeError):
+                threshold(P422, "cd", 2, **kwargs)
 
     def test_monotone_check_every_100th_sweep(self, monkeypatch):
         # A broken update that flips q between 1 and 0 raises it at every
@@ -239,10 +245,12 @@ class TestRunDe:
         # lockstep rows.
         monkeypatch.setattr(DensityEvolution, "sweep", lambda self, p, q, fcoef: (p, 1.0 - q))
         for family in (CD2, [CD2, ChannelFamily.concentrated(2, 0.3)]):
-            res = run_de(P422, family, max_iter=99)
+            monkeypatch.setattr(de, "MAX_ITER", 99)
+            res = run_de(P422, family)
             assert all(r.status == "iter-limit" for r in np.atleast_1d(res))
+            monkeypatch.setattr(de, "MAX_ITER", 100)
             with pytest.raises(AssertionError, match="monotone"):
-                run_de(P422, family, max_iter=100)
+                run_de(P422, family)
 
     def test_family_validation(self):
         with pytest.raises(ValueError):
@@ -252,17 +260,18 @@ class TestRunDe:
         with pytest.raises(ValueError):
             run_de(P422, [CD2, ChannelFamily.concentrated(3, 0.45)])
 
-    def test_single_family_matches_reference(self):
+    def test_single_family_matches_reference(self, monkeypatch):
         # The one-row run against the 1-D loop it replaced.
         params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=3)
         for fam in (CD2, ChannelFamily.binomial(3, 0.3), ChannelFamily.concentrated(2, 0.6)):
             assert_same_result(run_de(params, fam), reference_run_de(params, fam))
         fam = ChannelFamily.concentrated(2, 0.49)
-        got = run_de(params, fam, max_iter=40)
+        monkeypatch.setattr(de, "MAX_ITER", 40)
+        got = run_de(params, fam)
         assert got.status == "iter-limit"
         assert_same_result(got, reference_run_de(params, fam, max_iter=40))
 
-    def test_lockstep_rows_match_single_runs(self):
+    def test_lockstep_rows_match_single_runs(self, monkeypatch):
         # Rows decide at different sweeps: some converge, some stall, and
         # with a budget below the slowest row's, that row hits the cap.
         for w in (2, 3, 4):
@@ -275,11 +284,13 @@ class TestRunDe:
                 assert {r.status for r in singles} == {"converged", "stalled"}
                 sweeps = sorted({r.state.iterations for r in singles})
                 assert len(sweeps) == len(eps)
-                for max_iter in (DEFAULT_MAX_ITER, sweeps[-2]):
-                    rows = run_de(params, families, max_iter=max_iter)
+                for max_iter in (de.MAX_ITER, sweeps[-2]):
+                    monkeypatch.setattr(de, "MAX_ITER", max_iter)
+                    rows = run_de(params, families)
                     assert len(rows) == len(families)
                     for fam, row in zip(families, rows):
-                        assert_same_result(row, run_de(params, fam, max_iter=max_iter))
+                        assert_same_result(row, run_de(params, fam))
+                monkeypatch.undo()
                 assert rows[-1].status != "iter-limit"
                 assert sum(r.status == "iter-limit" for r in rows) == 1
 
@@ -318,8 +329,7 @@ class TestThreshold:
             threshold(P422, "w", 2)
 
     def test_tol_validation(self):
-        # bisect_tol must lie in [2**-52, 1), so every search runs DE, which
-        # checks tol and max_iter.
+        # bisect_tol must lie in [2**-52, 1), so every search runs DE.
         for kwargs in (
             {"bisect_tol": float("nan")},
             {"bisect_tol": 0.0},
@@ -328,19 +338,14 @@ class TestThreshold:
             # Below the float spacing at 1 the bracket can stop shrinking.
             {"bisect_tol": 1e-17},
             {"bisect_tol": 2.0**-53},
-            {"bisect_tol": 2.0, "tol": float("nan")},
-            {"bisect_tol": 0.01, "tol": float("inf")},
-            {"bisect_tol": 0.01, "tol": 1.5},
-            {"bisect_tol": 0.01, "max_iter": 0},
-            {"bisect_tol": 0.01, "max_iter": -5},
-            {"bisect_tol": 0.01, "max_iter": 2.5},
         ):
             with pytest.raises(ValueError):
                 threshold(P422, "cd", 2, **kwargs)
 
-    def test_iter_limit_propagates(self):
-        with pytest.raises(ConvergenceError):
-            threshold(P422, "cd", 2, bisect_tol=1e-3, max_iter=10)
+    def test_iter_limit_propagates(self, monkeypatch):
+        monkeypatch.setattr(de, "MAX_ITER", 10)
+        with pytest.raises(ConvergenceError, match="10-sweep cap"):
+            threshold(P422, "cd", 2, bisect_tol=1e-3)
 
     @pytest.mark.parametrize("L, w", [(4, 2), (4, 3), (6, 4)])
     def test_matches_plain_bisection(self, L, w):
@@ -350,7 +355,22 @@ class TestThreshold:
                 got = threshold(params, kind, m, bisect_tol=1e-3)
                 assert got == reference_threshold(params, kind, m, bisect_tol=1e-3)
 
-    def test_iter_limit_names_the_same_parameter(self):
+    def test_bisection_subtree_matches_level_builder(self):
+        # Seeded dyadic brackets [j * 2**-d, (j + 1) * 2**-d] and tolerances
+        # spread over [2**-52, 1), powers of two included, so that a level's
+        # width can equal bisect_tol exactly.
+        rng = np.random.default_rng(13)
+        for _ in range(20_000):
+            d = int(rng.integers(0, 49))
+            j = int(rng.integers(0, 2**d))
+            lo, hi = j * 2.0**-d, (j + 1) * 2.0**-d
+            e = rng.uniform(-52, 0)
+            bisect_tol = 2.0 ** (np.floor(e) if rng.random() < 0.25 else e)
+            got = de._bisection_subtree(lo, hi, bisect_tol)
+            assert len(got) == len(set(got))
+            assert set(got) == set(level_bisection_subtree(lo, hi, bisect_tol))
+
+    def test_iter_limit_names_the_same_parameter(self, monkeypatch):
         # At L=4/w=3, cd m=2, bisection steps 4, 5 and 12 are the first to
         # take more than 150, 300 and 3000 sweeps (196, 374 and 3702). So
         # these budgets stop the search at a midpoint on each level of a
@@ -358,8 +378,9 @@ class TestThreshold:
         params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=3)
         capped = set()
         for max_iter in (150, 300, 3000):
+            monkeypatch.setattr(de, "MAX_ITER", max_iter)
             with pytest.raises(ConvergenceError) as got:
-                threshold(params, "cd", 2, bisect_tol=1e-4, max_iter=max_iter)
+                threshold(params, "cd", 2, bisect_tol=1e-4)
             with pytest.raises(ConvergenceError) as ref:
                 reference_threshold(params, "cd", 2, bisect_tol=1e-4, max_iter=max_iter)
             assert str(got.value) == str(ref.value)
@@ -410,7 +431,7 @@ def assert_same_result(got, ref):
     assert np.array_equal(got.state.q, ref.state.q)
 
 
-def reference_run_de(params, family, *, tol=1e-10, max_iter=DEFAULT_MAX_ITER):
+def reference_run_de(params, family, *, max_iter=de.MAX_ITER):
     """run_de for one family as the 1-D loop it was before lockstep rows,
     without its monotone check."""
     dev = DensityEvolution(params, family.kind, family.m)
@@ -422,7 +443,7 @@ def reference_run_de(params, family, *, tol=1e-10, max_iter=DEFAULT_MAX_ITER):
         it += 1
         change = max(np.abs(p1 - p).max(), np.abs(q1 - q).max())
         p, q = p1, q1
-        if p.max() < tol:
+        if p.max() < 1e-10:
             status = "converged"
             break
         if change < 1e-15:
@@ -432,7 +453,23 @@ def reference_run_de(params, family, *, tol=1e-10, max_iter=DEFAULT_MAX_ITER):
     return DeResult(state=state, success=status == "converged", status=status)
 
 
-def reference_threshold(params, kind, m, *, bisect_tol, max_iter=DEFAULT_MAX_ITER):
+def level_bisection_subtree(lo, hi, bisect_tol):
+    """de._bisection_subtree as it was: the brackets of each level wider
+    than bisect_tol, split one level at a time."""
+    mids = []
+    brackets = [(lo, hi)]
+    for _ in range(de._BISECT_LEVELS):
+        brackets = [(a, b) for a, b in brackets if b - a > bisect_tol]
+        halves = []
+        for a, b in brackets:
+            mid = 0.5 * (a + b)
+            mids.append(mid)
+            halves += [(a, mid), (mid, b)]
+        brackets = halves
+    return mids
+
+
+def reference_threshold(params, kind, m, *, bisect_tol, max_iter=de.MAX_ITER):
     """Plain bisection, one DE run per step."""
     lo, hi = 0.0, 1.0
     while hi - lo > bisect_tol:
