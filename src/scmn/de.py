@@ -30,10 +30,11 @@ _MIN_BISECT_TOL = 2.0**-52
 # run_de reports a stall once a sweep changes every rate by less than this.
 _STALL_TOL = 1e-15
 _MONOTONE_SLACK = 1e-12
-# Bisection steps that `threshold` decides per lockstep DE run, on
-# 2**levels - 1 rows. Timed at bisect_tol 1e-5: 3 levels were faster than 2
-# on the 12 L=10/w=2 cells and on cd m=6 and bd m=4 at L=20/w=3, and faster
-# than 4 on L=10/w=2 cd m=2 and bd m=4.
+# Undecided bisection steps that `threshold` runs ahead of its walk: at
+# most 2**levels - 1 rows are live. A sweep costs more with more rows (at
+# L=10/w=2 about 28-42 us with one row, about 55 us with seven). Timed at
+# bisect_tol 1e-5 on 2 cores: the 12 L=10/w=2 cells took 113 s at 3 levels
+# and 118 s at 4, and cd m=2 took 5.22 s at 3 and 6.93 s at 2.
 _BISECT_LEVELS = 3
 # Sweeps that run_de runs between its tests. At L=10/w=2 a sweep takes about
 # 25 us; testing each sweep on its own cost about 9 us more in numpy call
@@ -265,64 +266,115 @@ def run_de(
     """Iterate the sweep from the all-ones initialization.
 
     Succeeds when max_i p_i drops below TOL; reports a stall when the
-    per-sweep sup-norm change falls below _STALL_TOL first; flags a run that
+    per-sweep sup-norm change falls below _STALL_TOL first, or when the
+    state repeats an earlier state exactly (see _lockstep); flags a run that
     reaches MAX_ITER sweeps separately.
 
     `family` may also be a sequence of families of one kind and m, which
-    gives a list of results. The families run as lockstep rows of one
-    state; a single family is the one-row case. A row is held as a column
-    vector, so `W @ x` couples it by one gemv per row, and each row gets
-    the bits of its own run. Sweeps run in blocks of _SWEEP_BLOCK and are
-    tested sweep by sweep after each block: a row that decided is frozen at
-    the sweep where it did, and the sweeps it ran after that are dropped.
+    gives a list of results. The families run as lockstep rows of one state
+    (_lockstep); a single family is the one-row case.
     """
+    # A callable is threshold's frontier, and gives the dict of _lockstep.
+    if callable(family):
+        return _lockstep(params, family)
     # Not isinstance(family, ChannelFamily): the benchmark's tracer replaces
     # this module's ChannelFamily with a wrapper function.
     single = not isinstance(family, Sequence)
     families = [family] if single else list(family)
     if not families:
         raise ValueError("run_de needs at least one channel family")
-    kind, m = families[0].kind, families[0].m
-    if any((f.kind, f.m) != (kind, m) for f in families):
-        raise ValueError("lockstep families must share one kind and m")
-    dev = DensityEvolution(params, kind, m)
-    # Shape (deg, rows, 1, 1), so the q-update's Horner loop broadcasts.
-    fcoef = np.stack([dev.fpoly(f.parameter) for f in families], axis=1)[..., None, None]
-    shape = (len(families), params.n_sections, 1)
-    p = np.ones(shape)
-    q = np.ones(shape)
-    rows = np.arange(len(families))  # the family of each live row
-    results: list = [None] * len(families)
-    it = 0
-    while rows.size and it < MAX_ITER:
-        sweeps = min(_SWEEP_BLOCK, MAX_ITER - it)
-        P, Q = _sweeps(dev, p, q, fcoef, sweeps)
-        p, q = P[-1], Q[-1]
-        # The block's tests, on arrays indexed (sweep, row, section).
-        P, Q = P[..., 0], Q[..., 0]
-        dP, dQ = P[1:] - P[:-1], Q[1:] - Q[:-1]
-        change = np.maximum(np.abs(dP).max(axis=2), np.abs(dQ).max(axis=2))
-        converged = P[1:].max(axis=2) < TOL
-        decided = converged | (change < _STALL_TOL)
-        # The block index of the sweep where each row decides, else `sweeps`.
-        t_dec = np.where(decided.any(axis=0), decided.argmax(axis=0), sweeps)
-        # Every 100th sweep, on the rows still live at it.
-        for t in range(-(it + 1) % 100, sweeps, 100):
-            if (np.maximum(dP[t], dQ[t])[t <= t_dec] > _MONOTONE_SLACK).any():
-                raise AssertionError(
-                    "monotone decrease from all-ones violated; update is broken"
-                )
-        for r in np.flatnonzero(t_dec < sweeps):
-            t = int(t_dec[r])
-            status = "converged" if converged[t, r] else "stalled"
-            fam = families[rows[r]]
-            results[rows[r]] = _de_result(params, fam, P[t + 1, r], Q[t + 1, r], it + t + 1, status)
-        it += sweeps
-        live = t_dec == sweeps
-        rows, p, q, fcoef = rows[live], p[live], q[live], fcoef[:, live]
-    for r, i in enumerate(rows):
-        results[i] = _de_result(params, families[i], p[r, :, 0], q[r, :, 0], it, "iter-limit")
+    done = _lockstep(params, lambda done: {i: f for i, f in enumerate(families) if i not in done})
+    results = [done[i] for i in range(len(families))]
     return results[0] if single else results
+
+
+def _lockstep(params: EnsembleParams, frontier) -> dict:
+    """Run lockstep rows of one kind and m until `frontier` wants none.
+
+    `frontier(done)` maps the results decided so far, a dict key -> DeResult,
+    to the rows wanted live, a dict key -> ChannelFamily. It is called at the
+    start and after every block of sweeps in which a row decided: a wanted
+    row that is not live joins from all-ones, and a live row that is no
+    longer wanted is dropped. Returns `done`.
+
+    A row is held as a column vector, so `W @ x` couples it by one gemv per
+    row, and each row gets the bits of its own run. Sweeps run in blocks of
+    _SWEEP_BLOCK and are tested sweep by sweep after each block: a row that
+    decided is frozen at the sweep where it did, and the sweeps it ran after
+    that are dropped. Each row counts its own sweeps, which place its
+    every-100th-sweep monotone check and its MAX_ITER cap; a block is never
+    longer than the smallest remaining budget.
+
+    A row also stalls at a sweep whose state equals its anchor exactly: its
+    state at the last power-of-two sweep count (or sweep 0) before the block
+    (Brent's cycle finding). From all-ones a correct sweep never increases a
+    rate, so in exact arithmetic only a fixed point repeats; in floats a row
+    can instead settle into a cycle whose changes stay above _STALL_TOL. A
+    repeat that moves a rate by more than _MONOTONE_SLACK is not a stall but
+    a broken update, left to the monotone check. A cycle entered at sweep mu
+    with period lam repeats first at a sweep t >= mu + lam, by which the
+    other tests have seen every step of the cycle, so a row they decide keeps
+    its result.
+    """
+    n = params.n_sections
+    done: dict = {}
+    keys: list = []  # the key of each live row, all of them in `wanted`
+    polys: list = []
+    it: list[int] = []  # sweeps run per row
+    p = q = np.empty((0, n, 1))
+    anchor = np.empty((2, 0, n))  # (p, q) of each row at its anchor
+    dev = None
+    wanted = frontier(done)
+    while wanted:
+        keep = [r for r, k in enumerate(keys) if k in wanted]
+        new = [k for k in wanted if k not in keys]
+        if dev is None:
+            dev = DensityEvolution(params, wanted[new[0]].kind, wanted[new[0]].m)
+        if any((wanted[k].kind, wanted[k].m) != (dev.kind, dev.m) for k in new):
+            raise ValueError("lockstep families must share one kind and m")
+        keys = [keys[r] for r in keep] + new
+        polys = [polys[r] for r in keep] + [dev.fpoly(wanted[k].parameter) for k in new]
+        it = [it[r] for r in keep] + [0] * len(new)
+        start = np.ones((len(new), n, 1))
+        p, q = np.concatenate([p[keep], start]), np.concatenate([q[keep], start])
+        anchor = np.concatenate([anchor[:, keep], np.ones((2, len(new), n))], axis=1)
+        # Shape (deg, rows, 1, 1), so the q-update's Horner loop broadcasts.
+        fcoef = np.stack(polys, axis=1)[..., None, None]
+        n_done = len(done)
+        while len(done) == n_done:
+            sweeps = min(_SWEEP_BLOCK, MAX_ITER - max(it))
+            P, Q = _sweeps(dev, p, q, fcoef, sweeps)
+            p, q = P[-1], Q[-1]
+            # The block's tests, on arrays indexed (sweep, row, section).
+            P, Q = P[..., 0], Q[..., 0]
+            dP, dQ = P[1:] - P[:-1], Q[1:] - Q[:-1]
+            change = np.maximum(np.abs(dP).max(axis=2), np.abs(dQ).max(axis=2))
+            converged = P[1:].max(axis=2) < TOL
+            repeated = (P[1:] == anchor[0]).all(axis=2) & (Q[1:] == anchor[1]).all(axis=2)
+            decided = converged | (change < _STALL_TOL) | (repeated & (change <= _MONOTONE_SLACK))
+            # The block index of the sweep where each row decides, else `sweeps`.
+            t_dec = np.where(decided.any(axis=0), decided.argmax(axis=0), sweeps)
+            # Every row's 100th sweeps, up to the one where it decides.
+            s = np.arange(sweeps)[:, None]
+            checked = ((np.array(it) + s + 1) % 100 == 0) & (s <= t_dec)
+            if (dP[checked] > _MONOTONE_SLACK).any() or (dQ[checked] > _MONOTONE_SLACK).any():
+                raise AssertionError("monotone decrease from all-ones violated; update is broken")
+            for r, key in enumerate(keys):
+                t = int(t_dec[r])
+                if t < sweeps:
+                    status = "converged" if converged[t, r] else "stalled"
+                    state = P[t + 1, r], Q[t + 1, r], it[r] + t + 1
+                    done[key] = _de_result(params, wanted[key], *state, status)
+                elif it[r] + sweeps == MAX_ITER:
+                    state = P[-1, r], Q[-1, r], MAX_ITER
+                    done[key] = _de_result(params, wanted[key], *state, "iter-limit")
+                # A power of two in (it, it + sweeps] is the row's next anchor.
+                top = (it[r] + sweeps).bit_length()
+                if top > it[r].bit_length():
+                    anchor[:, r] = P[2 ** (top - 1) - it[r], r], Q[2 ** (top - 1) - it[r], r]
+                it[r] += sweeps
+        wanted = frontier(done)
+    return done
 
 
 def _de_result(params, family, p, q, iterations, status) -> DeResult:
@@ -358,12 +410,12 @@ def threshold(
     Assumes the success predicate is monotone in the parameter. A run that
     reaches MAX_ITER sweeps leaves the bracket inconclusive and raises.
 
-    Each lockstep `run_de` decides every midpoint that the next
-    _BISECT_LEVELS bisection steps can visit, and the walk below takes the
-    steps plain bisection takes, so the value is the same to the bit. The
-    midpoints off the walk lie beyond the walk's midpoint where they branch
-    off, farther from the threshold, so they decide sooner than it and do
-    not set the run's length.
+    The bisection is pipelined through one lockstep `run_de`: its rows are
+    the _frontier of the walk, and after each block of sweeps in which a row
+    decided the walk takes every step it now can and the rows follow the new
+    frontier. The walk takes the steps plain bisection takes and reads only
+    decided rows, each with the bits of its own run, so the value is the same
+    to the bit. A row that left the frontier is off the walk for good.
     """
     if kind not in ("cd", "bd"):
         raise ValueError(f"threshold search needs kind 'cd' or 'bd', got {kind!r}")
@@ -375,12 +427,12 @@ def threshold(
     if not _MIN_BISECT_TOL <= bisect_tol < 1:
         raise ValueError(f"bisect_tol must lie in [2**-52, 1), got {bisect_tol}")
     lo, hi = 0.0, 1.0
-    while hi - lo > bisect_tol:
-        mids = _bisection_subtree(lo, hi, bisect_tol)
-        runs = run_de(params, [ChannelFamily(kind, m, mid) for mid in mids])
-        decided = dict(zip(mids, runs))
-        while hi - lo > bisect_tol and (mid := 0.5 * (lo + hi)) in decided:
-            res = decided[mid]
+    rows: dict[float, ChannelFamily] = {}
+
+    def frontier(done: dict[float, DeResult]) -> dict[float, ChannelFamily]:
+        nonlocal lo, hi, rows
+        while hi - lo > bisect_tol and (mid := 0.5 * (lo + hi)) in done:
+            res = done[mid]
             if res.status == "iter-limit":
                 raise ConvergenceError(
                     f"DE hit the {MAX_ITER}-sweep cap at parameter {mid}; bracket inconclusive"
@@ -389,20 +441,41 @@ def threshold(
                 lo = mid
             else:
                 hi = mid
+        mids = _frontier(lo, hi, bisect_tol, done)
+        rows = {mid: rows[mid] if mid in rows else ChannelFamily(kind, m, mid) for mid in mids}
+        return rows
+
+    run_de(params, frontier)
     return 0.5 * (lo + hi)
 
 
-def _bisection_subtree(lo: float, hi: float, bisect_tol: float) -> list[float]:
-    """Every midpoint that the next _BISECT_LEVELS steps of bisection from
-    the dyadic bracket [lo, hi] can visit, whichever way each step decides.
+def _frontier(lo: float, hi: float, bisect_tol: float, done: dict) -> list[float]:
+    """Every midpoint not in `done` that bisection from the dyadic bracket
+    [lo, hi] can still visit within _BISECT_LEVELS undecided steps, whichever
+    way each of those steps decides.
 
-    The brackets of level i all have width (hi - lo) / 2**i, so bisection
-    splits the first j levels, those wider than bisect_tol, and their
-    midpoints are the 2**j - 1 inner points of the uniform grid on [lo, hi].
-    Each is an exact dyadic, equal to the 0.5 * (a + b) that bisection forms.
+    A decided midpoint leads to its one child, and one whose run hit the cap
+    to none, since the walk stops there. A bracket no wider than bisect_tol
+    is not split. Each midpoint is an exact dyadic, equal to the
+    0.5 * (a + b) that bisection forms.
     """
-    n = 2 ** sum(hi - lo > bisect_tol * 2**i for i in range(_BISECT_LEVELS))
-    return [lo + (hi - lo) * k / n for k in range(1, n)]
+    mids: list[float] = []
+
+    def visit(a: float, b: float, levels: int) -> None:
+        while b - a > bisect_tol:
+            mid = 0.5 * (a + b)
+            if mid not in done:
+                mids.append(mid)
+                if levels > 1:
+                    visit(a, mid, levels - 1)
+                    visit(mid, b, levels - 1)
+                return
+            if done[mid].status == "iter-limit":
+                return
+            a, b = (mid, b) if done[mid].success else (a, mid)
+
+    visit(lo, hi, _BISECT_LEVELS)
+    return mids
 
 
 def ebp_trace(

@@ -91,6 +91,20 @@ class TestThreshold:
         assert code == 3
         assert "non-convergence" in err
 
+    def test_float_cycle_rows_decide(self, capsys):
+        # cd m=15 rows above threshold end in exact float cycles, which
+        # count as stalls, so the search ends instead of hitting the cap.
+        code, out, _ = run_cli(
+            capsys,
+            [
+                "threshold", "--dl", "4", "--dr", "2", "--dg", "2",
+                "-L", "2", "-w", "2", "--channel", "cd", "-m", "15",
+                "--bisect-tol", "0.01",
+            ],
+        )
+        assert code == 0
+        assert 0.0 < float(out.strip().splitlines()[-1].split(",")[4]) < 1.0
+
 
     @pytest.mark.parametrize(
         "extra",

@@ -294,6 +294,21 @@ class TestRunDe:
                 assert rows[-1].status != "iter-limit"
                 assert sum(r.status == "iter-limit" for r in rows) == 1
 
+    def test_float_cycle_stalls(self):
+        # cd m=15 above threshold settles into an exact float cycle (entered
+        # at sweep 60, period 42) whose changes stay above the stall
+        # tolerance, so only the repeat decides it.
+        params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=3)
+        fam = ChannelFamily.concentrated(15, 0.7)
+        res = run_de(params, fam)
+        assert res.status == "stalled" and res.state.iterations < 1000
+        P, Q = trajectory(params, fam, res.state.iterations)
+        change = np.maximum(np.abs(np.diff(P, axis=0)), np.abs(np.diff(Q, axis=0))).max(axis=1)
+        assert change.min() >= de._STALL_TOL
+        repeats = (P[:-1] == P[-1]).all(axis=1) & (Q[:-1] == Q[-1]).all(axis=1)
+        assert repeats.any()
+        assert np.array_equal(res.state.p, P[-1]) and np.array_equal(res.state.q, Q[-1])
+
 
 class TestTrajectory:
     def test_shapes_and_start(self):
@@ -355,20 +370,37 @@ class TestThreshold:
                 got = threshold(params, kind, m, bisect_tol=1e-3)
                 assert got == reference_threshold(params, kind, m, bisect_tol=1e-3)
 
-    def test_bisection_subtree_matches_level_builder(self):
-        # Seeded dyadic brackets [j * 2**-d, (j + 1) * 2**-d] and tolerances
-        # spread over [2**-52, 1), powers of two included, so that a level's
-        # width can equal bisect_tol exactly.
-        rng = np.random.default_rng(13)
-        for _ in range(20_000):
-            d = int(rng.integers(0, 49))
+    @pytest.mark.parametrize("kind", ["cd", "bd"])
+    def test_matches_plain_bisection_at_fine_tolerance(self, kind):
+        # Deep enough that rows join and leave the pipelined run many times.
+        params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=2)
+        got = threshold(params, kind, 2, bisect_tol=1e-5)
+        assert got == reference_threshold(params, kind, 2, bisect_tol=1e-5)
+
+    def test_frontier_matches_brute_force(self):
+        # Seeded dyadic brackets, tolerances (exact level widths included)
+        # and decided sets, with runs that converged, stalled or hit the cap.
+        rng = np.random.default_rng(14)
+        statuses = ["converged", "stalled", "iter-limit"]
+        outcomes = {status: fake_result(status) for status in statuses}
+        sizes = set()
+        for _ in range(300):
+            d = int(rng.integers(0, 40))
             j = int(rng.integers(0, 2**d))
             lo, hi = j * 2.0**-d, (j + 1) * 2.0**-d
-            e = rng.uniform(-52, 0)
-            bisect_tol = 2.0 ** (np.floor(e) if rng.random() < 0.25 else e)
-            got = de._bisection_subtree(lo, hi, bisect_tol)
-            assert len(got) == len(set(got))
-            assert set(got) == set(level_bisection_subtree(lo, hi, bisect_tol))
+            e = rng.uniform(0, 9)
+            bisect_tol = (hi - lo) * 2.0 ** -(np.floor(e) if rng.random() < 0.25 else e)
+            share = rng.uniform(0, 1)
+            done = {
+                mid: outcomes[rng.choice(statuses, p=[0.45, 0.45, 0.1])]
+                for mid in tree_midpoints(lo, hi, bisect_tol)
+                if rng.random() < share
+            }
+            got = de._frontier(lo, hi, bisect_tol, done)
+            assert len(got) == len(set(got)) <= 2**de._BISECT_LEVELS - 1
+            assert set(got) == set(brute_force_frontier(lo, hi, bisect_tol, done))
+            sizes.add(len(got))
+        assert sizes == set(range(2**de._BISECT_LEVELS))
 
     def test_iter_limit_names_the_same_parameter(self, monkeypatch):
         # At L=4/w=3, cd m=2, bisection steps 4, 5 and 12 are the first to
@@ -392,7 +424,10 @@ class TestThreshold:
         # DensityEvolution.sweep where they are looked up, so threshold must
         # call them through the module and the class. It also replaces
         # scmn.de.ChannelFamily with a function, so scmn.de may only call it.
-        calls = {"run_de": 0, "sweep": 0, "longest": 0, "family": 0, "rows": 0}
+        params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=2)
+        batched = batched_schedule_sweeps(params, "cd", 2, 1e-5)
+        calls = {"run_de": 0, "sweep": 0, "family": 0, "rows": 0}
+        decided = {}
         run_de_orig = de.run_de
         sweep_orig = DensityEvolution.sweep
 
@@ -400,12 +435,19 @@ class TestThreshold:
             calls["family"] += 1
             return ChannelFamily(*args)
 
-        def counted_run_de(*args, **kwargs):
+        def counted_run_de(params, frontier):
             calls["run_de"] += 1
-            results = run_de_orig(*args, **kwargs)
-            calls["rows"] += len(results)
-            calls["longest"] += max(r.state.iterations for r in results)
-            return results
+            live = set()
+
+            def counted_frontier(done):
+                nonlocal live
+                wanted = frontier(done)
+                calls["rows"] += len(wanted.keys() - live)
+                live = set(wanted)
+                decided.update(done)
+                return wanted
+
+            return run_de_orig(params, counted_frontier)
 
         def counted_sweep(self, *args):
             calls["sweep"] += 1
@@ -414,13 +456,23 @@ class TestThreshold:
         monkeypatch.setattr(de, "run_de", counted_run_de)
         monkeypatch.setattr(DensityEvolution, "sweep", counted_sweep)
         monkeypatch.setattr(de, "ChannelFamily", counted_family)
-        threshold(P422, "cd", 2, bisect_tol=1e-2)
+        threshold(params, "cd", 2, bisect_tol=1e-5)
+        # One pipelined run; a row starts on each midpoint that enters the
+        # frontier, and runs in lockstep with the others.
+        assert calls["run_de"] == 1
         assert calls["family"] == calls["rows"] > 0
-        # 7 bisection steps, _BISECT_LEVELS per batch. A batch runs until
-        # its slowest row decides, rounded up to whole blocks of sweeps.
-        assert calls["run_de"] == -(-7 // de._BISECT_LEVELS)
-        assert 0 < calls["longest"] <= calls["sweep"]
-        assert calls["sweep"] < calls["longest"] + calls["run_de"] * de._SWEEP_BLOCK
+        assert 0 < max(r.state.iterations for r in decided.values()) <= calls["sweep"]
+        # Some walk midpoint is live in every block, and each block ends at
+        # most a block after the sweep where a row decides.
+        lo, hi, walk = 0.0, 1.0, []
+        while hi - lo > 1e-5:
+            mid = 0.5 * (lo + hi)
+            walk.append(decided[mid].state.iterations)
+            lo, hi = (mid, hi) if decided[mid].success else (lo, mid)
+        assert calls["sweep"] < sum(walk) + len(walk) * de._SWEEP_BLOCK
+        # Fewer sweeps than the schedule that waited for each batch of
+        # _BISECT_LEVELS levels to decide before it started the next.
+        assert calls["sweep"] < batched
 
 
 def assert_same_result(got, ref):
@@ -453,20 +505,57 @@ def reference_run_de(params, family, *, max_iter=de.MAX_ITER):
     return DeResult(state=state, success=status == "converged", status=status)
 
 
-def level_bisection_subtree(lo, hi, bisect_tol):
-    """de._bisection_subtree as it was: the brackets of each level wider
-    than bisect_tol, split one level at a time."""
-    mids = []
-    brackets = [(lo, hi)]
-    for _ in range(de._BISECT_LEVELS):
-        brackets = [(a, b) for a, b in brackets if b - a > bisect_tol]
-        halves = []
-        for a, b in brackets:
-            mid = 0.5 * (a + b)
-            mids.append(mid)
-            halves += [(a, mid), (mid, b)]
-        brackets = halves
-    return mids
+def fake_result(status):
+    state = DeState(L=0, p=np.zeros(1), q=np.zeros(1), epsilon=0.0)
+    return DeResult(state=state, success=status == "converged", status=status)
+
+
+def tree_midpoints(lo, hi, bisect_tol):
+    """Every midpoint that bisection from [lo, hi] to bisect_tol can form."""
+    if hi - lo <= bisect_tol:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [mid, *tree_midpoints(lo, mid, bisect_tol), *tree_midpoints(mid, hi, bisect_tol)]
+
+
+def brute_force_frontier(lo, hi, bisect_tol, done):
+    """de._frontier by enumeration: each undecided midpoint of the whole
+    bisection tree whose path from [lo, hi] is open (every decided midpoint
+    on it decided the way the path turns, none hit the cap) and holds fewer
+    than _BISECT_LEVELS undecided midpoints above it."""
+    found = []
+    nodes = [(lo, hi, [])]  # a bracket and the (midpoint, went up) above it
+    while nodes:
+        a, b, path = nodes.pop()
+        if b - a <= bisect_tol:
+            continue
+        mid = 0.5 * (a + b)
+        above = [done.get(x) for x, _ in path]
+        open_path = all(
+            r is None or (r.status != "iter-limit" and r.success == up)
+            for r, (_, up) in zip(above, path)
+        )
+        if open_path and mid not in done and above.count(None) < de._BISECT_LEVELS:
+            found.append(mid)
+        nodes += [(a, mid, [*path, (mid, False)]), (mid, b, [*path, (mid, True)])]
+    return found
+
+
+def batched_schedule_sweeps(params, kind, m, bisect_tol):
+    """Sweeps of threshold's earlier schedule: each lockstep run_de call
+    decided every midpoint of the next _BISECT_LEVELS bisection levels, in
+    whole blocks until its slowest row decided, before the next call began."""
+    lo, hi = 0.0, 1.0
+    total = 0
+    while hi - lo > bisect_tol:
+        n = 2 ** sum(hi - lo > bisect_tol * 2**i for i in range(de._BISECT_LEVELS))
+        mids = [lo + (hi - lo) * k / n for k in range(1, n)]
+        runs = dict(zip(mids, run_de(params, [ChannelFamily(kind, m, x) for x in mids])))
+        longest = max(r.state.iterations for r in runs.values())
+        total += -(-longest // de._SWEEP_BLOCK) * de._SWEEP_BLOCK
+        while hi - lo > bisect_tol and (mid := 0.5 * (lo + hi)) in runs:
+            lo, hi = (mid, hi) if runs[mid].success else (lo, mid)
+    return total
 
 
 def reference_threshold(params, kind, m, *, bisect_tol, max_iter=de.MAX_ITER):
