@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2 import gbinom
+from .gf2 import MAX_WIDTH, gbinom
 
 CHANNEL_KINDS = ("w", "cd", "bd")
 _PROB_TOL = 1e-12
@@ -78,8 +78,8 @@ class ChannelFamily:
 def _check_channel(kind: str, m: int, parameter: float) -> None:
     if kind not in CHANNEL_KINDS:
         raise ValueError(f"kind must be one of {CHANNEL_KINDS}, got {kind!r}")
-    if not 1 <= m <= 64:
-        raise ValueError(f"m must be in 1..64, got {m}")
+    if not 1 <= m <= MAX_WIDTH:
+        raise ValueError(f"m must be in 1..{MAX_WIDTH}, got {m}")
     if kind == "w":
         if parameter != int(parameter) or not 0 <= parameter <= m:
             raise ValueError(

@@ -40,6 +40,8 @@ _BISECT_LEVELS = 3
 # 25 us; testing each sweep on its own cost about 9 us more in numpy call
 # overhead, testing a block of 64 at once about 1 us per sweep at 3 rows.
 _SWEEP_BLOCK = 64
+# Most entries of a window matrix (Wb, Wf): 128 MiB each, L up to 2047 at w = 2.
+MAX_WINDOW_ENTRIES = 2**24
 
 # Curve tracing. A round's channel parameter is bisected to _EPS_BISECT_TOL; a
 # point is accepted once a round moves the state by less than _STATE_TOL and
@@ -154,11 +156,14 @@ class DensityEvolution:
         self.kind = kind
         self.m = m
         w = params.w
+        nc, n = params.n_check_sections, params.n_sections
+        if nc * n > MAX_WINDOW_ENTRIES:
+            raise ValueError(f"DE window matrices {nc} x {n} exceed {MAX_WINDOW_ENTRIES} entries")
         # Check section c sees bit sections i with 0 <= c - i < w. Wb averages
         # bit sections over the window feeding one check section; Wf averages
         # check sections back over one bit section's window. Wf is stored
         # C-contiguous: a product with a transposed view sums in another order.
-        lag = np.arange(params.n_check_sections)[:, None] - np.arange(params.n_sections)
+        lag = np.arange(nc)[:, None] - np.arange(n)
         self.Wb = np.where((0 <= lag) & (lag < w), 1.0 / w, 0.0)
         self.Wf = np.ascontiguousarray(self.Wb.T)
         # Row j: transfer polynomial for noise dimension exactly j.
@@ -410,12 +415,12 @@ def threshold(
     Assumes the success predicate is monotone in the parameter. A run that
     reaches MAX_ITER sweeps leaves the bracket inconclusive and raises.
 
-    The bisection is pipelined through one lockstep `run_de`: its rows are
-    the _frontier of the walk, and after each block of sweeps in which a row
-    decided the walk takes every step it now can and the rows follow the new
-    frontier. The walk takes the steps plain bisection takes and reads only
-    decided rows, each with the bits of its own run, so the value is the same
-    to the bit. A row that left the frontier is off the walk for good.
+    The bisection is pipelined through one lockstep `run_de` whose rows
+    follow the _frontier of the rows decided so far; a row that leaves it is
+    off the walk for good. ε* is read from one _walk over the decided rows.
+    The walk takes the steps plain bisection takes and reads only decided
+    rows, each with the bits of its own run, so the value is the same to the
+    bit.
     """
     if kind not in ("cd", "bd"):
         raise ValueError(f"threshold search needs kind 'cd' or 'bd', got {kind!r}")
@@ -426,53 +431,47 @@ def threshold(
     # them, and never end.
     if not _MIN_BISECT_TOL <= bisect_tol < 1:
         raise ValueError(f"bisect_tol must lie in [2**-52, 1), got {bisect_tol}")
-    lo, hi = 0.0, 1.0
     rows: dict[float, ChannelFamily] = {}
 
     def frontier(done: dict[float, DeResult]) -> dict[float, ChannelFamily]:
-        nonlocal lo, hi, rows
-        while hi - lo > bisect_tol and (mid := 0.5 * (lo + hi)) in done:
-            res = done[mid]
-            if res.status == "iter-limit":
-                raise ConvergenceError(
-                    f"DE hit the {MAX_ITER}-sweep cap at parameter {mid}; bracket inconclusive"
-                )
-            if res.success:
-                lo = mid
-            else:
-                hi = mid
-        mids = _frontier(lo, hi, bisect_tol, done)
+        nonlocal rows
+        mids = _frontier(0.0, 1.0, bisect_tol, done)
         rows = {mid: rows[mid] if mid in rows else ChannelFamily(kind, m, mid) for mid in mids}
         return rows
 
-    run_de(params, frontier)
+    # The frontier is empty only once the walk has ended or reached a cap.
+    lo, hi, mid = _walk(0.0, 1.0, bisect_tol, run_de(params, frontier))
+    if mid is not None:
+        raise ConvergenceError(
+            f"DE hit the {MAX_ITER}-sweep cap at parameter {mid}; bracket inconclusive"
+        )
     return 0.5 * (lo + hi)
 
 
-def _frontier(lo: float, hi: float, bisect_tol: float, done: dict) -> list[float]:
-    """Every midpoint not in `done` that bisection from the dyadic bracket
-    [lo, hi] can still visit within _BISECT_LEVELS undecided steps, whichever
-    way each of those steps decides.
+def _walk(lo: float, hi: float, bisect_tol: float, done: dict) -> tuple[float, float, float | None]:
+    """Bisect [lo, hi] through the exact dyadic midpoints decided in `done`:
+    the bracket reached, and the midpoint where the walk stopped, undecided
+    or capped, or None once the bracket is no wider than bisect_tol."""
+    while hi - lo > bisect_tol:
+        mid = 0.5 * (lo + hi)
+        if mid not in done or done[mid].status == "iter-limit":
+            return lo, hi, mid
+        lo, hi = (mid, hi) if done[mid].success else (lo, mid)
+    return lo, hi, None
 
-    A decided midpoint leads to its one child, and one whose run hit the cap
-    to none, since the walk stops there. A bracket no wider than bisect_tol
-    is not split. Each midpoint is an exact dyadic, equal to the
-    0.5 * (a + b) that bisection forms.
-    """
+
+def _frontier(lo: float, hi: float, bisect_tol: float, done: dict) -> list[float]:
+    """Every midpoint not in `done` that the _walk from the dyadic bracket
+    [lo, hi] can reach within _BISECT_LEVELS undecided steps, whichever way they decide."""
     mids: list[float] = []
 
     def visit(a: float, b: float, levels: int) -> None:
-        while b - a > bisect_tol:
-            mid = 0.5 * (a + b)
-            if mid not in done:
-                mids.append(mid)
-                if levels > 1:
-                    visit(a, mid, levels - 1)
-                    visit(mid, b, levels - 1)
-                return
-            if done[mid].status == "iter-limit":
-                return
-            a, b = (mid, b) if done[mid].success else (a, mid)
+        a, b, mid = _walk(a, b, bisect_tol, done)
+        if mid is not None and mid not in done:
+            mids.append(mid)
+            if levels > 1:
+                visit(a, mid, levels - 1)
+                visit(mid, b, levels - 1)
 
     visit(lo, hi, _BISECT_LEVELS)
     return mids

@@ -89,8 +89,8 @@ class DetectorTables:
 
     def table(self, subspaces: Sequence[SubspaceBasis]) -> np.ndarray:
         """The (n, 2^m) stack of the tables of n subspaces, in their order,
-        built anew on each call: decode_trial asks once per trial, for its
-        distinct subspaces.
+        built anew on each call: decode_trial asks once per trial, for every
+        subspace its noise sampler returns.
 
         Each v in V with v_t = 1 sets bit t at E = supp(v) - {t}; ORing every
         entry into its supersets, one coordinate at a time, then marks every E
@@ -252,9 +252,9 @@ def decode_trial(
     L = params.L
 
     subspaces, sub_idx, _ = _sample_symbol_noise(dist, graph.n_symbols, rng)
-    # One table per distinct subspace; sub_dense indexes the symbol's table.
-    used, sub_dense = np.unique(sub_idx, return_inverse=True)
-    tab_stack = tables.table([subspaces[i] for i in used])
+    # One table per subspace the sampler returns: all of them at m <= 4 (at
+    # most 67), the distinct ones drawn above that. sub_idx picks a symbol's.
+    tab_stack = tables.table(subspaces)
 
     n_t2 = graph.n_transmitted
     n_sym = graph.n_symbols
@@ -315,7 +315,7 @@ def decode_trial(
         dirty_sym[sym_of[bits]] = True
         syms = _take(dirty_sym)
         inputs = members[syms]
-        out = tab_stack[sub_dense[syms], (n_known_t[inputs] == 0) @ bit]
+        out = tab_stack[sub_idx[syms], (n_known_t[inputs] == 0) @ bit]
         now = inputs[(out[:, None] >> shift) & 1 == 0]
         new_d2b = now[~d2b[now]]
         d2b[new_d2b] = True

@@ -273,6 +273,22 @@ def test_de_symbol_width_past_transfer_limit(capsys, command):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["threshold", "exit-curve"])
+def test_de_chain_past_window_bound(capsys, command):
+    # Its window matrices would take 298 GiB.
+    code, out, err = run_cli(
+        capsys,
+        [
+            command, "--dl", "4", "--dr", "2", "--dg", "2",
+            "-L", "100000", "-w", "2", "--channel", "cd", "-m", "2",
+        ],
+    )
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: invalid-config:")
+    assert str(de.MAX_WINDOW_ENTRIES) in err
+    assert out == ""
+
+
 class TestSimulate:
     def test_csv_schema_and_reproducibility(self, capsys):
         argv = [

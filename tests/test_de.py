@@ -323,6 +323,23 @@ class TestTrajectory:
             assert q == pytest.approx(Q[ell])
 
 
+class TestWindowBound:
+    def test_bound_is_exact(self, monkeypatch):
+        params = EnsembleParams(dl=4, dr=2, dg=2, L=2, w=2)  # 6 x 5 entries
+        monkeypatch.setattr(de, "MAX_WINDOW_ENTRIES", 30)
+        DensityEvolution(params, "cd", 2)
+        monkeypatch.setattr(de, "MAX_WINDOW_ENTRIES", 29)
+        with pytest.raises(ValueError, match="6 x 5"):
+            DensityEvolution(params, "cd", 2)
+
+    def test_long_chain_rejected(self):
+        params = EnsembleParams(dl=4, dr=2, dg=2, L=100_000, w=2)
+        with pytest.raises(ValueError, match="exceed"):
+            DensityEvolution(params, "cd", 2)
+        with pytest.raises(ValueError, match="exceed"):
+            trajectory(params, CD2, 1)
+
+
 class TestThreshold:
     def test_coarse_bracket(self):
         th = threshold(P422, "cd", 2, bisect_tol=5e-3)
