@@ -93,23 +93,25 @@ def dimension_law(kind: str, m: int, parameter: float) -> tuple[float, ...]:
     """Probabilities p_0..p_m of the noise dimension: a point mass for "w",
     mass split between floor(eps*m) and floor(eps*m)+1 for "cd", binomial(m,
     eps) for "bd". Takes the same arguments as ChannelFamily and builds no
-    object, so a caller can scan the parameter cheaply."""
+    object, so a caller can scan the parameter cheaply. A Fraction parameter
+    gives the law in exact rationals, by the same formulas."""
     _check_channel(kind, m, parameter)
-    p = [0.0] * (m + 1)
+    one = Fraction(1) if type(parameter) is Fraction else 1.0
+    p = [0 * one] * (m + 1)
     if kind == "w":
-        p[int(parameter)] = 1.0
+        p[int(parameter)] = one
     elif kind == "cd":
         x = parameter * m
         d0 = int(math.floor(x))
         if d0 >= m:
-            p[m] = 1.0
+            p[m] = one
         else:
             frac = x - d0
-            p[d0] = 1.0 - frac
+            p[d0] = one - frac
             p[d0 + 1] = frac
     else:
         for d in range(m + 1):
-            p[d] = math.comb(m, d) * parameter**d * (1.0 - parameter) ** (m - d)
+            p[d] = math.comb(m, d) * parameter**d * (one - parameter) ** (m - d)
     return tuple(p)
 
 
@@ -149,10 +151,10 @@ def _erasure_kernel(m: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _mixture_poly_matrix(m: int) -> np.ndarray:
-    """K[j, r]: coefficient of z^r in the transfer function for unit mass at
-    noise dimension j; exact rationals converted to float once. Every DE path
-    and transfer_poly build K here, so m > TRANSFER_MAX_M is rejected here."""
+def _mixture_poly_fractions(m: int) -> tuple[tuple[Fraction, ...], ...]:
+    """K[j][r]: coefficient of z^r in the transfer function for unit mass at
+    noise dimension j, in exact rationals. Every DE path and transfer_poly
+    build K here, so m > TRANSFER_MAX_M is rejected here."""
     if not 1 <= m <= TRANSFER_MAX_M:
         raise ValueError(
             f"the transfer polynomial is evaluated for m in 1..{TRANSFER_MAX_M}, got m={m}"
@@ -165,7 +167,13 @@ def _mixture_poly_matrix(m: int) -> np.ndarray:
             w = math.comb(n, t)
             for u in range(n - t + 1):
                 K[j][t + u] += w * math.comb(n - t, u) * (-1) ** u * c[t + 1][j]
-    return np.array([[float(x) for x in row] for row in K])
+    return tuple(tuple(row) for row in K)
+
+
+@lru_cache(maxsize=None)
+def _mixture_poly_matrix(m: int) -> np.ndarray:
+    """_mixture_poly_fractions(m) converted to float once."""
+    return np.array([[float(x) for x in row] for row in _mixture_poly_fractions(m)])
 
 
 def transfer_poly(dist: DimensionDistribution) -> np.ndarray:

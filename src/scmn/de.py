@@ -7,11 +7,13 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .channel import (
     ChannelFamily,
+    _mixture_poly_fractions,
     _mixture_poly_matrix,
     dimension_distribution,  # noqa: F401 (kept: perfbench/tracing.py wraps this name)
     dimension_law,
@@ -32,14 +34,29 @@ _STALL_TOL = 1e-15
 _MONOTONE_SLACK = 1e-12
 # Undecided bisection steps that `threshold` runs ahead of its walk: at
 # most 2**levels - 1 rows are live. A sweep costs more with more rows (at
-# L=10/w=2 about 28-42 us with one row, about 55 us with seven). Timed at
-# bisect_tol 1e-5 on 2 cores: the 12 L=10/w=2 cells took 113 s at 3 levels
-# and 118 s at 4, and cd m=2 took 5.22 s at 3 and 6.93 s at 2.
+# L=10/w=2 about 28-42 us with one row, about 55 us with seven). Timed with
+# stall certificates at bisect_tol 1e-5 on 2 cores, at 2, 3 and 4 levels:
+# the 12 L=10/w=2 cells took 69.4, 56.0 and 63.5 s, cd m=2 4.51, 3.69 and
+# 5.57 s, and bd m=4 4.56, 2.96 and 3.76 s.
 _BISECT_LEVELS = 3
 # Sweeps that run_de runs between its tests. At L=10/w=2 a sweep takes about
 # 25 us; testing each sweep on its own cost about 9 us more in numpy call
 # overhead, testing a block of 64 at once about 1 us per sweep at 3 rows.
 _SWEEP_BLOCK = 64
+# Stall certificates, tried on threshold's rows only (_lockstep). A row is
+# tried when its sweep count passes a power of 2**(1/4), from
+# _CERT_MIN_SWEEPS sweeps on. Its candidate y is extrapolated along the slow
+# mode, then lowered _CERT_PASSES times to max(0, min(y, T(y) - _CERT_STEP)),
+# with every entry where T(y) < _CERT_FLOOR set to 0 (a zero entry needs no
+# margin: T(y) >= 0). The float filter passes y when T(y) - y >= _CERT_MARGIN
+# wherever y > 0, above the float error of f (4e-13 at m = 15), and some
+# punctured rate of y exceeds _CERT_MIN_P > TOL; the exact sweep decides.
+_CERT_MIN_SWEEPS = 128
+_CERT_PASSES = 4
+_CERT_STEP = 1e-12
+_CERT_FLOOR = 1e-9
+_CERT_MARGIN = 5e-13
+_CERT_MIN_P = 1e-6
 # Most entries of a window matrix (Wb, Wf): 128 MiB each, L up to 2047 at w = 2.
 MAX_WINDOW_ENTRIES = 2**24
 
@@ -142,6 +159,19 @@ class CurvePoint:
     rounds: int
 
 
+class _ExactWindow:
+    """A window matrix W, all of whose nonzero entries are 1/w, as exact
+    rationals: `W @ x` sums the window of each row over an object array of
+    Fractions and divides by w, touching no zero entry."""
+
+    def __init__(self, W: np.ndarray, w: int):
+        self.windows = [np.flatnonzero(row) for row in W]
+        self.w = w
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.array([sum(x[j]) / self.w for j in self.windows], dtype=object)
+
+
 class DensityEvolution:
     """Precomputed update operator for one ensemble and channel kind.
 
@@ -149,9 +179,13 @@ class DensityEvolution:
     (`_check`) maps the bit-to-check rates (p, q) to the check-to-bit rates
     and never sees the channel. The detector half passes them through the
     transfer polynomial to the new q, and through the bit nodes to the new p.
+
+    With `exact`, the window products (_ExactWindow) and the transfer
+    polynomial are exact: fpoly takes a Fraction parameter, and sweep maps
+    object arrays of Fractions by the same formulas in exact rationals.
     """
 
-    def __init__(self, params: EnsembleParams, kind: str, m: int):
+    def __init__(self, params: EnsembleParams, kind: str, m: int, *, exact: bool = False):
         self.params = params
         self.kind = kind
         self.m = m
@@ -168,6 +202,9 @@ class DensityEvolution:
         self.Wf = np.ascontiguousarray(self.Wb.T)
         # Row j: transfer polynomial for noise dimension exactly j.
         self.K = _mixture_poly_matrix(m)
+        if exact:
+            self.Wb, self.Wf = _ExactWindow(self.Wb, w), _ExactWindow(self.Wf, w)
+            self.K = np.array(_mixture_poly_fractions(m), dtype=object)
 
     def fpoly(self, eps: float) -> np.ndarray:
         return np.asarray(dimension_law(self.kind, self.m, eps)) @ self.K
@@ -181,11 +218,12 @@ class DensityEvolution:
         check-to-transmitted messages per bit section.
         """
         dr, dg = self.params.dr, self.params.dg
-        kp = 1.0 - self.Wb @ p
-        kq = 1.0 - self.Wb @ q
+        # 1 - x, not 1.0 - x: the same bits on floats, and exact on Fractions.
+        kp = 1 - self.Wb @ p
+        kq = 1 - self.Wb @ q
         rp = kp ** (dr - 1)
         rq = kq ** (dg - 1)
-        s = self.Wf @ (1.0 - rp * kp * rq)
+        s = self.Wf @ (1 - rp * kp * rq)
         return rp, rq, kq, s
 
     @staticmethod
@@ -219,7 +257,7 @@ class DensityEvolution:
         """One parallel update of every section."""
         dl, dg = self.params.dl, self.params.dg
         rp, rq, kq, s = self._check(p, q)
-        p1 = (self.Wf @ (1.0 - rp * rq * kq)) ** (dl - 1)
+        p1 = (self.Wf @ (1 - rp * rq * kq)) ** (dl - 1)
         return p1, self._q_update(s**dg, s ** (dg - 1), fcoef)
 
     def staged_round(
@@ -279,9 +317,10 @@ def run_de(
     gives a list of results. The families run as lockstep rows of one state
     (_lockstep); a single family is the one-row case.
     """
-    # A callable is threshold's frontier, and gives the dict of _lockstep.
+    # A callable is threshold's frontier, and gives the dict of _lockstep,
+    # with stall certificates.
     if callable(family):
-        return _lockstep(params, family)
+        return _lockstep(params, family, certify=True)
     # Not isinstance(family, ChannelFamily): the benchmark's tracer replaces
     # this module's ChannelFamily with a wrapper function.
     single = not isinstance(family, Sequence)
@@ -293,7 +332,7 @@ def run_de(
     return results[0] if single else results
 
 
-def _lockstep(params: EnsembleParams, frontier) -> dict:
+def _lockstep(params: EnsembleParams, frontier, *, certify: bool = False) -> dict:
     """Run lockstep rows of one kind and m until `frontier` wants none.
 
     `frontier(done)` maps the results decided so far, a dict key -> DeResult,
@@ -320,6 +359,14 @@ def _lockstep(params: EnsembleParams, frontier) -> dict:
     with period lam repeats first at a sweep t >= mu + lam, by which the
     other tests have seen every step of the cycle, so a row they decide keeps
     its result.
+
+    With `certify`, a row that has not decided by the end of a block may
+    also stall there on a certificate (_stall_candidates, _certifies): a
+    state y with 0 <= y <= 1, some punctured rate above _CERT_MIN_P > TOL,
+    and T(y) >= y in every entry of one exact sweep T. DE is monotone, so
+    from all-ones every exact iterate stays at or above y, and the row can
+    never converge. The certificate is tried before the MAX_ITER cap, so a
+    row that would have reached the cap can stall instead.
     """
     n = params.n_sections
     done: dict = {}
@@ -328,7 +375,7 @@ def _lockstep(params: EnsembleParams, frontier) -> dict:
     it: list[int] = []  # sweeps run per row
     p = q = np.empty((0, n, 1))
     anchor = np.empty((2, 0, n))  # (p, q) of each row at its anchor
-    dev = None
+    dev = exact = None
     wanted = frontier(done)
     while wanted:
         keep = [r for r, k in enumerate(keys) if k in wanted]
@@ -364,12 +411,31 @@ def _lockstep(params: EnsembleParams, frontier) -> dict:
             checked = ((np.array(it) + s + 1) % 100 == 0) & (s <= t_dec)
             if (dP[checked] > _MONOTONE_SLACK).any() or (dQ[checked] > _MONOTONE_SLACK).any():
                 raise AssertionError("monotone decrease from all-ones violated; update is broken")
+            certified = set()
+            if certify:
+                # (b**4).bit_length() > (a**4).bit_length() iff some power of
+                # 2**(1/4) lies in (a, b].
+                due = [
+                    r
+                    for r, i in enumerate(it)
+                    if t_dec[r] == sweeps
+                    and i + sweeps >= _CERT_MIN_SWEEPS
+                    and ((i + sweeps) ** 4).bit_length() > (i**4).bit_length()
+                ]
+                for r, y in _stall_candidates(dev, P, Q, change, fcoef, due).items():
+                    if exact is None:
+                        exact = DensityEvolution(params, dev.kind, dev.m, exact=True)
+                    if _certifies(exact, wanted[keys[r]].parameter, *y):
+                        certified.add(r)
             for r, key in enumerate(keys):
                 t = int(t_dec[r])
                 if t < sweeps:
                     status = "converged" if converged[t, r] else "stalled"
                     state = P[t + 1, r], Q[t + 1, r], it[r] + t + 1
                     done[key] = _de_result(params, wanted[key], *state, status)
+                elif r in certified:
+                    state = P[-1, r], Q[-1, r], it[r] + sweeps
+                    done[key] = _de_result(params, wanted[key], *state, "stalled")
                 elif it[r] + sweeps == MAX_ITER:
                     state = P[-1, r], Q[-1, r], MAX_ITER
                     done[key] = _de_result(params, wanted[key], *state, "iter-limit")
@@ -380,6 +446,49 @@ def _lockstep(params: EnsembleParams, frontier) -> dict:
                 it[r] += sweeps
         wanted = frontier(done)
     return done
+
+
+def _stall_candidates(dev: DensityEvolution, P, Q, change, fcoef, rows) -> dict:
+    """The float filter of the stall certificates: row -> (p, q) of a
+    candidate y for each of `rows` whose candidate passes.
+
+    P and Q hold the block's states and `change` the sup-norm change of each
+    sweep, indexed (sweep, row[, section]); fcoef is _lockstep's. Along the
+    slow mode the change shrinks by lam = (last change / first change)
+    ** (1 / (sweeps - 1)) per sweep, so the row's limit lies about
+    lam / (1 - lam) times its last step d below its state x. The candidate
+    y = x - K * d, K = 2 lam / (1 - lam), lies as far again below the limit,
+    where T(y) > y along the slow mode; the lowering passes remove what the
+    other modes leave. Rows whose change did not shrink are not tried.
+    """
+    rows = [r for r in rows if 0 < change[-1, r] < change[0, r]]
+    if not rows:
+        return {}
+    lam = (change[-1, rows] / change[0, rows]) ** (1 / (len(change) - 1))
+    k = (2 * lam / (1 - lam))[:, None]
+    y = [np.clip(X[-1, rows] - k * (X[-2, rows] - X[-1, rows]), 0.0, 1.0) for X in (P, Q)]
+    y = [v[..., None] for v in y]
+    f = fcoef[:, rows]
+    for _ in range(_CERT_PASSES):
+        Ty = dev.sweep(*y, f)
+        y = [
+            np.where(t < _CERT_FLOOR, 0.0, np.maximum(0.0, np.minimum(v, t - _CERT_STEP)))
+            for v, t in zip(y, Ty)
+        ]
+    Ty = dev.sweep(*y, f)
+    ok = y[0].max(axis=(1, 2)) > _CERT_MIN_P
+    for v, t in zip(y, Ty):
+        ok &= ((t - v >= _CERT_MARGIN) | (v == 0)).all(axis=(1, 2))
+    return {r: (y[0][i, :, 0], y[1][i, :, 0]) for i, r in enumerate(rows) if ok[i]}
+
+
+def _certifies(exact: DensityEvolution, eps: float, p, q) -> bool:
+    """Whether the state y = (p, q) satisfies T(y) >= y in every entry, for
+    one sweep T of `exact` (an exact DensityEvolution) at the parameter eps,
+    in exact rationals."""
+    y = [np.array([Fraction(v) for v in x.tolist()], dtype=object) for x in (p, q)]
+    Ty = exact.sweep(*y, exact.fpoly(Fraction(eps)))
+    return all((t >= v).all() for t, v in zip(Ty, y))
 
 
 def _de_result(params, family, p, q, iterations, status) -> DeResult:
@@ -412,15 +521,19 @@ def threshold(
 ) -> float:
     """Bisect the channel parameter for the largest decodable value.
 
-    Assumes the success predicate is monotone in the parameter. A run that
-    reaches MAX_ITER sweeps leaves the bracket inconclusive and raises.
+    Assumes the success predicate is monotone in the parameter. A walk row
+    that reaches MAX_ITER sweeps without deciding, and without a stall
+    certificate first, leaves the bracket inconclusive and raises.
 
     The bisection is pipelined through one lockstep `run_de` whose rows
     follow the _frontier of the rows decided so far; a row that leaves it is
     off the walk for good. ε* is read from one _walk over the decided rows.
     The walk takes the steps plain bisection takes and reads only decided
-    rows, each with the bits of its own run, so the value is the same to the
-    bit.
+    rows. A row decides as its own run does, with one exception: a row may
+    stall early on an exact stall certificate (_lockstep), which proves that
+    DE at its parameter never converges. Its own run then fails too, by a
+    later stall or at the cap, unless float rounding decodes a row that exact
+    DE cannot; no checked cell did, and each gave plain bisection's value.
     """
     if kind not in ("cd", "bd"):
         raise ValueError(f"threshold search needs kind 'cd' or 'bd', got {kind!r}")

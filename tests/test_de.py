@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -15,6 +17,7 @@ from scmn.de import (
     trajectory,
 )
 from scmn.ensemble import EnsembleParams
+from test_acceptance import REF_L10_W2
 
 P422 = EnsembleParams(dl=4, dr=2, dg=2, L=10, w=2)
 CD2 = ChannelFamily.concentrated(2, 0.45)
@@ -421,20 +424,33 @@ class TestThreshold:
 
     def test_iter_limit_names_the_same_parameter(self, monkeypatch):
         # At L=4/w=3, cd m=2, bisection steps 4, 5 and 12 are the first to
-        # take more than 150, 300 and 3000 sweeps (196, 374 and 3702). So
-        # these budgets stop the search at a midpoint on each level of a
-        # three-level lockstep batch.
+        # take more than 150, 300 and 3000 sweeps (196, 374 and 3702). Those
+        # rows stall, and each is certified before its cap (see
+        # test_certificate_decides_before_the_cap), so a cap is now reached
+        # on the walk only by a converging row: steps 6, 9 and 13 (158, 318
+        # and 1329 sweeps) under the budgets 150, 300 and 1000. The named
+        # midpoint lies on the walk that uncapped decisions take, and runs to
+        # the cap.
         params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=3)
+        walk = reference_walk(params, "cd", 2, bisect_tol=1e-4)
         capped = set()
-        for max_iter in (150, 300, 3000):
+        for max_iter in (150, 300, 1000):
             monkeypatch.setattr(de, "MAX_ITER", max_iter)
-            with pytest.raises(ConvergenceError) as got:
+            with pytest.raises(ConvergenceError, match=f"the {max_iter}-sweep cap") as got:
                 threshold(params, "cd", 2, bisect_tol=1e-4)
-            with pytest.raises(ConvergenceError) as ref:
-                reference_threshold(params, "cd", 2, bisect_tol=1e-4, max_iter=max_iter)
-            assert str(got.value) == str(ref.value)
-            capped.add(str(ref.value).split("parameter ")[1])
+            mid = float(str(got.value).split("parameter ")[1].split(";")[0])
+            assert mid in walk
+            family = ChannelFamily("cd", 2, mid)
+            assert reference_run_de(params, family, max_iter=max_iter).status == "iter-limit"
+            capped.add(mid)
         assert len(capped) == 3
+        # At 3000 every walk row decides or is certified: threshold answers
+        # with the uncapped value, where the capped plain bisection raises.
+        monkeypatch.setattr(de, "MAX_ITER", 3000)
+        with pytest.raises(ConvergenceError):
+            reference_threshold(params, "cd", 2, bisect_tol=1e-4, max_iter=3000)
+        got = threshold(params, "cd", 2, bisect_tol=1e-4)
+        assert got == reference_threshold(params, "cd", 2, bisect_tol=1e-4)
 
     def test_reaches_traced_attributes(self, monkeypatch):
         # The benchmark's tracer wraps scmn.de.run_de and
@@ -490,6 +506,166 @@ class TestThreshold:
         # Fewer sweeps than the schedule that waited for each batch of
         # _BISECT_LEVELS levels to decide before it started the next.
         assert calls["sweep"] < batched
+
+
+class TestStallCertificate:
+    P43 = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=3)
+
+    def test_certificate_decides_before_the_cap(self, monkeypatch):
+        # cd m=2 at 0.5625 stalls at sweep 196, so a 150-sweep cap stops its
+        # plain run; its certificate is accepted at sweep 128.
+        family = ChannelFamily("cd", 2, 0.5625)
+        assert reference_run_de(self.P43, family, max_iter=150).status == "iter-limit"
+        monkeypatch.setattr(de, "MAX_ITER", 150)
+        checks = spy_certifies(monkeypatch)
+        got = certified_run(self.P43, family)
+        assert got.status == "stalled" and not got.success
+        assert got.state.iterations == 128
+        assert checks == [True]
+
+    def test_checker_rejects_one_ulp(self, monkeypatch):
+        # A certificate from a real row, with one punctured rate raised to
+        # the least float above its exact image: rejected. One ulp lower it
+        # passes, and so does every other entry.
+        checks = spy_certifies(monkeypatch, keep_args=True)
+        certified_run(P422, ChannelFamily("cd", 2, 0.5))
+        (exact, eps, p, q), ok = checks[0]
+        assert ok and de._certifies(exact, eps, p, q)
+        i = P422.L
+        p = p.copy()
+        while (t := exact_image(exact, eps, p, q)[0][i]) >= p[i]:
+            p[i] = np.nextafter(float(t), 2.0)
+        while exact_image(exact, eps, (low := ulp_below(p, i)), q)[0][i] < low[i]:
+            p = low
+        assert not de._certifies(exact, eps, p, q)
+        assert de._certifies(exact, eps, ulp_below(p, i), q)
+
+    def test_forged_candidate_leaves_the_row_live(self, monkeypatch):
+        # Every due row offers all-ones, which the exact sweep rejects; the
+        # row then runs on to its float stall, bit for bit.
+        def forged(dev, P, Q, change, fcoef, rows):
+            return {r: (np.ones(P.shape[2]), np.ones(Q.shape[2])) for r in rows}
+
+        family = ChannelFamily("cd", 2, 0.5625)
+        monkeypatch.setattr(de, "_stall_candidates", forged)
+        checks = spy_certifies(monkeypatch)
+        got = certified_run(self.P43, family)
+        assert_same_result(got, reference_run_de(self.P43, family))
+        assert len(checks) > 0 and not any(checks)
+
+    def test_certified_long_before_the_float_stall(self):
+        family = ChannelFamily("cd", 2, 0.5)
+        got = certified_run(P422, family)
+        assert got.status == "stalled" and got.state.iterations <= 2000
+        assert run_de(P422, family).state.iterations > 6000
+
+    def test_no_row_below_threshold_is_certified(self, monkeypatch):
+        checks = spy_certifies(monkeypatch)
+        for (kind, m), ref in REF_L10_W2.items():
+            families = {eps: ChannelFamily(kind, m, eps) for eps in (ref - 1e-3, ref - 1e-4)}
+            done = run_de(P422, lambda done: {e: f for e, f in families.items() if e not in done})
+            assert all(r.status == "converged" for r in done.values()), (kind, m)
+        assert not any(checks)
+
+    @pytest.mark.parametrize(
+        "gain, level, accepted",
+        [
+            (1e-12, 0.5, True),
+            # Below the margin: the float error of f reaches 4e-13 at m = 15.
+            (4e-13, 0.5, False),
+            # No punctured rate above 1e-6 keeps a row from decoding.
+            (1e-12, 1e-7, False),
+        ],
+    )
+    def test_filter_rules(self, gain, level, accepted):
+        got = filter_with_fake_sweep(ShiftedSweep(gain), level, level)
+        assert (0 in got) == accepted
+        if accepted:
+            assert np.array_equal(got[0][0], np.full(P422.n_sections, level))
+
+    def test_filter_zeroes_entries_mapped_below_1e9(self):
+        # T halves the first punctured rate, from 1.5e-9 to below 1e-9, so
+        # the first pass zeroes it; lowered step by step instead it would
+        # still exceed its image after the last pass.
+        got = filter_with_fake_sweep(ShiftedSweep(1e-12, halved=0), 0.5, 1.5e-9)
+        assert got[0][0][0] == 0.0 and (got[0][0][1:] == 0.5).all()
+
+    def test_every_candidate_in_a_search_is_certified(self, monkeypatch):
+        # The float filter is tight: no candidate it passes on a whole
+        # threshold search fails the exact sweep.
+        checks = spy_certifies(monkeypatch)
+        threshold(self.P43, "cd", 2, bisect_tol=1e-4)
+        assert len(checks) > 0 and all(checks)
+
+
+class ShiftedSweep:
+    """Stands in for a DensityEvolution in _stall_candidates: its sweep
+    maps every rate x to x + gain, except punctured rate `halved` to x / 2."""
+
+    def __init__(self, gain, halved=None):
+        self.gain, self.halved = gain, halved
+
+    def sweep(self, p, q, fcoef):
+        tp, tq = p + self.gain, q + self.gain
+        if self.halved is not None:
+            tp[:, self.halved] = p[:, self.halved] / 2
+        return tp, tq
+
+
+def filter_with_fake_sweep(dev, level, first):
+    """_stall_candidates on one row whose last two states are all `level`
+    but for a first punctured rate `first`. With no last step, the
+    candidate starts at that state."""
+    n = P422.n_sections
+    P = np.full((3, 1, n), level)
+    P[:, 0, 0] = first
+    Q = np.full((3, 1, n), level)
+    change = np.array([[2e-3], [1e-3]])
+    return de._stall_candidates(dev, P, Q, change, np.zeros((1, 1, 1, 1)), [0])
+
+
+def spy_certifies(monkeypatch, keep_args=False):
+    """Record each exact check's answer (with its arguments if keep_args)."""
+    checks = []
+    certifies = de._certifies
+
+    def spy(*args):
+        ok = certifies(*args)
+        checks.append((args, ok) if keep_args else ok)
+        return ok
+
+    monkeypatch.setattr(de, "_certifies", spy)
+    return checks
+
+
+def certified_run(params, family):
+    """One row on run_de's frontier path, where certificates are tried."""
+    return run_de(params, lambda done: {} if done else {0: family})[0]
+
+
+def exact_image(exact, eps, p, q):
+    """One exact sweep of (p, q) at eps, as lists of Fractions."""
+    y = [np.array([Fraction(v) for v in x.tolist()], dtype=object) for x in (p, q)]
+    return [list(t) for t in exact.sweep(*y, exact.fpoly(Fraction(eps)))]
+
+
+def ulp_below(x, i):
+    """x with entry i lowered to the next float below it."""
+    x = x.copy()
+    x[i] = np.nextafter(x[i], -1.0)
+    return x
+
+
+def reference_walk(params, kind, m, *, bisect_tol):
+    """The midpoints of reference_threshold's bisection, uncapped."""
+    lo, hi, walk = 0.0, 1.0, []
+    while hi - lo > bisect_tol:
+        walk.append(0.5 * (lo + hi))
+        if reference_run_de(params, ChannelFamily(kind, m, walk[-1])).success:
+            lo = walk[-1]
+        else:
+            hi = walk[-1]
+    return walk
 
 
 def assert_same_result(got, ref):

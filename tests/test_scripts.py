@@ -5,7 +5,9 @@ changed signature or option breaks them without any other test noticing.
 They are loaded by path, as `python scripts/<name>.py` would run them.
 """
 
+import hashlib
 import importlib.util
+import struct
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -57,3 +59,33 @@ def test_reproduce_thresholds(tmp_path, monkeypatch):
         "1,cd,10,2,0.25,1e-05\n"
         "1,bd,10,2,0.25,1e-05\n"
     )
+
+
+def test_threshold_battery(monkeypatch, capsys):
+    # A real battery takes minutes; the fake gives each cell its own value.
+    script = load_script("threshold_battery")
+    calls = []
+
+    def cell_value(L, w, kind, m, bisect_tol):
+        return L / 64 + w / 128 + m / 1024 + bisect_tol + (kind == "bd") / 2
+
+    def fake_threshold(params, kind, m, *, bisect_tol):
+        calls.append((params.L, params.w, kind, m, bisect_tol))
+        return cell_value(*calls[-1])
+
+    monkeypatch.setattr(script, "threshold", fake_threshold)
+    assert script.run([]) == 0
+    assert calls == [
+        (L, w, kind, m, bisect_tol)
+        for L, w in ((4, 2), (4, 3), (6, 4), (10, 2))
+        for kind in ("cd", "bd")
+        for m in (1, 2, 3, 6)
+        for bisect_tol in (1e-3, 1e-4)
+    ]
+    values = [cell_value(*call) for call in calls]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 65
+    assert lines[0] == f"L=4 w=2 cd m=1 bisect_tol=0.001 {values[0].hex()}"
+    assert [float.fromhex(line.split()[-1]) for line in lines[:-1]] == values
+    digest = hashlib.sha256(struct.pack("<64d", *values)).hexdigest()
+    assert lines[-1] == f"sha256 {digest}"
