@@ -2,16 +2,16 @@
 """Recompute the (4, 2, 2) threshold table for both channel families.
 
 Writes one CSV per coupling setting (L=10/w=2 and L=20/w=3), in the row
-format of `scmn threshold`. The L=20/w=3 columns sit within ~1e-5 of 1/2 for
-small m, so that pass is slow; trim --m-max or raise --bisect-tol for a quick
-look.
+format of `scmn threshold`; each setting's cells are bisected in one
+`thresholds` call. The L=20/w=3 columns sit within ~1e-5 of 1/2 for small m,
+so that pass is slow; trim --m-max or raise --bisect-tol for a quick look.
 """
 
 import argparse
 import sys
 import time
 
-from scmn.de import threshold
+from scmn.de import thresholds
 from scmn.ensemble import EnsembleParams
 
 
@@ -29,14 +29,15 @@ def run(argv=None) -> int:
         path = f"{args.out_prefix}_L{L}_w{w}.csv"
         print(f"== L={L} w={w} -> {path}")
         params = EnsembleParams(dl=4, dr=2, dg=2, L=L, w=w)
+        cells = [(family, m) for family in ("cd", "bd") for m in range(1, args.m_max + 1)]
+        t0 = time.time()
+        eps_star = thresholds(params, cells, bisect_tol=args.bisect_tol)
         rows = []
-        for family in ("cd", "bd"):
-            for m in range(1, args.m_max + 1):
-                t0 = time.time()
-                eps_star = threshold(params, family, m, bisect_tol=args.bisect_tol)
-                row = f"{m},{family},{L},{w},{eps_star:.9g},{args.bisect_tol:.9g}"
-                rows.append(row + "\n")
-                print(f"   {family} m={m}: {row}  [{time.time()-t0:.0f}s]")
+        for family, m in cells:
+            row = f"{m},{family},{L},{w},{eps_star[family, m]:.9g},{args.bisect_tol:.9g}"
+            rows.append(row + "\n")
+            print(f"   {family} m={m}: {row}")
+        print(f"   {len(cells)} cells in {time.time() - t0:.0f}s")
         with open(path, "w") as fh:
             fh.write("m,family,L,w,epsilon_star,bisect_tol\n")
             fh.writelines(rows)

@@ -6,8 +6,9 @@ The cells are the (4, 2, 2) ensemble at (L, w) in {(4, 2), (4, 3), (6, 4),
 {1e-3, 1e-4}. One line per cell gives its ε* in float.hex; the last line is
 the SHA-256 digest of the 64 doubles (little-endian IEEE 754, in the order
 printed). Two source trees give the same digest exactly when they give every
-ε* to the bit, so a speed change to `threshold` is checked by running this on
-both. The whole battery takes a few minutes, most of it in the m = 1 cells.
+ε* to the bit, so a speed change to `thresholds` is checked by running this on
+both. Each (L, w, bisect_tol) is one `thresholds` call over its eight cells.
+The whole battery takes about half a minute on two cores.
 """
 
 import argparse
@@ -16,7 +17,7 @@ import struct
 import sys
 import time
 
-from scmn.de import threshold
+from scmn.de import thresholds
 from scmn.ensemble import EnsembleParams
 
 SETTINGS = ((4, 2), (4, 3), (6, 4), (10, 2))
@@ -29,15 +30,15 @@ def run(argv=None) -> int:
     argparse.ArgumentParser(description=__doc__).parse_args(argv)
     t0 = time.time()
     values = []
+    cells = [(kind, m) for kind in KINDS for m in WIDTHS]
     for L, w in SETTINGS:
         params = EnsembleParams(dl=4, dr=2, dg=2, L=L, w=w)
-        for kind in KINDS:
-            for m in WIDTHS:
-                for bisect_tol in BISECT_TOLS:
-                    eps_star = threshold(params, kind, m, bisect_tol=bisect_tol)
-                    values.append(eps_star)
-                    print(f"L={L} w={w} {kind} m={m} bisect_tol={bisect_tol:g} {eps_star.hex()}",
-                          flush=True)
+        eps_star = {tol: thresholds(params, cells, bisect_tol=tol) for tol in BISECT_TOLS}
+        for kind, m in cells:
+            for bisect_tol in BISECT_TOLS:
+                values.append(eps_star[bisect_tol][kind, m])
+                print(f"L={L} w={w} {kind} m={m} bisect_tol={bisect_tol:g} {values[-1].hex()}",
+                      flush=True)
     digest = hashlib.sha256(struct.pack(f"<{len(values)}d", *values)).hexdigest()
     print(f"sha256 {digest}")
     print(f"{len(values)} cells in {time.time() - t0:.0f} s", file=sys.stderr)

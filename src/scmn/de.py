@@ -3,6 +3,7 @@ and EXIT-like curve tracing by entropy-anchored fixed-point continuation."""
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from collections.abc import Sequence
@@ -32,29 +33,28 @@ _MIN_BISECT_TOL = 2.0**-52
 # run_de reports a stall once a sweep changes every rate by less than this.
 _STALL_TOL = 1e-15
 _MONOTONE_SLACK = 1e-12
-# Undecided bisection steps that `threshold` runs ahead of its walk: at
-# most 2**levels - 1 rows are live. A sweep costs more with more rows (at
-# L=10/w=2 about 28-42 us with one row, about 55 us with seven). Timed with
-# stall certificates at bisect_tol 1e-5 on 2 cores, at 2, 3 and 4 levels:
-# the 12 L=10/w=2 cells took 69.4, 56.0 and 63.5 s, cd m=2 4.51, 3.69 and
-# 5.57 s, and bd m=4 4.56, 2.96 and 3.76 s.
+# Undecided bisection steps that `thresholds` runs ahead of each cell's walk:
+# at most 2**levels - 1 rows per cell are live. A sweep costs more with more
+# rows (at L=10/w=2 about 28-42 us with one row, about 55 us with seven).
+# Timed with stall certificates at bisect_tol 1e-5 on 2 cores, at 2, 3 and 4
+# levels: cd m=2 alone took 4.51, 3.69 and 5.57 s, bd m=4 alone 4.56, 2.96
+# and 3.76 s, and the 12 L=10/w=2 cells in one call 28.4, 19.7 and 31.1 s.
 _BISECT_LEVELS = 3
 # Sweeps that run_de runs between its tests. At L=10/w=2 a sweep takes about
 # 25 us; testing each sweep on its own cost about 9 us more in numpy call
 # overhead, testing a block of 64 at once about 1 us per sweep at 3 rows.
 _SWEEP_BLOCK = 64
-# Stall certificates, tried on threshold's rows only (_lockstep). A row is
+# Stall certificates, tried on thresholds' rows only (_lockstep). A row is
 # tried when its sweep count passes a power of 2**(1/4), from
 # _CERT_MIN_SWEEPS sweeps on. Its candidate y is extrapolated along the slow
-# mode, then lowered _CERT_PASSES times to max(0, min(y, T(y) - _CERT_STEP)),
-# with every entry where T(y) < _CERT_FLOOR set to 0 (a zero entry needs no
-# margin: T(y) >= 0). The float filter passes y when T(y) - y >= _CERT_MARGIN
-# wherever y > 0, above the float error of f (4e-13 at m = 15), and some
-# punctured rate of y exceeds _CERT_MIN_P > TOL; the exact sweep decides.
+# mode, then lowered _CERT_PASSES times to max(0, min(y, T(y) - _CERT_STEP)).
+# The float filter passes y when T(y) - y >= _CERT_MARGIN wherever y > 0 (a
+# zero entry needs no margin: T(y) >= 0), above the float error of f (4e-13
+# at m = 15), and some punctured rate of y exceeds _CERT_MIN_P > TOL; the
+# exact sweep decides.
 _CERT_MIN_SWEEPS = 128
 _CERT_PASSES = 4
 _CERT_STEP = 1e-12
-_CERT_FLOOR = 1e-9
 _CERT_MARGIN = 5e-13
 _CERT_MIN_P = 1e-6
 # Most entries of a window matrix (Wb, Wf): 128 MiB each, L up to 2047 at w = 2.
@@ -313,12 +313,11 @@ def run_de(
     state repeats an earlier state exactly (see _lockstep); flags a run that
     reaches MAX_ITER sweeps separately.
 
-    `family` may also be a sequence of families of one kind and m, which
+    `family` may also be a sequence of families, of any kinds and m, which
     gives a list of results. The families run as lockstep rows of one state
     (_lockstep); a single family is the one-row case.
     """
-    # A callable is threshold's frontier, and gives the dict of _lockstep,
-    # with stall certificates.
+    # A callable is a frontier (thresholds'): the dict of _lockstep, certified.
     if callable(family):
         return _lockstep(params, family, certify=True)
     # Not isinstance(family, ChannelFamily): the benchmark's tracer replaces
@@ -333,7 +332,7 @@ def run_de(
 
 
 def _lockstep(params: EnsembleParams, frontier, *, certify: bool = False) -> dict:
-    """Run lockstep rows of one kind and m until `frontier` wants none.
+    """Run lockstep rows until `frontier` wants none.
 
     `frontier(done)` maps the results decided so far, a dict key -> DeResult,
     to the rows wanted live, a dict key -> ChannelFamily. It is called at the
@@ -342,12 +341,15 @@ def _lockstep(params: EnsembleParams, frontier, *, certify: bool = False) -> dic
     longer wanted is dropped. Returns `done`.
 
     A row is held as a column vector, so `W @ x` couples it by one gemv per
-    row, and each row gets the bits of its own run. Sweeps run in blocks of
-    _SWEEP_BLOCK and are tested sweep by sweep after each block: a row that
-    decided is frozen at the sweep where it did, and the sweeps it ran after
-    that are dropped. Each row counts its own sweeps, which place its
-    every-100th-sweep monotone check and its MAX_ITER cap; a block is never
-    longer than the smallest remaining budget.
+    row, and each row gets the bits of its own run. Rows may mix kinds and m:
+    only f depends on them, and `sweep` reads only the ensemble. Each f is
+    zero-padded to the longest degree, where Horner's rule takes z * 0 = +0
+    (z >= 0) and +0 + c = c, so a padded row keeps its bits, m = 1's constant
+    f too. Sweeps run in blocks of _SWEEP_BLOCK and are tested sweep by sweep
+    after each block: a row that decided is frozen at the sweep where it did,
+    and the sweeps it ran after that are dropped. Each row counts its own
+    sweeps, which place its every-100th-sweep monotone check and its MAX_ITER
+    cap; a block is never longer than the smallest remaining budget.
 
     A row also stalls at a sweep whose state equals its anchor exactly: its
     state at the last power-of-two sweep count (or sweep 0) before the block
@@ -369,33 +371,33 @@ def _lockstep(params: EnsembleParams, frontier, *, certify: bool = False) -> dic
     row that would have reached the cap can stall instead.
     """
     n = params.n_sections
+    # dev(kind, m) for fpoly, and dev(kind, m, exact=True) for _certifies.
+    dev = functools.cache(functools.partial(DensityEvolution, params))
     done: dict = {}
     keys: list = []  # the key of each live row, all of them in `wanted`
     polys: list = []
     it: list[int] = []  # sweeps run per row
     p = q = np.empty((0, n, 1))
     anchor = np.empty((2, 0, n))  # (p, q) of each row at its anchor
-    dev = exact = None
     wanted = frontier(done)
     while wanted:
         keep = [r for r, k in enumerate(keys) if k in wanted]
         new = [k for k in wanted if k not in keys]
-        if dev is None:
-            dev = DensityEvolution(params, wanted[new[0]].kind, wanted[new[0]].m)
-        if any((wanted[k].kind, wanted[k].m) != (dev.kind, dev.m) for k in new):
-            raise ValueError("lockstep families must share one kind and m")
         keys = [keys[r] for r in keep] + new
-        polys = [polys[r] for r in keep] + [dev.fpoly(wanted[k].parameter) for k in new]
+        fams = [wanted[k] for k in new]
+        polys = [polys[r] for r in keep] + [dev(f.kind, f.m).fpoly(f.parameter) for f in fams]
         it = [it[r] for r in keep] + [0] * len(new)
         start = np.ones((len(new), n, 1))
         p, q = np.concatenate([p[keep], start]), np.concatenate([q[keep], start])
         anchor = np.concatenate([anchor[:, keep], np.ones((2, len(new), n))], axis=1)
         # Shape (deg, rows, 1, 1), so the q-update's Horner loop broadcasts.
-        fcoef = np.stack(polys, axis=1)[..., None, None]
+        deg = max(map(len, polys))
+        fcoef = np.stack([np.pad(c, (0, deg - len(c))) for c in polys], axis=1)[..., None, None]
+        sweeper = dev(wanted[keys[0]].kind, wanted[keys[0]].m)
         n_done = len(done)
         while len(done) == n_done:
             sweeps = min(_SWEEP_BLOCK, MAX_ITER - max(it))
-            P, Q = _sweeps(dev, p, q, fcoef, sweeps)
+            P, Q = _sweeps(sweeper, p, q, fcoef, sweeps)
             p, q = P[-1], Q[-1]
             # The block's tests, on arrays indexed (sweep, row, section).
             P, Q = P[..., 0], Q[..., 0]
@@ -422,10 +424,9 @@ def _lockstep(params: EnsembleParams, frontier, *, certify: bool = False) -> dic
                     and i + sweeps >= _CERT_MIN_SWEEPS
                     and ((i + sweeps) ** 4).bit_length() > (i**4).bit_length()
                 ]
-                for r, y in _stall_candidates(dev, P, Q, change, fcoef, due).items():
-                    if exact is None:
-                        exact = DensityEvolution(params, dev.kind, dev.m, exact=True)
-                    if _certifies(exact, wanted[keys[r]].parameter, *y):
+                for r, y in _stall_candidates(sweeper, P, Q, change, fcoef, due).items():
+                    family = wanted[keys[r]]
+                    if _certifies(dev(family.kind, family.m, exact=True), family.parameter, *y):
                         certified.add(r)
             for r, key in enumerate(keys):
                 t = int(t_dec[r])
@@ -471,10 +472,7 @@ def _stall_candidates(dev: DensityEvolution, P, Q, change, fcoef, rows) -> dict:
     f = fcoef[:, rows]
     for _ in range(_CERT_PASSES):
         Ty = dev.sweep(*y, f)
-        y = [
-            np.where(t < _CERT_FLOOR, 0.0, np.maximum(0.0, np.minimum(v, t - _CERT_STEP)))
-            for v, t in zip(y, Ty)
-        ]
+        y = [np.maximum(0.0, np.minimum(v, t - _CERT_STEP)) for v, t in zip(y, Ty)]
     Ty = dev.sweep(*y, f)
     ok = y[0].max(axis=(1, 2)) > _CERT_MIN_P
     for v, t in zip(y, Ty):
@@ -516,49 +514,61 @@ def trajectory(
     return _sweeps(dev, ones, ones, dev.fpoly(family.parameter), n_sweeps)
 
 
+def thresholds(
+    params: EnsembleParams, cells, *, bisect_tol: float = DEFAULT_BISECT_TOL
+) -> dict[tuple[str, int], float]:
+    """Bisect the channel parameter of each (kind, m) cell for the largest
+    decodable value; returns a dict (kind, m) -> ε*.
+
+    Assumes the success predicate is monotone in the parameter. A walk row
+    that reaches MAX_ITER sweeps without deciding or a stall certificate
+    leaves its cell's bracket inconclusive and raises.
+
+    The bisections run through one lockstep `run_de` whose rows, keyed
+    (cell, mid), follow each cell's _frontier; a cell's ε* is read from one
+    _walk over its decided rows, which takes plain bisection's steps. A row
+    decides as its own run does, or stalls early on an exact stall
+    certificate (_lockstep), proof that DE at its parameter never converges;
+    its own run then fails too, unless float rounding decodes a row that
+    exact DE cannot (no checked cell did).
+    """
+    cells = list(cells)
+    for kind, _ in cells:
+        if kind not in ("cd", "bd"):
+            raise ValueError(f"threshold search needs kind 'cd' or 'bd', got {kind!r}")
+    # bisect_tol < 1 runs DE at least once on the bracket [0, 1]. Floats below
+    # 1 lie at most 2**-53 apart, so a bracket wider than 2**-52 has its midpoint
+    # strictly inside; a narrower one could end as two adjacent floats.
+    if not _MIN_BISECT_TOL <= bisect_tol < 1:
+        raise ValueError(f"bisect_tol must lie in [2**-52, 1), got {bisect_tol}")
+    rows: dict = {}
+
+    def by_cell(done: dict) -> dict:  # cell -> (mid -> DeResult)
+        return {c: {mid: r for (c1, mid), r in done.items() if c1 == c} for c in cells}
+
+    def frontier(done: dict) -> dict:
+        nonlocal rows
+        mids = by_cell(done).items()
+        keys = [(c, mid) for c, d in mids for mid in _frontier(0.0, 1.0, bisect_tol, d)]
+        rows = {k: rows[k] if k in rows else ChannelFamily(*k[0], k[1]) for k in keys}
+        return rows
+
+    # The frontier is empty only once every walk has ended or reached a cap.
+    eps_star = {}
+    for (kind, m), done in by_cell(run_de(params, frontier)).items():
+        lo, hi, mid = _walk(0.0, 1.0, bisect_tol, done)
+        if mid is not None:
+            msg = f"DE hit the {MAX_ITER}-sweep cap for {kind} m={m} at parameter {mid}"
+            raise ConvergenceError(msg + "; bracket inconclusive")
+        eps_star[kind, m] = 0.5 * (lo + hi)
+    return eps_star
+
+
 def threshold(
     params: EnsembleParams, kind: str, m: int, *, bisect_tol: float = DEFAULT_BISECT_TOL
 ) -> float:
-    """Bisect the channel parameter for the largest decodable value.
-
-    Assumes the success predicate is monotone in the parameter. A walk row
-    that reaches MAX_ITER sweeps without deciding, and without a stall
-    certificate first, leaves the bracket inconclusive and raises.
-
-    The bisection is pipelined through one lockstep `run_de` whose rows
-    follow the _frontier of the rows decided so far; a row that leaves it is
-    off the walk for good. ε* is read from one _walk over the decided rows.
-    The walk takes the steps plain bisection takes and reads only decided
-    rows. A row decides as its own run does, with one exception: a row may
-    stall early on an exact stall certificate (_lockstep), which proves that
-    DE at its parameter never converges. Its own run then fails too, by a
-    later stall or at the cap, unless float rounding decodes a row that exact
-    DE cannot; no checked cell did, and each gave plain bisection's value.
-    """
-    if kind not in ("cd", "bd"):
-        raise ValueError(f"threshold search needs kind 'cd' or 'bd', got {kind!r}")
-    # The bracket starts as [0, 1], so bisect_tol < 1 runs DE at least once.
-    # Adjacent floats below 1 lie at most 2**-53 apart, so a bracket wider
-    # than 2**-52 has its midpoint strictly inside. Below that floor the
-    # bracket could shrink to two adjacent floats whose midpoint is one of
-    # them, and never end.
-    if not _MIN_BISECT_TOL <= bisect_tol < 1:
-        raise ValueError(f"bisect_tol must lie in [2**-52, 1), got {bisect_tol}")
-    rows: dict[float, ChannelFamily] = {}
-
-    def frontier(done: dict[float, DeResult]) -> dict[float, ChannelFamily]:
-        nonlocal rows
-        mids = _frontier(0.0, 1.0, bisect_tol, done)
-        rows = {mid: rows[mid] if mid in rows else ChannelFamily(kind, m, mid) for mid in mids}
-        return rows
-
-    # The frontier is empty only once the walk has ended or reached a cap.
-    lo, hi, mid = _walk(0.0, 1.0, bisect_tol, run_de(params, frontier))
-    if mid is not None:
-        raise ConvergenceError(
-            f"DE hit the {MAX_ITER}-sweep cap at parameter {mid}; bracket inconclusive"
-        )
-    return 0.5 * (lo + hi)
+    """The one-cell case of `thresholds`: ε* of (kind, m)."""
+    return thresholds(params, [(kind, m)], bisect_tol=bisect_tol)[kind, m]
 
 
 def _walk(lo: float, hi: float, bisect_tol: float, done: dict) -> tuple[float, float, float | None]:

@@ -2,7 +2,8 @@
 
 Each test prints one [PASS]/[FAIL] line (visible with `pytest -s`). The
 threshold table runs bisection at 1e-5, comfortably inside the +/-2e-5
-assertion band; the full module takes roughly ten minutes on a laptop.
+assertion band, in one `thresholds` call; the full module takes about two
+minutes on two cores.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from scmn.channel import (
     capacity,
     dimension_distribution,
 )
-from scmn.de import ebp_trace, run_de, threshold, trajectory
+from scmn.de import ebp_trace, run_de, thresholds, trajectory
 from scmn.ensemble import (
     EnsembleParams,
     check_count,
@@ -39,16 +40,14 @@ REF_L10_W2 = {
 }
 
 TABLE_BISECT_TOL = 1e-5
-_threshold_cache: dict = {}
+_table: dict = {}
 
 
 def table_threshold(kind: str, m: int) -> float:
-    key = (kind, m)
-    if key not in _threshold_cache:
-        _threshold_cache[key] = threshold(
-            P10W2, kind, m, bisect_tol=TABLE_BISECT_TOL
-        )
-    return _threshold_cache[key]
+    """ε* of one cell of the L=10/w=2 table, computed with the whole table."""
+    if not _table:
+        _table.update(thresholds(P10W2, REF_L10_W2, bisect_tol=TABLE_BISECT_TOL))
+    return _table[kind, m]
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -81,18 +80,19 @@ def test_criterion_01_threshold_table_L10_w2():
 
 
 def test_criterion_02_threshold_table_L20_w3_directional():
-    # For m <= 3 the two parameters of a law run as lockstep rows of one
-    # run_de call; each row is decided, bit for bit, as its own run would be.
-    details = []
-    for kind in ("cd", "bd"):
-        for m in range(1, 7):
-            checks = [(table_threshold(kind, m) + 1e-6, "L10/w2 value")]
-            if m <= 3:
-                checks.append((0.49999, "0.49999"))
-            runs = run_de(P20W3, [ChannelFamily(kind, m, eps) for eps, _ in checks])
-            for res, (_, bound) in zip(runs, checks):
-                if not res.success:
-                    details.append(f"{kind} m={m} not above {bound}")
+    # All 18 checks run as lockstep rows of one run_de call; each row is
+    # decided, bit for bit, as its own run would be.
+    checks = []
+    for kind, m in REF_L10_W2:
+        checks.append((kind, m, table_threshold(kind, m) + 1e-6, "L10/w2 value"))
+        if m <= 3:
+            checks.append((kind, m, 0.49999, "0.49999"))
+    runs = run_de(P20W3, [ChannelFamily(kind, m, eps) for kind, m, eps, _ in checks])
+    details = [
+        f"{kind} m={m} not above {bound}"
+        for res, (kind, m, _, bound) in zip(runs, checks)
+        if not res.success
+    ]
     report(
         2,
         not details,

@@ -14,6 +14,7 @@ from scmn.de import (
     ebp_trace,
     run_de,
     threshold,
+    thresholds,
     trajectory,
 )
 from scmn.ensemble import EnsembleParams
@@ -258,10 +259,6 @@ class TestRunDe:
     def test_family_validation(self):
         with pytest.raises(ValueError):
             run_de(P422, [])
-        with pytest.raises(ValueError):
-            run_de(P422, [CD2, ChannelFamily.binomial(2, 0.45)])
-        with pytest.raises(ValueError):
-            run_de(P422, [CD2, ChannelFamily.concentrated(3, 0.45)])
 
     def test_single_family_matches_reference(self, monkeypatch):
         # The one-row run against the 1-D loop it replaced.
@@ -276,26 +273,33 @@ class TestRunDe:
 
     def test_lockstep_rows_match_single_runs(self, monkeypatch):
         # Rows decide at different sweeps: some converge, some stall, and
-        # with a budget below the slowest row's, that row hits the cap.
+        # with a budget below the slowest row's, that row hits the cap. The
+        # last call mixes kinds and m, with m = 1's constant f among them.
+        cases = []
         for w in (2, 3, 4):
             params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=w)
             for kind, m in (("cd", 2), ("bd", 3)):
                 th = threshold(params, kind, m, bisect_tol=1e-3)
                 eps = [0.0, 0.2, th - 0.05, th - 2e-4, th + 2e-4, th + 0.05, 0.9]
-                families = [ChannelFamily(kind, m, float(e)) for e in eps]
-                singles = [run_de(params, f) for f in families]
-                assert {r.status for r in singles} == {"converged", "stalled"}
-                sweeps = sorted({r.state.iterations for r in singles})
-                assert len(sweeps) == len(eps)
-                for max_iter in (de.MAX_ITER, sweeps[-2]):
-                    monkeypatch.setattr(de, "MAX_ITER", max_iter)
-                    rows = run_de(params, families)
-                    assert len(rows) == len(families)
-                    for fam, row in zip(families, rows):
-                        assert_same_result(row, run_de(params, fam))
-                monkeypatch.undo()
-                assert rows[-1].status != "iter-limit"
-                assert sum(r.status == "iter-limit" for r in rows) == 1
+                cases.append((params, [ChannelFamily(kind, m, float(e)) for e in eps]))
+        mixed = [("cd", 1, 0.45), ("bd", 3, 0.5), ("cd", 15, 0.45), ("cd", 1, 0.55),
+                 ("bd", 3, 0.7), ("cd", 15, 0.5), ("cd", 15, 0.7)]
+        params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=3)
+        cases.append((params, [ChannelFamily(*f) for f in mixed]))
+        for params, families in cases:
+            singles = [run_de(params, f) for f in families]
+            assert {r.status for r in singles} == {"converged", "stalled"}
+            sweeps = sorted({r.state.iterations for r in singles})
+            assert len(sweeps) == len(families)
+            for max_iter in (de.MAX_ITER, sweeps[-2]):
+                monkeypatch.setattr(de, "MAX_ITER", max_iter)
+                rows = run_de(params, families)
+                assert len(rows) == len(families)
+                for fam, row in zip(families, rows):
+                    assert_same_result(row, run_de(params, fam))
+            monkeypatch.undo()
+            assert rows[-1].status != "iter-limit"
+            assert sum(r.status == "iter-limit" for r in rows) == 1
 
     def test_float_cycle_stalls(self):
         # cd m=15 above threshold settles into an exact float cycle (entered
@@ -381,14 +385,24 @@ class TestThreshold:
         monkeypatch.setattr(de, "MAX_ITER", 10)
         with pytest.raises(ConvergenceError, match="10-sweep cap"):
             threshold(P422, "cd", 2, bisect_tol=1e-3)
+        # In a table the error names the capped cell: at L=4/w=3 under a
+        # 1000-sweep cap, cd m=6 reaches it on its walk, and bd m=6 and cd
+        # m=2 answer.
+        params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=3)
+        capped = ChannelFamily("cd", 6, 0.5029296875)
+        assert reference_run_de(params, capped, max_iter=1000).status == "iter-limit"
+        monkeypatch.setattr(de, "MAX_ITER", 1000)
+        with pytest.raises(ConvergenceError, match=r"cap for cd m=6 at parameter 0\.5029296875;"):
+            thresholds(params, [("bd", 6), ("cd", 6), ("cd", 2)], bisect_tol=1e-3)
 
     @pytest.mark.parametrize("L, w", [(4, 2), (4, 3), (6, 4)])
     def test_matches_plain_bisection(self, L, w):
+        # Cell by cell, and all eight cells in one thresholds call.
         params = EnsembleParams(dl=4, dr=2, dg=2, L=L, w=w)
-        for kind in ("cd", "bd"):
-            for m in (1, 2, 3, 6):
-                got = threshold(params, kind, m, bisect_tol=1e-3)
-                assert got == reference_threshold(params, kind, m, bisect_tol=1e-3)
+        cells = [(kind, m) for kind in ("cd", "bd") for m in (1, 2, 3, 6)]
+        ref = {cell: reference_threshold(params, *cell, bisect_tol=1e-3) for cell in cells}
+        assert {cell: threshold(params, *cell, bisect_tol=1e-3) for cell in cells} == ref
+        assert thresholds(params, cells, bisect_tol=1e-3) == ref
 
     @pytest.mark.parametrize("kind", ["cd", "bd"])
     def test_matches_plain_bisection_at_fine_tolerance(self, kind):
@@ -500,8 +514,8 @@ class TestThreshold:
         lo, hi, walk = 0.0, 1.0, []
         while hi - lo > 1e-5:
             mid = 0.5 * (lo + hi)
-            walk.append(decided[mid].state.iterations)
-            lo, hi = (mid, hi) if decided[mid].success else (lo, mid)
+            walk.append(decided[("cd", 2), mid].state.iterations)
+            lo, hi = (mid, hi) if decided[("cd", 2), mid].success else (lo, mid)
         assert calls["sweep"] < sum(walk) + len(walk) * de._SWEEP_BLOCK
         # Fewer sweeps than the schedule that waited for each batch of
         # _BISECT_LEVELS levels to decide before it started the next.
@@ -560,12 +574,16 @@ class TestStallCertificate:
         assert run_de(P422, family).state.iterations > 6000
 
     def test_no_row_below_threshold_is_certified(self, monkeypatch):
+        # Every cell of the table, in one certifying run.
         checks = spy_certifies(monkeypatch)
-        for (kind, m), ref in REF_L10_W2.items():
-            families = {eps: ChannelFamily(kind, m, eps) for eps in (ref - 1e-3, ref - 1e-4)}
-            done = run_de(P422, lambda done: {e: f for e, f in families.items() if e not in done})
-            assert all(r.status == "converged" for r in done.values()), (kind, m)
-        assert not any(checks)
+        families = {
+            (cell, eps): ChannelFamily(*cell, eps)
+            for cell, ref in REF_L10_W2.items()
+            for eps in (ref - 1e-3, ref - 1e-4)
+        }
+        done = run_de(P422, lambda done: {k: f for k, f in families.items() if k not in done})
+        assert [k for k, r in done.items() if r.status != "converged"] == []
+        assert len(done) == 24 and not any(checks)
 
     @pytest.mark.parametrize(
         "gain, level, accepted",
@@ -583,13 +601,6 @@ class TestStallCertificate:
         if accepted:
             assert np.array_equal(got[0][0], np.full(P422.n_sections, level))
 
-    def test_filter_zeroes_entries_mapped_below_1e9(self):
-        # T halves the first punctured rate, from 1.5e-9 to below 1e-9, so
-        # the first pass zeroes it; lowered step by step instead it would
-        # still exceed its image after the last pass.
-        got = filter_with_fake_sweep(ShiftedSweep(1e-12, halved=0), 0.5, 1.5e-9)
-        assert got[0][0][0] == 0.0 and (got[0][0][1:] == 0.5).all()
-
     def test_every_candidate_in_a_search_is_certified(self, monkeypatch):
         # The float filter is tight: no candidate it passes on a whole
         # threshold search fails the exact sweep.
@@ -600,16 +611,13 @@ class TestStallCertificate:
 
 class ShiftedSweep:
     """Stands in for a DensityEvolution in _stall_candidates: its sweep
-    maps every rate x to x + gain, except punctured rate `halved` to x / 2."""
+    maps every rate x to x + gain."""
 
-    def __init__(self, gain, halved=None):
-        self.gain, self.halved = gain, halved
+    def __init__(self, gain):
+        self.gain = gain
 
     def sweep(self, p, q, fcoef):
-        tp, tq = p + self.gain, q + self.gain
-        if self.halved is not None:
-            tp[:, self.halved] = p[:, self.halved] / 2
-        return tp, tq
+        return p + self.gain, q + self.gain
 
 
 def filter_with_fake_sweep(dev, level, first):

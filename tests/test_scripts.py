@@ -46,14 +46,14 @@ def test_reproduce_thresholds(tmp_path, monkeypatch):
     script = load_script("reproduce_thresholds")
     calls = []
 
-    def fake_threshold(params, kind, m, *, bisect_tol):
-        calls.append((params.L, params.w, kind, m, bisect_tol))
-        return 0.25
+    def fake_thresholds(params, cells, *, bisect_tol):
+        calls.append((params.L, params.w, cells, bisect_tol))
+        return {cell: 0.25 for cell in cells}
 
-    monkeypatch.setattr(script, "threshold", fake_threshold)
+    monkeypatch.setattr(script, "thresholds", fake_thresholds)
     prefix = tmp_path / "th"
     assert script.run(["--m-max", "1", "--skip-l20", "--out-prefix", str(prefix)]) == 0
-    assert calls == [(10, 2, "cd", 1, 1e-5), (10, 2, "bd", 1, 1e-5)]
+    assert calls == [(10, 2, [("cd", 1), ("bd", 1)], 1e-5)]
     assert (tmp_path / "th_L10_w2.csv").read_text() == (
         "m,family,L,w,epsilon_star,bisect_tol\n"
         "1,cd,10,2,0.25,1e-05\n"
@@ -69,20 +69,25 @@ def test_threshold_battery(monkeypatch, capsys):
     def cell_value(L, w, kind, m, bisect_tol):
         return L / 64 + w / 128 + m / 1024 + bisect_tol + (kind == "bd") / 2
 
-    def fake_threshold(params, kind, m, *, bisect_tol):
-        calls.append((params.L, params.w, kind, m, bisect_tol))
-        return cell_value(*calls[-1])
+    def fake_thresholds(params, cells, *, bisect_tol):
+        calls.append((params.L, params.w, bisect_tol))
+        return {(kind, m): cell_value(params.L, params.w, kind, m, bisect_tol) for kind, m in cells}
 
-    monkeypatch.setattr(script, "threshold", fake_threshold)
+    monkeypatch.setattr(script, "thresholds", fake_thresholds)
     assert script.run([]) == 0
+    # One call per (L, w, bisect_tol), each over all eight cells.
     assert calls == [
-        (L, w, kind, m, bisect_tol)
+        (L, w, bisect_tol)
+        for L, w in ((4, 2), (4, 3), (6, 4), (10, 2))
+        for bisect_tol in (1e-3, 1e-4)
+    ]
+    values = [
+        cell_value(L, w, kind, m, bisect_tol)
         for L, w in ((4, 2), (4, 3), (6, 4), (10, 2))
         for kind in ("cd", "bd")
         for m in (1, 2, 3, 6)
         for bisect_tol in (1e-3, 1e-4)
     ]
-    values = [cell_value(*call) for call in calls]
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 65
     assert lines[0] == f"L=4 w=2 cd m=1 bisect_tol=0.001 {values[0].hex()}"
