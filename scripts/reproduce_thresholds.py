@@ -5,13 +5,15 @@ Writes one CSV per coupling setting (L=10/w=2 and L=20/w=3), in the row
 format of `scmn threshold`; each setting's cells are bisected in one
 `thresholds` call. The L=20/w=3 columns sit within ~1e-5 of 1/2 for small m,
 so that pass is slow; trim --m-max or raise --bisect-tol for a quick look.
+If a cell reaches the DE sweep cap, the CSV of its setting holds the cells
+that answered, and the script names the capped cell and exits with code 3.
 """
 
 import argparse
 import sys
 import time
 
-from scmn.de import thresholds
+from scmn.de import ConvergenceError, thresholds
 from scmn.ensemble import EnsembleParams
 
 
@@ -31,16 +33,23 @@ def run(argv=None) -> int:
         params = EnsembleParams(dl=4, dr=2, dg=2, L=L, w=w)
         cells = [(family, m) for family in ("cd", "bd") for m in range(1, args.m_max + 1)]
         t0 = time.time()
-        eps_star = thresholds(params, cells, bisect_tol=args.bisect_tol)
+        try:
+            eps_star, error = thresholds(params, cells, bisect_tol=args.bisect_tol), None
+        except ConvergenceError as exc:
+            eps_star, error = exc.eps_star, exc
         rows = []
         for family, m in cells:
-            row = f"{m},{family},{L},{w},{eps_star[family, m]:.9g},{args.bisect_tol:.9g}"
-            rows.append(row + "\n")
-            print(f"   {family} m={m}: {row}")
-        print(f"   {len(cells)} cells in {time.time() - t0:.0f}s")
+            if (family, m) in eps_star:
+                row = f"{m},{family},{L},{w},{eps_star[family, m]:.9g},{args.bisect_tol:.9g}"
+                rows.append(row + "\n")
+                print(f"   {family} m={m}: {row}")
+        print(f"   {len(rows)} of {len(cells)} cells in {time.time() - t0:.0f}s")
         with open(path, "w") as fh:
             fh.write("m,family,L,w,epsilon_star,bisect_tol\n")
             fh.writelines(rows)
+        if error is not None:
+            print(f"error: non-convergence: {error}", file=sys.stderr)
+            return 3
     return 0
 
 

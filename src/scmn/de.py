@@ -35,14 +35,15 @@ _STALL_TOL = 1e-15
 _MONOTONE_SLACK = 1e-12
 # Undecided bisection steps that `thresholds` runs ahead of each cell's walk:
 # at most 2**levels - 1 rows per cell are live. A sweep costs more with more
-# rows (at L=10/w=2 about 28-42 us with one row, about 55 us with seven).
-# Timed with stall certificates at bisect_tol 1e-5 on 2 cores, at 2, 3 and 4
-# levels: cd m=2 alone took 4.51, 3.69 and 5.57 s, bd m=4 alone 4.56, 2.96
-# and 3.76 s, and the 12 L=10/w=2 cells in one call 28.4, 19.7 and 31.1 s.
+# rows (at L=10/w=2 about 15-17 us with one row, 23-29 us with seven).
+# Timed with stall certificates at bisect_tol 1e-5 on 2 cores, medians of 4
+# runs in alternating order, at 2, 3 and 4 levels: cd m=2 alone took 3.09,
+# 2.75 and 3.42 s, and bd m=4 alone 2.40, 1.97 and 2.52 s.
 _BISECT_LEVELS = 3
 # Sweeps that run_de runs between its tests. At L=10/w=2 a sweep takes about
-# 25 us; testing each sweep on its own cost about 9 us more in numpy call
-# overhead, testing a block of 64 at once about 1 us per sweep at 3 rows.
+# 15 us with one row and 18 us with three; testing each sweep on its own
+# costs about 25 us more in numpy call overhead, testing a block of 64 at
+# once about 2 us per sweep at 3 rows.
 _SWEEP_BLOCK = 64
 # Stall certificates, tried on thresholds' rows only (_lockstep). A row is
 # tried when its sweep count passes a power of 2**(1/4), from
@@ -102,7 +103,15 @@ _STUCK_LIMIT = 200
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration budget exhausted before a conclusive outcome."""
+    """Iteration budget exhausted before a conclusive outcome.
+
+    `eps_star` holds the cells that answered, (kind, m) -> ε*, when
+    `thresholds` raises for the others; it is empty otherwise.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.eps_star: dict[tuple[str, int], float] = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,15 +170,27 @@ class CurvePoint:
 
 class _ExactWindow:
     """A window matrix W, all of whose nonzero entries are 1/w, as exact
-    rationals: `W @ x` sums the window of each row over an object array of
-    Fractions and divides by w, touching no zero entry."""
+    rationals: `np.matmul(W, x, out=(y,))` sums the window of each row over
+    the stacked object columns x of Fractions and divides by w, touching no
+    zero entry."""
 
     def __init__(self, W: np.ndarray, w: int):
         self.windows = [np.flatnonzero(row) for row in W]
         self.w = w
 
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return np.array([sum(x[j]) / self.w for j in self.windows], dtype=object)
+    def __array_ufunc__(self, ufunc, method, W, x, *, out):
+        (y,) = out
+        for i, j in enumerate(self.windows):
+            y[..., i, 0] = x[..., j, 0].sum(axis=-1) / self.w
+        return y
+
+
+def _power(x: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+    """x ** k with the bits of numpy's `x ** k` (which squares for k = 2),
+    written into out; x itself for k = 1."""
+    if k == 1:
+        return x
+    return np.square(x, out=out) if k == 2 else np.power(x, k, out=out)
 
 
 class DensityEvolution:
@@ -209,33 +230,55 @@ class DensityEvolution:
     def fpoly(self, eps: float) -> np.ndarray:
         return np.asarray(dimension_law(self.kind, self.m, eps)) @ self.K
 
-    def _check(self, p, q):
-        """Check half of an update: (rp, rq, 1 - Qb, s).
+    def _work(self, shape: tuple, dtype) -> tuple:
+        """Buffers of _check for stacked states of `shape`, with their views."""
+        b = np.empty((3, 2, *shape[1:-2], self.params.n_check_sections, 1), dtype)
+        v = np.empty(shape, dtype)
+        # Indexed one by one: unpacking an array makes its views more slowly.
+        return b[0], b[0, 0], b[0, 1], b[1, 0], b[1, 1], b[2], b[2, 0], b[2, 1], v, v[0], v[1]
 
-        Pb and Qb are the punctured and transmitted erasure rates averaged
-        over the window feeding each check section. rp = (1 - Pb)**(dr-1) and
-        rq = (1 - Qb)**(dg-1), and s holds the erasure rate of
-        check-to-transmitted messages per bit section.
+    def _check(self, x: np.ndarray, work: tuple):
+        """Check half of an update: (rp, vp, s), written into `work`.
+
+        x stacks the bit-to-check rates (p, q), each rate vector a column, in
+        shape (2, ..., n, 1), so that a window product is one gemv per
+        column. With Pb and Qb the punctured and transmitted erasure rates
+        averaged over the window feeding each check section, kp = 1 - Pb,
+        kq = 1 - Qb, rp = kp**(dr-1) and rq = kq**(dg-1). vp and s hold the
+        erasure rates of check-to-punctured (1 - rp*rq*kq) and
+        check-to-transmitted (1 - rp*kp*rq) messages, averaged per bit
+        section.
         """
         dr, dg = self.params.dr, self.params.dg
+        k, kp, kq, r0, r1, u, u0, u1, v, vp, s = work
         # 1 - x, not 1.0 - x: the same bits on floats, and exact on Fractions.
-        kp = 1 - self.Wb @ p
-        kq = 1 - self.Wb @ q
-        rp = kp ** (dr - 1)
-        rq = kq ** (dg - 1)
-        s = self.Wf @ (1 - rp * kp * rq)
-        return rp, rq, kq, s
+        np.subtract(1, np.matmul(self.Wb, x, out=k), out=k)
+        rp = _power(kp, dr - 1, r0)
+        rq = _power(kq, dg - 1, r1)
+        np.multiply(rp, rq, out=u0)
+        u0 *= kq
+        np.multiply(rp, kp, out=u1)
+        u1 *= rq
+        np.matmul(self.Wf, np.subtract(1, u, out=u), out=v)
+        return rp, vp, s
+
+    def _check_rates(self, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """_check on 1-D rates: (rp, s), 1-D."""
+        x = np.array([p, q])[..., None]
+        rp, _, s = self._check(x, self._work(x.shape, x.dtype))
+        return rp[:, 0], s[:, 0]
 
     @staticmethod
-    def _q_update(z: np.ndarray, s1: np.ndarray, fcoef) -> np.ndarray:
+    def _q_update(z: np.ndarray, s1: np.ndarray, fcoef, out: np.ndarray | None = None):
         """Transmitted-bit rates clip(f(z) * s1), with z = s**dg and
-        s1 = s**(dg-1). f is evaluated by Horner's rule in place, step for
-        step as numpy's polyval does it. Its first step is the one product
-        z * c_n, which has the bits of c_n * z."""
+        s1 = s**(dg-1), into `out` if given. f is evaluated by Horner's rule
+        in place, step for step as numpy's polyval does it. Its first step is
+        the one product z * c_n, which has the bits of c_n * z."""
         if len(fcoef) == 1:  # a constant f (m = 1) takes no product with z
-            q1 = np.full(z.shape, fcoef[0])
+            q1 = np.empty_like(z) if out is None else out
+            q1[...] = fcoef[0]
         else:
-            q1 = np.multiply(z, fcoef[-1])
+            q1 = np.multiply(z, fcoef[-1], out=out)
             for c in fcoef[-2:0:-1]:
                 q1 += c
                 q1 *= z
@@ -254,11 +297,12 @@ class DensityEvolution:
     def sweep(
         self, p: np.ndarray, q: np.ndarray, fcoef: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One parallel update of every section."""
-        dl, dg = self.params.dl, self.params.dg
-        rp, rq, kq, s = self._check(p, q)
-        p1 = (self.Wf @ (1 - rp * rq * kq)) ** (dl - 1)
-        return p1, self._q_update(s**dg, s ** (dg - 1), fcoef)
+        """One parallel update of every section: the one-sweep case of
+        _sweeps, on 1-D rates or on lockstep rows of shape (rows, n, 1)."""
+        x = np.array([p, q])
+        if x.ndim == 2:
+            return tuple(_sweeps(self, x[..., None], fcoef, 1)[1, ..., 0])
+        return tuple(_sweeps(self, x, fcoef, 1)[1])
 
     def staged_round(
         self, p: np.ndarray, q: np.ndarray, fcoef: np.ndarray
@@ -270,7 +314,7 @@ class DensityEvolution:
         which the anchored continuation needs.
         """
         dg = self.params.dg
-        rp, _, _, s = self._check(p, q)
+        rp, s = self._check_rates(p, q)
         q1 = self._q_update(s**dg, s ** (dg - 1), fcoef)
         return self._p_update(rp, q1), q1
 
@@ -282,7 +326,7 @@ class DensityEvolution:
         the detector half alone, with the same arithmetic as staged_round.
         """
         dg = self.params.dg
-        rp, _, _, s = self._check(p, q)
+        rp, s = self._check_rates(p, q)
         z, s1 = s**dg, s ** (dg - 1)
 
         def at(eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -298,7 +342,7 @@ class DensityEvolution:
         `alternative`), z = s**dg the detector-input erasure rate. f is
         clipped to [0, 1] as in the q-update."""
         dg = self.params.dg
-        z = self._check(p, q)[3] ** dg
+        z = self._check_rates(p, q)[1] ** dg
         f = self._q_update(z, 1.0, fcoef)
         return f * (z if alternative else z**dg)
 
@@ -340,9 +384,10 @@ def _lockstep(params: EnsembleParams, frontier, *, certify: bool = False) -> dic
     row that is not live joins from all-ones, and a live row that is no
     longer wanted is dropped. Returns `done`.
 
-    A row is held as a column vector, so `W @ x` couples it by one gemv per
-    row, and each row gets the bits of its own run. Rows may mix kinds and m:
-    only f depends on them, and `sweep` reads only the ensemble. Each f is
+    The live rows are one stacked state x of shape (2, rows, n, 1), which
+    _sweeps advances a block at a time; a window product is one gemv per
+    row, so each row gets the bits of its own run. Rows may mix kinds and m:
+    only f depends on them, and _sweeps reads only the ensemble. Each f is
     zero-padded to the longest degree, where Horner's rule takes z * 0 = +0
     (z >= 0) and +0 + c = c, so a padded row keeps its bits, m = 1's constant
     f too. Sweeps run in blocks of _SWEEP_BLOCK and are tested sweep by sweep
@@ -377,7 +422,7 @@ def _lockstep(params: EnsembleParams, frontier, *, certify: bool = False) -> dic
     keys: list = []  # the key of each live row, all of them in `wanted`
     polys: list = []
     it: list[int] = []  # sweeps run per row
-    p = q = np.empty((0, n, 1))
+    x = np.empty((2, 0, n, 1))  # (p, q) of each row
     anchor = np.empty((2, 0, n))  # (p, q) of each row at its anchor
     wanted = frontier(done)
     while wanted:
@@ -387,31 +432,30 @@ def _lockstep(params: EnsembleParams, frontier, *, certify: bool = False) -> dic
         fams = [wanted[k] for k in new]
         polys = [polys[r] for r in keep] + [dev(f.kind, f.m).fpoly(f.parameter) for f in fams]
         it = [it[r] for r in keep] + [0] * len(new)
-        start = np.ones((len(new), n, 1))
-        p, q = np.concatenate([p[keep], start]), np.concatenate([q[keep], start])
+        x = np.concatenate([x[:, keep], np.ones((2, len(new), n, 1))], axis=1)
         anchor = np.concatenate([anchor[:, keep], np.ones((2, len(new), n))], axis=1)
-        # Shape (deg, rows, 1, 1), so the q-update's Horner loop broadcasts.
+        # Shape (deg, rows, 1, 1): one coefficient per row.
         deg = max(map(len, polys))
         fcoef = np.stack([np.pad(c, (0, deg - len(c))) for c in polys], axis=1)[..., None, None]
         sweeper = dev(wanted[keys[0]].kind, wanted[keys[0]].m)
         n_done = len(done)
         while len(done) == n_done:
             sweeps = min(_SWEEP_BLOCK, MAX_ITER - max(it))
-            P, Q = _sweeps(sweeper, p, q, fcoef, sweeps)
-            p, q = P[-1], Q[-1]
-            # The block's tests, on arrays indexed (sweep, row, section).
-            P, Q = P[..., 0], Q[..., 0]
-            dP, dQ = P[1:] - P[:-1], Q[1:] - Q[:-1]
-            change = np.maximum(np.abs(dP).max(axis=2), np.abs(dQ).max(axis=2))
-            converged = P[1:].max(axis=2) < TOL
-            repeated = (P[1:] == anchor[0]).all(axis=2) & (Q[1:] == anchor[1]).all(axis=2)
+            X = _sweeps(sweeper, x, fcoef, sweeps)
+            x = X[-1]
+            # The block's tests, on X indexed (sweep, p or q, row, section).
+            X = X[..., 0]
+            dX = X[1:] - X[:-1]
+            change = np.abs(dX).max(axis=(1, 3))
+            converged = X[1:, 0].max(axis=2) < TOL
+            repeated = (X[1:] == anchor).all(axis=(1, 3))
             decided = converged | (change < _STALL_TOL) | (repeated & (change <= _MONOTONE_SLACK))
             # The block index of the sweep where each row decides, else `sweeps`.
             t_dec = np.where(decided.any(axis=0), decided.argmax(axis=0), sweeps)
             # Every row's 100th sweeps, up to the one where it decides.
             s = np.arange(sweeps)[:, None]
             checked = ((np.array(it) + s + 1) % 100 == 0) & (s <= t_dec)
-            if (dP[checked] > _MONOTONE_SLACK).any() or (dQ[checked] > _MONOTONE_SLACK).any():
+            if (dX.max(axis=(1, 3))[checked] > _MONOTONE_SLACK).any():
                 raise AssertionError("monotone decrease from all-ones violated; update is broken")
             certified = set()
             if certify:
@@ -424,7 +468,8 @@ def _lockstep(params: EnsembleParams, frontier, *, certify: bool = False) -> dic
                     and i + sweeps >= _CERT_MIN_SWEEPS
                     and ((i + sweeps) ** 4).bit_length() > (i**4).bit_length()
                 ]
-                for r, y in _stall_candidates(sweeper, P, Q, change, fcoef, due).items():
+                candidates = _stall_candidates(sweeper, X[:, 0], X[:, 1], change, fcoef, due)
+                for r, y in candidates.items():
                     family = wanted[keys[r]]
                     if _certifies(dev(family.kind, family.m, exact=True), family.parameter, *y):
                         certified.add(r)
@@ -432,18 +477,18 @@ def _lockstep(params: EnsembleParams, frontier, *, certify: bool = False) -> dic
                 t = int(t_dec[r])
                 if t < sweeps:
                     status = "converged" if converged[t, r] else "stalled"
-                    state = P[t + 1, r], Q[t + 1, r], it[r] + t + 1
+                    state = *X[t + 1, :, r], it[r] + t + 1
                     done[key] = _de_result(params, wanted[key], *state, status)
                 elif r in certified:
-                    state = P[-1, r], Q[-1, r], it[r] + sweeps
+                    state = *X[-1, :, r], it[r] + sweeps
                     done[key] = _de_result(params, wanted[key], *state, "stalled")
                 elif it[r] + sweeps == MAX_ITER:
-                    state = P[-1, r], Q[-1, r], MAX_ITER
+                    state = *X[-1, :, r], MAX_ITER
                     done[key] = _de_result(params, wanted[key], *state, "iter-limit")
                 # A power of two in (it, it + sweeps] is the row's next anchor.
                 top = (it[r] + sweeps).bit_length()
                 if top > it[r].bit_length():
-                    anchor[:, r] = P[2 ** (top - 1) - it[r], r], Q[2 ** (top - 1) - it[r], r]
+                    anchor[:, r] = X[2 ** (top - 1) - it[r], :, r]
                 it[r] += sweeps
         wanted = frontier(done)
     return done
@@ -494,15 +539,37 @@ def _de_result(params, family, p, q, iterations, status) -> DeResult:
     return DeResult(state=state, success=status == "converged", status=status)
 
 
-def _sweeps(dev: DensityEvolution, p, q, fcoef, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(p, q) and the next n sweeps from them, stacked along a new first axis."""
-    P = np.empty((n + 1, *np.shape(p)))
-    Q = np.empty((n + 1, *np.shape(q)))
-    P[0], Q[0] = p, q
+def _sweeps(dev: DensityEvolution, x: np.ndarray, fcoef, n: int) -> np.ndarray:
+    """The stacked state x = (p, q) and the next n sweeps from it, as one
+    array X of shape (n + 1, *x.shape): X[t, 0] is p and X[t, 1] is q.
+
+    x holds each rate vector as a column, in shape (2, ..., sections, 1)
+    (see _check); fcoef is f's coefficients, each a scalar or broadcasting
+    to one row's shape (_lockstep's are (deg, rows, 1, 1)). The buffers and
+    their views are made once, and the coefficients are broadcast to the
+    shape of a rate array up front, so every ufunc of the loop takes numpy's
+    same-shape path and writes into a buffer or X. Object arrays of
+    Fractions (an exact `dev`) run the same loop.
+    """
+    dl, dg = dev.params.dl, dev.params.dg
+    X = np.empty((n + 1, *x.shape), x.dtype)
+    X[0] = x
+    shape = x.shape[1:]
+    c = np.asarray(fcoef)
+    coef = np.empty((len(c), *shape), c.dtype)
+    coef[...] = c.reshape(*c.shape, *(1,) * (len(shape) + 1 - c.ndim))
+    coef = list(coef)
+    work = dev._work(x.shape, x.dtype)
+    z, s1 = np.empty(shape, x.dtype), np.empty(shape, x.dtype)
     for t in range(1, n + 1):
-        p, q = dev.sweep(p, q, fcoef)
-        P[t], Q[t] = p, q
-    return P, Q
+        _, vp, s = dev._check(X[t - 1], work)
+        p1, q1 = X[t, 0], X[t, 1]
+        if dl == 2:
+            np.copyto(p1, vp)
+        else:
+            _power(vp, dl - 1, p1)
+        dev._q_update(_power(s, dg, z), _power(s, dg - 1, s1), coef, q1)
+    return X
 
 
 def trajectory(
@@ -510,8 +577,8 @@ def trajectory(
 ) -> tuple[np.ndarray, np.ndarray]:
     """First n_sweeps iterates from all-ones; rows are (sweep, section)."""
     dev = DensityEvolution(params, family.kind, family.m)
-    ones = np.ones(params.n_sections)
-    return _sweeps(dev, ones, ones, dev.fpoly(family.parameter), n_sweeps)
+    X = _sweeps(dev, np.ones((2, params.n_sections, 1)), dev.fpoly(family.parameter), n_sweeps)
+    return X[:, 0, :, 0], X[:, 1, :, 0]
 
 
 def thresholds(
@@ -522,7 +589,9 @@ def thresholds(
 
     Assumes the success predicate is monotone in the parameter. A walk row
     that reaches MAX_ITER sweeps without deciding or a stall certificate
-    leaves its cell's bracket inconclusive and raises.
+    leaves its cell's bracket inconclusive. Every other cell still runs to
+    its end, and then a ConvergenceError names each capped cell and
+    carries the values of the others in its `eps_star`.
 
     The bisections run through one lockstep `run_de` whose rows, keyed
     (cell, mid), follow each cell's _frontier; a cell's ε* is read from one
@@ -554,13 +623,17 @@ def thresholds(
         return rows
 
     # The frontier is empty only once every walk has ended or reached a cap.
-    eps_star = {}
+    eps_star, capped = {}, []
     for (kind, m), done in by_cell(run_de(params, frontier)).items():
         lo, hi, mid = _walk(0.0, 1.0, bisect_tol, done)
-        if mid is not None:
-            msg = f"DE hit the {MAX_ITER}-sweep cap for {kind} m={m} at parameter {mid}"
-            raise ConvergenceError(msg + "; bracket inconclusive")
-        eps_star[kind, m] = 0.5 * (lo + hi)
+        if mid is None:
+            eps_star[kind, m] = 0.5 * (lo + hi)
+        else:
+            capped.append(f"DE hit the {MAX_ITER}-sweep cap for {kind} m={m} at parameter {mid}")
+    if capped:
+        err = ConvergenceError("; ".join(capped) + "; bracket inconclusive")
+        err.eps_star.update(eps_star)
+        raise err
     return eps_star
 
 

@@ -6,12 +6,18 @@ computes the same function by brute-force enumeration, without the kernel
 composition behind the polynomial. `sample_symbol_noise` draws the decoder's
 per-symbol noise one generator call at a time, beside the word-stream sampler
 in `scmn.sim`; both must leave the same draws and the same generator state.
+`sweep_oracle` is one DE sweep by the plain formula, one numpy call per
+operation, beside the buffered sweep kernel in `scmn.de`.
 """
+
+import functools
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from scmn.channel import DimensionDistribution, transfer_poly
+from scmn.ensemble import EnsembleParams
 from scmn.gf2 import (
     ENUM_MAX_AMBIENT,
     SubspaceBasis,
@@ -100,3 +106,58 @@ def sample_symbol_noise(dist: DimensionDistribution, n_symbols: int, rng):
             # The zero subspace takes no draw from rng.
             z[i] = v.element(int(rng.integers(0, 1 << v.dim))) if v.dim else 0
     return subspaces, sub_idx, z
+
+
+def sweep_oracle(params: EnsembleParams, p, q, fcoef):
+    """One DE sweep of (p, q): 1-D rates, or lockstep rows of shape
+    (rows, n, 1) with fcoef of shape (deg, rows, 1, 1). Float rates use the
+    float windows; object arrays of Fractions use dense object windows of
+    Fraction(1, w), so the sweep is exact."""
+    exact = np.asarray(p).dtype == object
+    return _PlainSweep(params, exact).sweep(p, q, fcoef)
+
+
+@functools.cache
+class _PlainSweep:
+    """DensityEvolution's check half, q-update and sweep as they were
+    before the sweep kernel, on windows built the same way."""
+
+    def __init__(self, params: EnsembleParams, exact: bool):
+        self.params = params
+        w = params.w
+        lag = np.arange(params.n_check_sections)[:, None] - np.arange(params.n_sections)
+        window = (0 <= lag) & (lag < w)
+        if exact:
+            self.Wb = np.where(window, Fraction(1, w), Fraction(0))
+        else:
+            self.Wb = np.where(window, 1.0 / w, 0.0)
+        self.Wf = np.ascontiguousarray(self.Wb.T)
+
+    def _check(self, p, q):
+        dr, dg = self.params.dr, self.params.dg
+        kp = 1 - self.Wb @ p
+        kq = 1 - self.Wb @ q
+        rp = kp ** (dr - 1)
+        rq = kq ** (dg - 1)
+        s = self.Wf @ (1 - rp * kp * rq)
+        return rp, rq, kq, s
+
+    @staticmethod
+    def _q_update(z, s1, fcoef):
+        if len(fcoef) == 1:
+            q1 = np.full(z.shape, fcoef[0])
+        else:
+            q1 = np.multiply(z, fcoef[-1])
+            for c in fcoef[-2:0:-1]:
+                q1 += c
+                q1 *= z
+            q1 += fcoef[0]
+        q1 *= s1
+        np.maximum(q1, 0.0, out=q1)
+        return np.minimum(q1, 1.0, out=q1)
+
+    def sweep(self, p, q, fcoef):
+        dl, dg = self.params.dl, self.params.dg
+        rp, rq, kq, s = self._check(p, q)
+        p1 = (self.Wf @ (1 - rp * rq * kq)) ** (dl - 1)
+        return p1, self._q_update(s**dg, s ** (dg - 1), fcoef)

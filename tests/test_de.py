@@ -18,6 +18,7 @@ from scmn.de import (
     trajectory,
 )
 from scmn.ensemble import EnsembleParams
+from oracles import sweep_oracle
 from test_acceptance import REF_L10_W2
 
 P422 = EnsembleParams(dl=4, dr=2, dg=2, L=10, w=2)
@@ -179,6 +180,51 @@ class TestSweep:
             assert got.shape == z.shape
             assert np.array_equal(got, full_start(z, s1, fcoef))
 
+    @pytest.mark.parametrize("L, w", [(10, 2), (20, 3), (6, 4)])
+    def test_kernel_matches_oracle(self, L, w):
+        # 300 sweeps from all-ones, one _sweeps block, bit for bit against
+        # the plain formula: on 1-D rates (trajectory's and sweep's form),
+        # and on one and on four lockstep rows.
+        for dl, dr, dg in ((4, 2, 2), (3, 3, 3), (5, 2, 3)):
+            params = EnsembleParams(dl=dl, dr=dr, dg=dg, L=L, w=w)
+            n = params.n_sections
+            for kind in ("cd", "bd"):
+                for m in (1, 2, 6, 15):
+                    dev = DensityEvolution(params, kind, m)
+                    polys = [dev.fpoly(e) for e in (0.47, 0.3, 0.5, 0.7)]
+                    for x, fcoef in (
+                        (np.ones((2, n, 1)), polys[0]),
+                        (np.ones((2, 1, n, 1)), np.stack(polys[:1], axis=1)[..., None, None]),
+                        (np.ones((2, 4, n, 1)), np.stack(polys, axis=1)[..., None, None]),
+                    ):
+                        X = de._sweeps(dev, x, fcoef, 300)
+                        assert X.shape == (301, *x.shape)
+                        p, q = x[:, ..., 0] if x.ndim == 3 else x
+                        for t in range(1, 301):
+                            p, q = sweep_oracle(params, p, q, fcoef)
+                            got = X[t, ..., 0] if x.ndim == 3 else X[t]
+                            assert np.array_equal(got[0], p) and np.array_equal(got[1], q)
+
+    @pytest.mark.parametrize("w", [2, 3, 4])
+    def test_exact_step_matches_oracle(self, w):
+        # One exact sweep of a random state, equal as Fractions to the plain
+        # formula over dense object windows.
+        rng = np.random.default_rng(w)
+        for dl, dr, dg in ((4, 2, 2), (3, 3, 3), (5, 2, 3)):
+            params = EnsembleParams(dl=dl, dr=dr, dg=dg, L=4, w=w)
+            for kind in ("cd", "bd"):
+                for m in (1, 2, 6):
+                    exact = DensityEvolution(params, kind, m, exact=True)
+                    fcoef = exact.fpoly(Fraction(float(rng.uniform(0.3, 0.7))))
+                    p, q = (
+                        np.array([Fraction(v) for v in rng.uniform(0, 1, params.n_sections)])
+                        for _ in range(2)
+                    )
+                    got = exact.sweep(p, q, fcoef)
+                    want = sweep_oracle(params, p, q, fcoef)
+                    for g, v in zip(got, want):
+                        assert [Fraction(a) for a in g] == [Fraction(b) for b in v]
+
     def test_staged_round_map_matches_staged_round(self):
         # States partly outside [0, 1] drive the q-update past both ends of
         # its clip; the map must agree there too.
@@ -247,7 +293,14 @@ class TestRunDe:
         # A broken update that flips q between 1 and 0 raises it at every
         # even sweep; run_de checks every 100th sweep, in one run and in
         # lockstep rows.
-        monkeypatch.setattr(DensityEvolution, "sweep", lambda self, p, q, fcoef: (p, 1.0 - q))
+        def flip_flop(dev, x, fcoef, n):
+            X = np.empty((n + 1, *x.shape))
+            X[0] = x
+            for t in range(n):
+                X[t + 1] = X[t, 0], 1.0 - X[t, 1]
+            return X
+
+        monkeypatch.setattr(de, "_sweeps", flip_flop)
         for family in (CD2, [CD2, ChannelFamily.concentrated(2, 0.3)]):
             monkeypatch.setattr(de, "MAX_ITER", 99)
             res = run_de(P422, family)
@@ -385,15 +438,17 @@ class TestThreshold:
         monkeypatch.setattr(de, "MAX_ITER", 10)
         with pytest.raises(ConvergenceError, match="10-sweep cap"):
             threshold(P422, "cd", 2, bisect_tol=1e-3)
-        # In a table the error names the capped cell: at L=4/w=3 under a
-        # 1000-sweep cap, cd m=6 reaches it on its walk, and bd m=6 and cd
-        # m=2 answer.
+        # In a table the error names the capped cell and carries the others:
+        # at L=4/w=3 under a 1000-sweep cap, cd m=6 reaches it on its walk,
+        # and bd m=6 and cd m=2 answer.
         params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=3)
         capped = ChannelFamily("cd", 6, 0.5029296875)
         assert reference_run_de(params, capped, max_iter=1000).status == "iter-limit"
         monkeypatch.setattr(de, "MAX_ITER", 1000)
-        with pytest.raises(ConvergenceError, match=r"cap for cd m=6 at parameter 0\.5029296875;"):
+        cap = r"cap for cd m=6 at parameter 0\.5029296875;"
+        with pytest.raises(ConvergenceError, match=cap) as got:
             thresholds(params, [("bd", 6), ("cd", 6), ("cd", 2)], bisect_tol=1e-3)
+        assert got.value.eps_star == {("bd", 6): 0.50537109375, ("cd", 2): 0.51806640625}
 
     @pytest.mark.parametrize("L, w", [(4, 2), (4, 3), (6, 4)])
     def test_matches_plain_bisection(self, L, w):
@@ -467,16 +522,16 @@ class TestThreshold:
         assert got == reference_threshold(params, "cd", 2, bisect_tol=1e-4)
 
     def test_reaches_traced_attributes(self, monkeypatch):
-        # The benchmark's tracer wraps scmn.de.run_de and
-        # DensityEvolution.sweep where they are looked up, so threshold must
-        # call them through the module and the class. It also replaces
+        # The benchmark's tracer wraps scmn.de.run_de where it is looked up,
+        # so threshold must call it through the module. It also replaces
         # scmn.de.ChannelFamily with a function, so scmn.de may only call it.
+        # Sweeps are counted as the n that scmn.de._sweeps is asked for.
         params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=2)
         batched = batched_schedule_sweeps(params, "cd", 2, 1e-5)
         calls = {"run_de": 0, "sweep": 0, "family": 0, "rows": 0}
         decided = {}
         run_de_orig = de.run_de
-        sweep_orig = DensityEvolution.sweep
+        sweeps_orig = de._sweeps
 
         def counted_family(*args):
             calls["family"] += 1
@@ -496,12 +551,12 @@ class TestThreshold:
 
             return run_de_orig(params, counted_frontier)
 
-        def counted_sweep(self, *args):
-            calls["sweep"] += 1
-            return sweep_orig(self, *args)
+        def counted_sweeps(dev, x, fcoef, n):
+            calls["sweep"] += n
+            return sweeps_orig(dev, x, fcoef, n)
 
         monkeypatch.setattr(de, "run_de", counted_run_de)
-        monkeypatch.setattr(DensityEvolution, "sweep", counted_sweep)
+        monkeypatch.setattr(de, "_sweeps", counted_sweeps)
         monkeypatch.setattr(de, "ChannelFamily", counted_family)
         threshold(params, "cd", 2, bisect_tol=1e-5)
         # One pipelined run; a row starts on each midpoint that enters the
@@ -686,13 +741,12 @@ def assert_same_result(got, ref):
 
 def reference_run_de(params, family, *, max_iter=de.MAX_ITER):
     """run_de for one family as the 1-D loop it was before lockstep rows,
-    without its monotone check."""
-    dev = DensityEvolution(params, family.kind, family.m)
+    without its monotone check, on the plain sweep formula."""
     fcoef = transfer_poly(dimension_distribution(family))
     p = q = np.ones(params.n_sections)
     it, status = 0, "iter-limit"
     while it < max_iter:
-        p1, q1 = dev.sweep(p, q, fcoef)
+        p1, q1 = sweep_oracle(params, p, q, fcoef)
         it += 1
         change = max(np.abs(p1 - p).max(), np.abs(q1 - q).max())
         p, q = p1, q1
@@ -830,7 +884,7 @@ class TestHExit:
                     clipped_hi |= bool((raw > 1.0).any())
                     for lo, hi in ((0.0, 1.0), (-0.6, 1.6)):
                         p, q = rng.uniform(lo, hi, n), rng.uniform(lo, hi, n)
-                        z = dev._check(p, q)[3] ** params.dg
+                        z = dev._check_rates(p, q)[1] ** params.dg
                         f = np.clip(npoly.polyval(z, fcoef), 0.0, 1.0)
                         for alt, tail in ((False, z**params.dg), (True, z)):
                             got = dev.h_profile(p, q, fcoef, alternative=alt)

@@ -10,6 +10,8 @@ import importlib.util
 import struct
 from pathlib import Path
 
+from scmn.de import ConvergenceError
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -59,6 +61,28 @@ def test_reproduce_thresholds(tmp_path, monkeypatch):
         "1,cd,10,2,0.25,1e-05\n"
         "1,bd,10,2,0.25,1e-05\n"
     )
+
+
+def test_reproduce_thresholds_writes_answered_cells(tmp_path, monkeypatch, capsys):
+    # A capped cell: the cells that answered are written, the capped one is
+    # named, and the script stops with exit code 3.
+    script = load_script("reproduce_thresholds")
+
+    def fake_thresholds(params, cells, *, bisect_tol):
+        err = ConvergenceError("DE hit the 10-sweep cap for bd m=1 at parameter 0.5; "
+                               "bracket inconclusive")
+        err.eps_star.update({("cd", 1): 0.25})
+        raise err
+
+    monkeypatch.setattr(script, "thresholds", fake_thresholds)
+    prefix = tmp_path / "th"
+    assert script.run(["--m-max", "1", "--out-prefix", str(prefix)]) == 3
+    assert (tmp_path / "th_L10_w2.csv").read_text() == (
+        "m,family,L,w,epsilon_star,bisect_tol\n"
+        "1,cd,10,2,0.25,1e-05\n"
+    )
+    assert not (tmp_path / "th_L20_w3.csv").exists()
+    assert "cap for bd m=1 at parameter 0.5;" in capsys.readouterr().err
 
 
 def test_threshold_battery(monkeypatch, capsys):
