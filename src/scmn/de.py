@@ -33,17 +33,19 @@ _MIN_BISECT_TOL = 2.0**-52
 # run_de reports a stall once a sweep changes every rate by less than this.
 _STALL_TOL = 1e-15
 _MONOTONE_SLACK = 1e-12
-# Undecided bisection steps that `thresholds` runs ahead of each cell's walk:
-# at most 2**levels - 1 rows per cell are live. A sweep costs more with more
-# rows (at L=10/w=2 about 15-17 us with one row, 23-29 us with seven).
-# Timed with stall certificates at bisect_tol 1e-5 on 2 cores, medians of 4
-# runs in alternating order, at 2, 3 and 4 levels: cd m=2 alone took 3.09,
-# 2.75 and 3.42 s, and bd m=4 alone 2.40, 1.97 and 2.52 s.
-_BISECT_LEVELS = 3
-# Sweeps that run_de runs between its tests. At L=10/w=2 a sweep takes about
-# 15 us with one row and 18 us with three; testing each sweep on its own
-# costs about 25 us more in numpy call overhead, testing a block of 64 at
-# once about 2 us per sweep at 3 rows.
+# Undecided bisection steps that `thresholds` runs ahead of each cell's walk,
+# besides the fold's predicted path (_predicted_path): at most
+# 2**levels - 1 tree rows per cell are live. A sweep costs more with more
+# rows: at L=10/w=2 in blocks of 64 (medians of 40 on 2 cores) 12.7 us with
+# one row, 13.9 with three, 16.8 with seven and 26.8 with twenty. Timed with
+# the predicted path at bisect_tol 1e-5, medians of 10 runs in alternating
+# order at 2 and 3 levels: cd m=2 alone took 1.51 and 1.56 s, bd m=4 alone
+# 1.11 and 1.28 s, and the 12-cell L=10/w=2 table (4 runs) 10.2 and 12.3 s.
+# Two levels ran the same lockstep sweeps and 24-32% fewer row-sweeps.
+_BISECT_LEVELS = 2
+# Sweeps that run_de runs between its tests. At L=10/w=2 with three rows a
+# lockstep sweep took 15.4 us in blocks of 64 and 49.9 us when each sweep was
+# tested on its own (medians of 6 run_de calls; the sweep alone takes 13.9).
 _SWEEP_BLOCK = 64
 # Stall certificates, tried on thresholds' rows only (_lockstep). A row is
 # tried when its sweep count passes a power of 2**(1/4), from
@@ -60,6 +62,28 @@ _CERT_MARGIN = 5e-13
 _CERT_MIN_P = 1e-6
 # Most entries of a window matrix (Wb, Wf): 128 MiB each, L up to 2047 at w = 2.
 MAX_WINDOW_ENTRIES = 2**24
+
+# The fold of the fixed-point curve (fold). The curve is followed from the
+# state _FOLD_START_SWEEPS sweeps from all-ones at ε = _FOLD_START, in chi
+# steps of _FOLD_GRID / n (n sections), a quarter of the curve's wiggle
+# period 2 / n, halved at most _FOLD_HALVINGS times where Newton fails, down
+# to _FOLD_CHI_MIN. _FOLD_START lies above every threshold at L >= 2 and off
+# the kinks k / m of the cd law for m <= 15; over cd/bd, m in {1, 2, 3, 6, 10,
+# 15} and eight (L, w), it left 18 of 96 curves without a fold, against 19
+# to 33 for starts at 0.6, 0.62, 0.7, 0.75 and 0.9. Newton (_FixedPoints)
+# differences with step _FOLD_H, takes at most _FOLD_MAX_STEPS steps per
+# point and stops once the residual is at most _FOLD_FLOOR. A well is refined
+# for at most _FOLD_REFINE_STEPS steps, until chi moves by _FOLD_CHI_TOL.
+_FOLD_START = 0.66
+_FOLD_START_SWEEPS = 300
+_FOLD_GRID = 0.5
+_FOLD_CHI_MIN = 0.03
+_FOLD_H = 1e-7
+_FOLD_MAX_STEPS = 12
+_FOLD_FLOOR = 1e-12
+_FOLD_REFINE_STEPS = 12
+_FOLD_CHI_TOL = 1e-7
+_FOLD_HALVINGS = 8
 
 # Curve tracing. A round's channel parameter is bisected to _EPS_BISECT_TOL; a
 # point is accepted once a round moves the state by less than _STATE_TOL and
@@ -593,13 +617,21 @@ def thresholds(
     its end, and then a ConvergenceError names each capped cell and
     carries the values of the others in its `eps_star`.
 
-    The bisections run through one lockstep `run_de` whose rows, keyed
-    (cell, mid), follow each cell's _frontier; a cell's ε* is read from one
-    _walk over its decided rows, which takes plain bisection's steps. A row
-    decides as its own run does, or stalls early on an exact stall
-    certificate (_lockstep), proof that DE at its parameter never converges;
-    its own run then fails too, unless float rounding decodes a row that
-    exact DE cannot (no checked cell did).
+    The bisections run through one lockstep `run_de` whose rows follow each
+    cell's _frontier; a cell's ε* is read from one _walk over its decided
+    rows, which takes plain bisection's steps. A row decides as its own run
+    does, or stalls early on an exact stall certificate (_lockstep), proof
+    that DE at its parameter never converges; its own run then fails too,
+    unless float rounding decodes a row that exact DE cannot (no checked
+    cell did).
+
+    A row is keyed by m and the dimension law at its midpoint, which fix
+    its f, so cells whose laws agree there (cd and bd at m = 1) share it.
+    Each cell's frontier also holds its _predicted_path from the cell's
+    `fold`, computed once per distinct first row (the midpoint 1/2): the
+    rows of the walk's slow last steps start at once instead of waiting for
+    the rows above them. Only decided rows steer the walk, so a wrong fold,
+    or none, costs only speed.
     """
     cells = list(cells)
     for kind, _ in cells:
@@ -610,16 +642,33 @@ def thresholds(
     # strictly inside; a narrower one could end as two adjacent floats.
     if not _MIN_BISECT_TOL <= bisect_tol < 1:
         raise ValueError(f"bisect_tol must lie in [2**-52, 1), got {bisect_tol}")
-    rows: dict = {}
+    keys: dict = {cell: {} for cell in cells}  # cell -> (mid -> row key)
+    rows: dict = {}  # row key -> ChannelFamily, the rows wanted last
+
+    def row_key(cell, mid: float) -> tuple:
+        if mid not in keys[cell]:
+            keys[cell][mid] = cell[1], dimension_law(*cell, mid)
+        return keys[cell][mid]
 
     def by_cell(done: dict) -> dict:  # cell -> (mid -> DeResult)
-        return {c: {mid: r for (c1, mid), r in done.items() if c1 == c} for c in cells}
+        return {c: {mid: done[k] for mid, k in keys[c].items() if k in done} for c in cells}
+
+    folds: dict = {}  # first row key -> fold
+    for cell in cells:
+        if row_key(cell, 0.5) not in folds:
+            folds[row_key(cell, 0.5)] = fold(params, *cell)
 
     def frontier(done: dict) -> dict:
         nonlocal rows
-        mids = by_cell(done).items()
-        keys = [(c, mid) for c, d in mids for mid in _frontier(0.0, 1.0, bisect_tol, d)]
-        rows = {k: rows[k] if k in rows else ChannelFamily(*k[0], k[1]) for k in keys}
+        wanted: dict = {}
+        for c, d in by_cell(done).items():
+            mids = _frontier(0.0, 1.0, bisect_tol, d)
+            if (eps := folds[row_key(c, 0.5)]) is not None:
+                mids += _predicted_path(0.0, 1.0, bisect_tol, d, eps)
+            for mid in mids:
+                if (k := row_key(c, mid)) not in wanted:
+                    wanted[k] = rows[k] if k in rows else ChannelFamily(*c, mid)
+        rows = wanted
         return rows
 
     # The frontier is empty only once every walk has ended or reached a cap.
@@ -671,6 +720,183 @@ def _frontier(lo: float, hi: float, bisect_tol: float, done: dict) -> list[float
 
     visit(lo, hi, _BISECT_LEVELS)
     return mids
+
+
+def _predicted_path(
+    lo: float, hi: float, bisect_tol: float, done: dict, eps_fold: float
+) -> list[float]:
+    """Every midpoint not in `done` on the _walk from [lo, hi] that takes
+    each undecided midpoint the way the fold eps_fold predicts: converged
+    below it, failed at or above it. Stops at a capped midpoint."""
+    mids: list[float] = []
+    while True:
+        lo, hi, mid = _walk(lo, hi, bisect_tol, done)
+        if mid is None or mid in done:
+            return mids
+        mids.append(mid)
+        lo, hi = (mid, hi) if mid < eps_fold else (lo, mid)
+
+
+class _FixedPoints:
+    """Newton's method for a nontrivial DE fixed point at a prescribed
+    anchor: F(x, ε) = (T(x; ε) - x, mean(p) - chi) = 0 for x = (p, q) and
+    one sweep T at the channel parameter ε.
+
+    The Jacobian is taken by one-sided differences of step _FOLD_H from one
+    _sweeps call, whose rows are x, x with one class of columns moved by
+    _FOLD_H, and x at ε + _FOLD_H. T's section i reads sections
+    i - (w-1) .. i + (w-1) only, so the columns of one half (p or q) whose
+    sections are 2w - 1 apart touch disjoint rows and share one perturbed
+    row: 4w rows in all.
+    The (2n + 1)-square system is solved densely; LAPACK's solve took 46 us
+    at L=10/w=2 against 2.3 ms for a numpy band elimination.
+    """
+
+    def __init__(self, dev: DensityEvolution):
+        self.dev = dev
+        n, w = dev.params.n_sections, dev.params.w
+        stride = 2 * w - 1
+        rows = 2 * stride + 2  # x, the 2 * stride column classes, ε + h
+        self.dx = np.zeros((2, rows, n))
+        for half in range(2):
+            for c in range(stride):
+                self.dx[half, 1 + half * stride + c, c::stride] = _FOLD_H
+        # Entry (o, i; h, j), |i - j| < w, of the Jacobian comes from output
+        # (o, i) of the row that perturbs column j of half h.
+        o, i, h, j = np.meshgrid(
+            np.arange(2), np.arange(n), np.arange(2), np.arange(1 - w, w), indexing="ij"
+        )
+        j = i + j
+        inside = (0 <= j) & (j < n)
+        o, i, h, j = o[inside], i[inside], h[inside], j[inside]
+        self.entries = o * n + i, h * n + j
+        self.diffs = o, h * stride + j % stride, i
+        self.columns = h, j
+
+    def solve(self, x: np.ndarray, eps: float, chi: float):
+        """The fixed point (x, ε) at anchor chi that Newton's method reaches
+        from (x, ε), x of shape (2, n), or None. Newton stops once a step no
+        longer lowers the sup-norm residual, or at _FOLD_MAX_STEPS; the best
+        point is kept if its residual is at most _RESIDUAL_TOL."""
+        dev, n = self.dev, self.dev.params.n_sections
+        J = np.zeros((2 * n + 1, 2 * n + 1))
+        J[2 * n, :n] = 1.0 / n
+        F = np.empty(2 * n + 1)
+        best = None
+        for _ in range(_FOLD_MAX_STEPS):
+            if not 0.0 <= eps <= 1.0 - _FOLD_H:
+                break
+            f = dev.fpoly(eps)
+            fcoef = np.empty((len(f), self.dx.shape[1], 1, 1))
+            fcoef[...] = f[:, None, None, None]
+            fcoef[:, -1, 0, 0] = dev.fpoly(eps + _FOLD_H)
+            # Rates above 1/2 are lowered, so that a rate at 1 (where the
+            # q-update clips) is differenced inside [0, 1].
+            sign = np.where(x > 0.5, -1.0, 1.0)
+            T = _sweeps(dev, (x[:, None] + sign[:, None] * self.dx)[..., None], fcoef, 1)[1, ..., 0]
+            F[: 2 * n] = (T[:, 0] - x).ravel()
+            F[2 * n] = x[0].mean() - chi
+            residual = np.abs(F).max()
+            if best is not None and residual >= best[0]:
+                break
+            best = residual, x, eps
+            if residual <= _FOLD_FLOOR:
+                break
+            D = (T[:, 1:] - T[:, :1]) / _FOLD_H
+            J[self.entries] = D[self.diffs] * sign[self.columns]
+            J[range(2 * n), range(2 * n)] -= 1.0
+            J[: 2 * n, 2 * n] = D[:, -1].ravel()
+            try:
+                step = np.linalg.solve(J, -F)
+            except np.linalg.LinAlgError:
+                break
+            x, eps = x + step[: 2 * n].reshape(2, n), eps + step[2 * n]
+        if best is None or best[0] > _RESIDUAL_TOL:
+            return None
+        return best[1], best[2]
+
+
+def fold(params: EnsembleParams, kind: str, m: int) -> float | None:
+    """The leftmost channel parameter of the nontrivial DE fixed-point curve
+    (its fold), or None where it is not found.
+
+    DE is monotone, so from all-ones it converges exactly when no
+    nontrivial fixed point exists: the fold is the float threshold that
+    `thresholds` bisects for, and `thresholds` uses it to predict its walk.
+    The curve is followed by Newton continuation in chi = mean(p)
+    (_FixedPoints) from a stalled state at a high ε, down a grid in chi
+    that samples each wiggle of the curve about four times (see the comment
+    on _FOLD_START). Every local minimum of ε on the grid takes one step of
+    successive parabolic interpolation in chi (_fold_refine), and the least
+    of them is refined to the bottom of its well and returned. Wells of the
+    chain's middle are translates of each other: at L=10/w=2 their bottoms
+    agree to about 1e-10.
+
+    None when the start state decodes, Newton fails at a point even at the
+    smallest step, the least ε lies at an end of the grid, or the dense
+    (2n + 1)-square Jacobian would hold more than MAX_WINDOW_ENTRIES
+    entries.
+    """
+    n = params.n_sections
+    if (2 * n + 1) ** 2 > MAX_WINDOW_ENTRIES:
+        return None
+    dev = DensityEvolution(params, kind, m)
+    newton = _FixedPoints(dev)
+    x = _sweeps(dev, np.ones((2, n, 1)), dev.fpoly(_FOLD_START), _FOLD_START_SWEEPS)[-1, ..., 0]
+    if x[0].max() < TOL:
+        return None
+    chi = x[0].mean()
+    point = newton.solve(x, _FOLD_START, chi)
+    if point is None:
+        return None
+    curve = [(chi, *point)]  # (chi, x, ε), chi descending
+    step = _FOLD_GRID / n
+    while (chi := curve[-1][0] - step) > _FOLD_CHI_MIN:
+        # The secant through the last two points predicts the next.
+        (c1, x1, e1), (c0, x0, e0) = curve[-2:] if len(curve) > 1 else curve * 2
+        t = (chi - c0) / (c0 - c1) if c0 != c1 else 0.0
+        point = newton.solve(x0 + t * (x0 - x1), e0 + t * (e0 - e1), chi)
+        if point is not None:
+            curve.append((chi, *point))
+            step = min(2 * step, _FOLD_GRID / n)
+        elif (step := step / 2) < _FOLD_GRID / n / 2**_FOLD_HALVINGS:
+            return None
+    eps = [e for _, _, e in curve]
+    wells = [k for k in range(1, len(curve) - 1) if eps[k - 1] > eps[k] <= eps[k + 1]]
+    if not wells or min(eps) < min(eps[k] for k in wells):
+        return None
+    # One parabolic step in every well, then the rest in the least.
+    triples = [_fold_refine(newton, curve[k - 1 : k + 2], 1) for k in wells]
+    if None in triples:
+        return None
+    least = _fold_refine(newton, min(triples, key=lambda t: t[1][2]), _FOLD_REFINE_STEPS)
+    return None if least is None else least[1][2]
+
+
+def _fold_refine(newton: _FixedPoints, triple, steps: int):
+    """`steps` steps of successive parabolic interpolation in chi towards
+    the least ε of a well of the fixed-point curve, bracketed by the curve
+    points (chi, x, ε) of `triple` (chi descending, ε in the middle no
+    larger than at either end): the bracketing triple reached, or None if
+    Newton fails."""
+    a, b, c = triple
+    for _ in range(steps):
+        (ca, _, ea), (cb, xb, eb), (cc, _, ec) = a, b, c
+        den = (cb - ca) * (eb - ec) - (cb - cc) * (eb - ea)
+        if den == 0:
+            break
+        u = cb - 0.5 * ((cb - ca) ** 2 * (eb - ec) - (cb - cc) ** 2 * (eb - ea)) / den
+        if not cc < u < ca or abs(u - cb) <= _FOLD_CHI_TOL:
+            break
+        point = newton.solve(xb, eb, u)
+        if point is None:
+            return None
+        new = (u, *point)
+        if new[2] < eb:
+            a, b, c = (a, new, b) if u > cb else (b, new, c)
+        else:
+            a, b, c = (new, b, c) if u > cb else (a, b, new)
+    return a, b, c
 
 
 def ebp_trace(

@@ -14,7 +14,7 @@ from scmn.channel import (
     capacity,
     dimension_distribution,
 )
-from scmn.de import ebp_trace, run_de, thresholds, trajectory
+from scmn.de import ebp_trace, fold, run_de, thresholds, trajectory
 from scmn.ensemble import (
     EnsembleParams,
     check_count,
@@ -77,6 +77,14 @@ def test_criterion_01_threshold_table_L10_w2():
         f"12 thresholds at L=10/w=2 within 2e-5 of reference "
         f"(worst |diff| = {worst:.2e})",
     )
+
+
+def test_fold_inside_the_final_bracket_L10_w2():
+    # Bisection from [0, 1] to TABLE_BISECT_TOL ends on a bracket of width
+    # 2**-17, centred on ε*; each cell's fold lies inside it.
+    for kind, m in REF_L10_W2:
+        eps_star = table_threshold(kind, m)
+        assert abs(fold(P10W2, kind, m) - eps_star) <= 2.0**-18
 
 
 def test_criterion_02_threshold_table_L20_w3_directional():

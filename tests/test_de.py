@@ -566,15 +566,143 @@ class TestThreshold:
         assert 0 < max(r.state.iterations for r in decided.values()) <= calls["sweep"]
         # Some walk midpoint is live in every block, and each block ends at
         # most a block after the sweep where a row decides.
+        # Rows are keyed by their dimension law; each holds its midpoint.
+        decided = {r.state.epsilon: r for r in decided.values()}
         lo, hi, walk = 0.0, 1.0, []
         while hi - lo > 1e-5:
             mid = 0.5 * (lo + hi)
-            walk.append(decided[("cd", 2), mid].state.iterations)
-            lo, hi = (mid, hi) if decided[("cd", 2), mid].success else (lo, mid)
+            walk.append(decided[mid].state.iterations)
+            lo, hi = (mid, hi) if decided[mid].success else (lo, mid)
         assert calls["sweep"] < sum(walk) + len(walk) * de._SWEEP_BLOCK
         # Fewer sweeps than the schedule that waited for each batch of
         # _BISECT_LEVELS levels to decide before it started the next.
         assert calls["sweep"] < batched
+
+    def test_any_fold_gives_the_same_thresholds(self, monkeypatch):
+        # The walk reads decided rows only, so a fold far off, near but
+        # wrong, or missing changes which rows run, never ε*.
+        params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=2)
+        cells = [("cd", 1), ("bd", 1), ("cd", 2), ("bd", 6)]
+        ref = {cell: reference_threshold(params, *cell, bisect_tol=1e-3) for cell in cells}
+        assert thresholds(params, cells, bisect_tol=1e-3) == ref
+        for fake in (
+            lambda params, kind, m: 0.0,
+            lambda params, kind, m: 1.0,
+            lambda params, kind, m: None,
+            lambda params, kind, m: ref[kind, m] - 1e-3,
+            lambda params, kind, m: ref[kind, m] + 1e-3,
+        ):
+            monkeypatch.setattr(de, "fold", fake)
+            assert thresholds(params, cells, bisect_tol=1e-3) == ref
+
+    def test_m1_cells_share_their_rows(self, monkeypatch):
+        # At m = 1 the cd and bd laws are the same floats, so a table's two
+        # m = 1 cells run each row, and compute the fold, once.
+        params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=2)
+        rows, folds = [], []
+        family, fold = de.ChannelFamily, de.fold
+
+        def counted_family(*args):
+            rows.append(args)
+            return family(*args)
+
+        def counted_fold(*args):
+            folds.append(args)
+            return fold(*args)
+
+        monkeypatch.setattr(de, "ChannelFamily", counted_family)
+        monkeypatch.setattr(de, "fold", counted_fold)
+        alone = threshold(params, "cd", 1, bisect_tol=1e-4)
+        n_alone = len(rows)
+        both = thresholds(params, [("cd", 1), ("bd", 1)], bisect_tol=1e-4)
+        assert both == {("cd", 1): alone, ("bd", 1): alone}
+        assert len(rows) == 2 * n_alone and len(folds) == 2
+
+    @pytest.mark.parametrize(
+        "kind, m, eps_star, most",
+        [("cd", 2, "0x1.ff7f000000000p-2", 70_000), ("bd", 4, "0x1.fed3000000000p-2", 52_000)],
+    )
+    def test_walk_starts_its_slow_rows_at_once(self, monkeypatch, kind, m, eps_star, most):
+        # The benchmark cells. The rows of the walk's last steps each take
+        # 10^4 to 6.5 * 10^4 sweeps; with the fold's predicted path they
+        # start at sweep 0 instead of waiting for the rows above them, so
+        # the run is about as long as its longest row. Without the path
+        # these cells ran 103,787 and 70,822 sweeps. Sweeps are the n summed
+        # over the lockstep run's _sweeps calls (the certificate filter's
+        # included); the fold is computed before counting starts.
+        value = de.fold(P422, kind, m)
+        monkeypatch.setattr(de, "fold", lambda *args: value)
+        sweeps = [0]
+        sweeps_orig = de._sweeps
+
+        def counted_sweeps(dev, x, fcoef, n):
+            sweeps[0] += n
+            return sweeps_orig(dev, x, fcoef, n)
+
+        monkeypatch.setattr(de, "_sweeps", counted_sweeps)
+        assert threshold(P422, kind, m, bisect_tol=1e-5) == float.fromhex(eps_star)
+        assert sweeps[0] <= most
+
+
+class TestFold:
+    def test_bounds_the_traced_curve(self):
+        # The least ε of the fixed-point curve: no point that ebp_trace
+        # finds lies left of it, and the traced minimum on a fine chi grid
+        # around the fold's well comes close.
+        params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=3)
+        got = de.fold(params, "cd", 2)
+        coarse = ebp_trace(params, "cd", 2, np.arange(0.85, 0.02, -0.05))
+        assert min(p.epsilon for p in coarse) >= got - 1e-9
+        best = min(coarse, key=lambda p: p.epsilon).chi
+        fine = ebp_trace(params, "cd", 2, np.arange(best + 0.05, best - 0.05, -2e-3))
+        assert got - 1e-9 <= min(p.epsilon for p in fine) <= got + 1e-6
+
+    def test_work_per_cell(self, monkeypatch):
+        # Cost, as a count: at L=10/w=2 every cell of the table takes its
+        # start sweeps and at most 300 one-sweep Newton evaluations, each of
+        # 4w = 8 rows (about 0.15 ms each on two cores).
+        calls = []
+        sweeps_orig = de._sweeps
+
+        def counted_sweeps(dev, x, fcoef, n):
+            calls.append((n, x.shape))
+            return sweeps_orig(dev, x, fcoef, n)
+
+        monkeypatch.setattr(de, "_sweeps", counted_sweeps)
+        for kind, m in REF_L10_W2:
+            calls.clear()
+            assert de.fold(P422, kind, m) is not None
+            assert calls[0] == (de._FOLD_START_SWEEPS, (2, P422.n_sections, 1))
+            assert {shape for _, shape in calls[1:]} == {(2, 8, P422.n_sections, 1)}
+            assert {n for n, _ in calls[1:]} == {1} and len(calls) <= 301
+
+    def test_none_where_not_found(self, monkeypatch):
+        # The uncoupled chain decodes nowhere: no well on its curve.
+        assert de.fold(EnsembleParams(dl=4, dr=2, dg=2, L=0, w=1), "cd", 2) is None
+        # A start state that decodes has no curve to follow.
+        monkeypatch.setattr(de, "_FOLD_START", 0.3)
+        assert de.fold(P422, "cd", 2) is None
+        monkeypatch.undo()
+        # Newton failing at every point.
+        monkeypatch.setattr(de._FixedPoints, "solve", lambda *args: None)
+        assert de.fold(P422, "cd", 2) is None
+        monkeypatch.undo()
+        # A dense Jacobian of more than MAX_WINDOW_ENTRIES entries.
+        monkeypatch.setattr(de, "MAX_WINDOW_ENTRIES", (2 * P422.n_sections + 1) ** 2 - 1)
+        assert de.fold(P422, "cd", 2) is None
+
+    def test_points_are_fixed_points(self):
+        # Every point Newton accepts is a fixed point of one plain sweep at
+        # its ε, at the anchor asked for.
+        dev = DensityEvolution(P422, "bd", 4)
+        newton = de._FixedPoints(dev)
+        eps = 0.6
+        x = de._sweeps(dev, np.ones((2, P422.n_sections, 1)), dev.fpoly(eps), 300)[-1, ..., 0]
+        for chi in x[0].mean() - np.arange(4) / 100:
+            x, eps = newton.solve(x, eps, chi)
+            p, q = dev.sweep(*x, dev.fpoly(eps))
+            assert max(np.abs(p - x[0]).max(), np.abs(q - x[1]).max()) <= de._RESIDUAL_TOL
+            assert abs(x[0].mean() - chi) <= de._RESIDUAL_TOL
 
 
 class TestStallCertificate:

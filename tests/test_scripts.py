@@ -11,8 +11,11 @@ import struct
 from pathlib import Path
 
 from scmn.de import ConvergenceError
+from test_acceptance import REF_L10_W2
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+# scripts/threshold_battery.py's digest: every ε* of its 64 cells.
+BATTERY_DIGEST = "dfc459a9edc09e0cb3c499ba339ad2114af18896e6404fa28c266f4b1bcea838"
 
 
 def load_script(name):
@@ -118,3 +121,39 @@ def test_threshold_battery(monkeypatch, capsys):
     assert [float.fromhex(line.split()[-1]) for line in lines[:-1]] == values
     digest = hashlib.sha256(struct.pack("<64d", *values)).hexdigest()
     assert lines[-1] == f"sha256 {digest}"
+
+
+def test_threshold_battery_digest(capsys):
+    # The real battery, about 20 s: every one of its 64 ε* to the bit.
+    assert load_script("threshold_battery").run([]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"sha256 {BATTERY_DIGEST}"
+
+
+def test_threshold_table(monkeypatch, capsys):
+    # A real table takes minutes. The fakes cap both m = 1 cells, put every
+    # other ε* 1e-7 above its reference and every fold 2e-7 below it, and
+    # find no fold for bd m=6.
+    script = load_script("threshold_table")
+    assert script.REFERENCE == REF_L10_W2
+    calls = []
+    errors = [f"DE hit the 2000000-sweep cap for {kind} m=1 at parameter 0.5" for kind in ("cd", "bd")]
+
+    def fake_thresholds(params, cells, *, bisect_tol):
+        calls.append((params.L, params.w, cells, bisect_tol))
+        err = ConvergenceError("; ".join(errors) + "; bracket inconclusive")
+        err.eps_star.update({cell: REF_L10_W2[cell] + 1e-7 for cell in cells if cell[1] > 1})
+        raise err
+
+    def fake_fold(params, kind, m):
+        return None if (kind, m) == ("bd", 6) else REF_L10_W2[kind, m] - 2e-7
+
+    monkeypatch.setattr(script, "thresholds", fake_thresholds)
+    monkeypatch.setattr(script, "fold", fake_fold)
+    assert script.run([]) == 0
+    assert calls == [(10, 2, list(REF_L10_W2), 1e-8)]
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert lines[0] == ["cell", "eps*", "fold", "reference", "eps*-ref", "fold-ref"]
+    assert lines[1] == ["cd", "m=1", "-", "0.4999850700", "0.49998527", "-", "-2.0e-07"]
+    assert lines[2] == ["cd", "m=2", "0.4995091000", "0.4995088000", "0.49950900", "+1.0e-07", "-2.0e-07"]
+    assert lines[12] == ["bd", "m=6", "0.4959686100", "-", "0.49596851", "+1.0e-07", "-"]
+    assert [" ".join(line) for line in lines[13:]] == errors
