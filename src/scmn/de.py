@@ -108,15 +108,20 @@ _EPS_BISECT_TOL = 1e-12
 # change from the round's previous prediction (the first prediction of a
 # round only starts that sequence). The interval becomes the bracket if it is
 # at least two levels deeper and the probes bracket the target strictly;
-# otherwise the round takes one plain bisection step.
+# otherwise the round takes one plain bisection step. Once the bracket is
+# _WARM_DEPTH deep the bisection no longer zooms: it evaluates at once every
+# midpoint it would test if each went the way the prediction says
+# (_bisection_path), then tests them in plain bisection's order.
 _WARM_DEPTH = 30
 _WARM_WIDTH = 2.0
-# Detector-half evaluations per L=20/w=3 cd m=6 curve trace (chi = 0.95 down
-# to 0.03 by 0.01; 1,356 rounds): 41,673 without zooming; with this margin
-# 35,995 at 0, 24,575 to 24,698 from 1/32 to 1/4, 25,298 at 1, 25,625 at 4.
-# Four other traces (bd m=6 at L=20/w=3, cd m=2 at L=10/w=2, cd m=6 at
-# L=30/w=4, bd m=15 at L=6/w=3) moved alike: 71,720 to 72,245 over 1/32..1/4.
-# The middle of that plateau is taken.
+# Detector-half calls, and their rows (evaluations), per L=20/w=3 cd m=6
+# curve trace (chi = 0.95 down to 0.03 by 0.01; 1,356 rounds), by this
+# margin: 18,471 calls of 40,304 rows at 0; 7,351 to 7,491 calls of 24,647
+# to 24,912 rows from 1/32 to 1/4; 7,845 of 25,303 at 1; 8,321 of 25,633 at
+# 4. Four other traces (bd m=6 at L=20/w=3, cd m=2 at L=10/w=2, cd m=6 at
+# L=30/w=4, bd m=15 at L=6/w=3) moved alike: 34,329 to 35,371 calls of
+# 112,394 to 113,748 rows over 1/32..1/4. The middle of that plateau is
+# taken.
 _ZOOM_MARGIN = 1 / 8
 _STATE_TOL = 1e-10
 _EPS_CHANGE_TOL = 1e-10
@@ -348,14 +353,25 @@ class DensityEvolution:
         Only the transfer polynomial depends on the parameter, so the check
         half, z = s**dg and s**(dg-1) are computed once; each call evaluates
         the detector half alone, with the same arithmetic as staged_round.
+        `at(eps)` gives staged_round's 1-D (p, q) at eps. `at(eps_seq)`, for
+        a sequence of R parameters, gives (p, q) of shape (R, n): lockstep
+        rows (R, n, 1) of one call, of which a float is the one-row case.
+        Each row's f is one vector-matrix product (fpoly's) and each window
+        product one gemv per row, so every row has the bits of staged_round.
         """
         dg = self.params.dg
-        rp, s = self._check_rates(p, q)
+        rp, s = (v[:, None] for v in self._check_rates(p, q))
         z, s1 = s**dg, s ** (dg - 1)
 
-        def at(eps: float) -> tuple[np.ndarray, np.ndarray]:
-            q1 = self._q_update(z, s1, self.fpoly(eps))
-            return self._p_update(rp, q1), q1
+        def at(eps) -> tuple[np.ndarray, np.ndarray]:
+            stacked = np.ndim(eps) == 1
+            rows = eps if stacked else [eps]
+            laws = np.array([dimension_law(self.kind, self.m, e) for e in rows])
+            # Coefficient j of every row's f, shape (R, 1, 1), is fcoef[j].
+            fcoef = np.matmul(laws[:, None, :], self.K).transpose(2, 0, 1)[..., None]
+            q1 = self._q_update(z, s1, fcoef, np.empty((len(laws), *z.shape)))
+            p1, q1 = self._p_update(rp, q1)[..., 0], q1[..., 0]
+            return (p1, q1) if stacked else (p1[0], q1[0])
 
         return at
 
@@ -600,6 +616,8 @@ def trajectory(
     params: EnsembleParams, family: ChannelFamily, n_sweeps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """First n_sweeps iterates from all-ones; rows are (sweep, section)."""
+    if n_sweeps < 0:
+        raise ValueError(f"n_sweeps must be non-negative, got {n_sweeps}")
     dev = DensityEvolution(params, family.kind, family.m)
     X = _sweeps(dev, np.ones((2, params.n_sections, 1)), dev.fpoly(family.parameter), n_sweeps)
     return X[:, 0, :, 0], X[:, 1, :, 0]
@@ -917,7 +935,10 @@ def ebp_trace(
     mean of DensityEvolution.h_profile (f(z) * z**dg, or f(z) * z if
     `alternative`).
     """
-    chis = [float(c) for c in chi_grid]
+    chis = list(chi_grid)
+    if any(np.ndim(c) != 0 for c in chis):
+        raise ValueError("chi_grid must be a one-dimensional sequence of numbers")
+    chis = [float(c) for c in chis]
     if any(not 0.0 < c <= 1.0 for c in chis):
         raise ValueError("chi targets must lie in (0, 1]")
     if any(b >= a for a, b in zip(chis, chis[1:])):
@@ -971,7 +992,9 @@ def _anchored_point(dev: DensityEvolution, p: np.ndarray, q: np.ndarray, target:
     cold path: the ends of [0, 1] first, then bisection from [0, 1]. Either
     way the bisection zooms (_zoomed_bisection) and tests the same dyadic
     midpoints below each bracket it adopts, so every ε is the one plain
-    bisection from [0, 1] gives.
+    bisection from [0, 1] gives. The ε a round needs together (the two ends
+    of a bracket, a zoom's two probes, a predicted bisection path) are
+    evaluated as rows of one call of the staged map.
     """
     eps_prev = None
     d_eps = float("inf")
@@ -980,29 +1003,33 @@ def _anchored_point(dev: DensityEvolution, p: np.ndarray, q: np.ndarray, target:
         staged = dev.staged_round_map(p, q)
         seen: dict[float, tuple] = {}  # (mean(p), p, q) at each ε of the round
 
-        def at(e: float) -> tuple:
-            if e not in seen:
-                pe, qe = staged(e)
-                # pe.mean() to the bit, without its per-call overhead.
-                seen[e] = pe.sum() / pe.size, pe, qe
-            return seen[e]
+        def at(*eps: float) -> list[tuple]:
+            new = [e for e in dict.fromkeys(eps) if e not in seen]
+            if new:
+                P, Q = staged(new)
+                # Each row's mean() to the bit, without its per-call overhead.
+                for e, chi, pe, qe in zip(new, P.sum(axis=1) / P.shape[1], P, Q):
+                    seen[e] = chi, pe, qe
+            return [seen[e] for e in eps]
 
-        def chi_at(e: float) -> float:
-            return at(e)[0]
+        def chi_at(*eps: float) -> list:
+            return [v[0] for v in at(*eps)]
 
         lo, hi = (0.0, 1.0) if d_eps == float("inf") else _warm_bracket(eps_prev, d_eps)
+        c_lo, c_hi = chi_at(lo, hi)
         # Strictly inside, as on the cold path's way to its bisection.
-        if (lo, hi) != (0.0, 1.0) and not chi_at(lo) < target < chi_at(hi):
+        if (lo, hi) != (0.0, 1.0) and not c_lo < target < c_hi:
             lo, hi = 0.0, 1.0
-        cold = (lo, hi) == (0.0, 1.0)
-        if cold and target <= chi_at(0.0):
+            c_lo, c_hi = chi_at(lo, hi)
+        # Only the cold path can meet the target at an end of its bracket.
+        if target <= c_lo:
             eps = 0.0
-        elif cold and target >= chi_at(1.0):
+        elif target >= c_hi:
             eps = 1.0
         else:
             lo, hi = _zoomed_bisection(chi_at, target, lo, hi)
             eps = 0.5 * (lo + hi)
-        _, p1, q1 = at(eps)
+        ((_, p1, q1),) = at(eps)
         d_state = max(np.abs(p1 - p).max(), np.abs(q1 - q).max())
         d_eps = float("inf") if eps_prev is None else abs(eps - eps_prev)
         p, q, eps_prev = p1, q1, eps
@@ -1021,30 +1048,52 @@ def _anchored_point(dev: DensityEvolution, p: np.ndarray, q: np.ndarray, target:
 def _zoomed_bisection(chi_at, target: float, lo: float, hi: float) -> tuple[float, float]:
     """Bisect the dyadic bracket [lo, hi], with mean(p) below the target at
     lo and not below it at hi, down to _EPS_BISECT_TOL, zooming as the
-    comment on _ZOOM_MARGIN says.
+    comment on _ZOOM_MARGIN says. chi_at(*eps) gives mean(p) at each ε,
+    evaluating those not yet seen as rows of one call.
 
     mean(p) is known at both ends of every bracket: the start was probed, a
     zoom probes both ends, and a step keeps one end and evaluates the other.
+    Below _WARM_DEPTH the crossing predicted by linear interpolation between
+    the ends fixes a _bisection_path, evaluated in one call; the bisection
+    then steps through it up to its first midpoint not on the path, and
+    predicts again from there.
     """
     guess = None
     while hi - lo > _EPS_BISECT_TOL:
-        if hi - lo > 2.0**-_WARM_DEPTH:
-            c_lo, c_hi = chi_at(lo), chi_at(hi)
-            prev, guess = guess, lo + (target - c_lo) / (c_hi - c_lo) * (hi - lo)
-            if prev is not None:
-                margin = _ZOOM_MARGIN * abs(guess - prev)
-                a, b = _dyadic_cover(lo, hi, guess - margin, guess + margin)
-                # At least two levels deeper, or the probes cost more than
-                # the one step they would save.
-                if b - a <= 0.25 * (hi - lo) and chi_at(a) < target < chi_at(b):
+        c_lo, c_hi = chi_at(lo, hi)
+        prev, guess = guess, lo + (target - c_lo) / (c_hi - c_lo) * (hi - lo)
+        if hi - lo <= 2.0**-_WARM_DEPTH:
+            path = _bisection_path(lo, hi, guess)
+            known = dict(zip(path, chi_at(*path)))
+            while hi - lo > _EPS_BISECT_TOL and (mid := 0.5 * (lo + hi)) in known:
+                lo, hi = (mid, hi) if known[mid] < target else (lo, mid)
+            continue
+        if prev is not None:
+            margin = _ZOOM_MARGIN * abs(guess - prev)
+            a, b = _dyadic_cover(lo, hi, guess - margin, guess + margin)
+            # At least two levels deeper, or the probes cost more than the
+            # one step they would save.
+            if b - a <= 0.25 * (hi - lo):
+                c_a, c_b = chi_at(a, b)
+                if c_a < target < c_b:
                     lo, hi = a, b
                     continue
         mid = 0.5 * (lo + hi)
-        if chi_at(mid) < target:
-            lo = mid
-        else:
-            hi = mid
+        (c_mid,) = chi_at(mid)
+        lo, hi = (mid, hi) if c_mid < target else (lo, mid)
     return lo, hi
+
+
+def _bisection_path(lo: float, hi: float, guess: float) -> list[float]:
+    """The midpoints that bisection of [lo, hi] down to _EPS_BISECT_TOL tests
+    when each goes the way `guess` predicts (mean(p) below the target left
+    of it), then the midpoint of the bracket it ends with."""
+    path = []
+    while True:
+        path.append(mid := 0.5 * (lo + hi))
+        if hi - lo <= _EPS_BISECT_TOL:
+            return path
+        lo, hi = (mid, hi) if mid < guess else (lo, mid)
 
 
 def _warm_bracket(eps: float, d_eps: float) -> tuple[float, float]:

@@ -226,24 +226,34 @@ class TestSweep:
                         assert [Fraction(a) for a in g] == [Fraction(b) for b in v]
 
     def test_staged_round_map_matches_staged_round(self):
-        # States partly outside [0, 1] drive the q-update past both ends of
-        # its clip; the map must agree there too.
+        # Every row of a stacked call, and a float call, equals staged_round
+        # at its ε bit for bit, and each row's mean(p) from one sum over the
+        # rows (as _anchored_point takes it) equals the row's own mean. m = 1
+        # is the q-update's constant f. States partly outside [0, 1] drive
+        # the q-update past both ends of its clip. At L = 70 the chain's 141
+        # sections pass the 128-element blocks of numpy's pairwise sum.
         rng = np.random.default_rng(3)
-        params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=2)
-        n = params.n_sections
         clipped_lo = clipped_hi = False
-        for kind in ("cd", "bd"):
-            for m in range(1, 7):
+        for L, w, widths in ((4, 2, range(1, 16)), (70, 3, (1, 2, 6, 15))):
+            params = EnsembleParams(dl=4, dr=2, dg=2, L=L, w=w)
+            n = params.n_sections
+            for kind, m in [(kind, m) for kind in ("cd", "bd") for m in widths]:
                 dev = DensityEvolution(params, kind, m)
                 for lo, hi in ((0.0, 1.0), (-0.3, 1.3)):
                     p, q = rng.uniform(lo, hi, n), rng.uniform(lo, hi, n)
                     staged = dev.staged_round_map(p, q)
-                    for eps in (0.0, 1.0, 0.5 / m, *rng.uniform(0, 1, 4)):
-                        p1, q1 = staged(float(eps))
-                        p2, q2 = dev.staged_round(p, q, dev.fpoly(float(eps)))
-                        assert np.array_equal(p1, p2) and np.array_equal(q1, q2)
-                        clipped_lo |= bool((q1 == 0.0).any())
-                        clipped_hi |= bool((q1 == 1.0).any())
+                    for R in (1, 2, 10, 40):
+                        eps = [0.0, 1.0, 0.5 / m, *map(float, rng.uniform(0, 1, R))][:R]
+                        P, Q = staged(eps)
+                        assert P.shape == Q.shape == (R, n)
+                        for e, p1, q1, chi in zip(eps, P, Q, P.sum(axis=1) / n):
+                            p2, q2 = dev.staged_round(p, q, dev.fpoly(e))
+                            assert np.array_equal(p1, p2) and np.array_equal(q1, q2)
+                            assert chi == p2.mean()
+                            clipped_lo |= bool((q1 == 0.0).any())
+                            clipped_hi |= bool((q1 == 1.0).any())
+                        p1, q1 = staged(eps[-1])
+                        assert np.array_equal(p1, P[-1]) and np.array_equal(q1, Q[-1])
         assert clipped_lo and clipped_hi
 
 
@@ -381,6 +391,12 @@ class TestTrajectory:
             p, q = sweep(p, q, P422, CD2)
             assert p == pytest.approx(P[ell])
             assert q == pytest.approx(Q[ell])
+
+    def test_sweep_count_validation(self):
+        P, Q = trajectory(P422, CD2, 0)
+        assert P.shape == Q.shape == (1, P422.n_sections)
+        with pytest.raises(ValueError, match="n_sweeps"):
+            trajectory(P422, CD2, -1)
 
 
 class TestWindowBound:
@@ -1063,15 +1079,17 @@ class TestEbpTrace:
 
     def test_fewer_evaluations_per_round(self, monkeypatch):
         # Every round of the cold tracer here evaluates the detector half 43
-        # times: both ends of [0, 1], 40 bisection steps and the final state.
+        # times, one call each: both ends of [0, 1], 40 bisection steps and
+        # the final state.
         params = EnsembleParams(dl=4, dr=2, dg=2, L=6, w=3)
         grid = np.arange(0.9, 0.05, -0.1)
-        got, rounds, evals = counted_trace(monkeypatch, params, "cd", 6, grid)
+        got, rounds, calls, evals = counted_trace(monkeypatch, params, "cd", 6, grid)
         monkeypatch.setattr(de, "_anchored_point", cold_anchored_point)
-        ref, ref_rounds, ref_evals = counted_trace(monkeypatch, params, "cd", 6, grid)
+        ref, ref_rounds, ref_calls, ref_evals = counted_trace(monkeypatch, params, "cd", 6, grid)
         assert_same_points(got, ref)
-        assert rounds == ref_rounds and ref_evals == 43 * ref_rounds
+        assert rounds == ref_rounds and ref_evals == ref_calls == 43 * ref_rounds
         assert evals < 22 * rounds
+        assert calls <= 8 * rounds
 
     def test_probe_miss_falls_back_to_cold_path(self, monkeypatch):
         # A warm bracket below every ε of the trace: each probe finds mean(p)
@@ -1089,15 +1107,15 @@ class TestEbpTrace:
             cold = ebp_trace(params, "bd", 3, grid)
         with monkeypatch.context() as mp:
             mp.setattr(de, "_warm_bracket", lambda eps, d_eps: (0.0, 1.0))
-            ref, rounds, ref_evals = counted_trace(mp, params, "bd", 3, grid)
+            ref, rounds, _, ref_evals = counted_trace(mp, params, "bd", 3, grid)
         monkeypatch.setattr(de, "_warm_bracket", low_bracket)
-        got, got_rounds, evals = counted_trace(monkeypatch, params, "bd", 3, grid)
+        got, got_rounds, _, evals = counted_trace(monkeypatch, params, "bd", 3, grid)
         assert_same_points(ref, cold)
         assert_same_points(got, ref)
         assert got_rounds == rounds and min(warm) > 2.0**-30
         # One probe per warm round, at 2**-30: the cold round that follows
         # reuses mean(p) at 0 and is the round the tracer takes without warm
-        # brackets.
+        # brackets. Evaluations are counted as rows.
         assert evals == ref_evals + len(warm)
 
     def test_zoom_miss_falls_back_to_bisection(self, monkeypatch):
@@ -1172,6 +1190,9 @@ class TestEbpTrace:
             ebp_trace(P422, "cd", 2, [1.2, 0.5])
         with pytest.raises(ValueError):
             ebp_trace(P422, "w", 2, [0.5])
+        for grid in (np.array([[0.5], [0.4]]), [[0.5, 0.4]], [0.5, [0.4]]):
+            with pytest.raises(ValueError, match="chi_grid"):
+                ebp_trace(P422, "cd", 2, grid)
 
 
 def assert_same_points(got, ref):
@@ -1187,9 +1208,10 @@ def assert_same_points(got, ref):
 
 
 def counted_trace(monkeypatch, params, kind, m, chis):
-    """ebp_trace with its rounds (staged maps built) and detector-half
-    evaluations (calls of those maps) counted."""
-    counts = {"rounds": 0, "evals": 0}
+    """ebp_trace with its rounds (staged maps built), detector-half calls
+    (calls of those maps) and evaluations (rows of those calls, one for a
+    float parameter) counted: (points, rounds, calls, evaluations)."""
+    counts = {"rounds": 0, "calls": 0, "evals": 0}
     map_orig = DensityEvolution.staged_round_map
 
     def counted_map(self, p, q):
@@ -1197,7 +1219,8 @@ def counted_trace(monkeypatch, params, kind, m, chis):
         at = map_orig(self, p, q)
 
         def counted_at(eps):
-            counts["evals"] += 1
+            counts["calls"] += 1
+            counts["evals"] += 1 if np.ndim(eps) == 0 else len(eps)
             return at(eps)
 
         return counted_at
@@ -1205,7 +1228,7 @@ def counted_trace(monkeypatch, params, kind, m, chis):
     with monkeypatch.context() as mp:
         mp.setattr(DensityEvolution, "staged_round_map", counted_map)
         points = ebp_trace(params, kind, m, chis)
-    return points, counts["rounds"], counts["evals"]
+    return points, counts["rounds"], counts["calls"], counts["evals"]
 
 
 def cold_anchored_point(dev, p, q, target):

@@ -10,12 +10,16 @@ import importlib.util
 import struct
 from pathlib import Path
 
-from scmn.de import ConvergenceError
+import numpy as np
+
+from scmn.de import ConvergenceError, CurvePoint, DeState
 from test_acceptance import REF_L10_W2
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 # scripts/threshold_battery.py's digest: every ε* of its 64 cells.
 BATTERY_DIGEST = "dfc459a9edc09e0cb3c499ba339ad2114af18896e6404fa28c266f4b1bcea838"
+# scripts/curve_battery.py's digest: every point of its 25 curves.
+CURVE_BATTERY_DIGEST = "a2a7bffe6d4bd5df64554560ca29c379c1789e4321a601847033053daa57922f"
 
 
 def load_script(name):
@@ -127,6 +131,63 @@ def test_threshold_battery_digest(capsys):
     # The real battery, about 20 s: every one of its 64 ε* to the bit.
     assert load_script("threshold_battery").run([]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == f"sha256 {BATTERY_DIGEST}"
+
+
+def test_curve_battery(monkeypatch, capsys):
+    # A real battery takes seconds; the fake gives each curve two points of
+    # its own, and none to the L=6/w=3 bd m=15 curve.
+    script = load_script("curve_battery")
+    calls, traced = [], []
+
+    def fake_trace(params, kind, m, chis, *, alternative=False):
+        calls.append((params.L, params.w, kind, m, alternative, tuple(chis)))
+        if (params.L, params.w, kind, m) == (6, 3, "bd", 15):
+            return []
+        tag = params.L / 64 + params.w / 128 + m / 1024 + (kind == "bd") / 2 + alternative / 4
+        n = params.n_sections
+        points = [
+            CurvePoint(
+                epsilon=tag + k / 8,
+                h=tag / 2,
+                chi=chi,
+                state=DeState(L=params.L, p=np.full(n, tag), q=np.zeros(n), epsilon=tag + k / 8),
+                residual=tag / 1e9,
+                rounds=k + 1,
+            )
+            for k, chi in enumerate(chis[:2])
+        ]
+        traced.extend(points)
+        return points
+
+    monkeypatch.setattr(script, "ebp_trace", fake_trace)
+    assert script.run([]) == 0
+    grid = tuple(round(0.9 - 0.05 * k, 2) for k in range(18))
+    assert grid[-1] == 0.05
+    assert calls == [
+        (L, w, kind, m, False, grid)
+        for L, w in ((4, 2), (6, 3), (20, 3))
+        for kind in ("cd", "bd")
+        for m in (1, 2, 6, 15)
+    ] + [(6, 3, "cd", 2, True, grid)]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(traced) + 1 == 2 * 24 + 1
+    pt = traced[0]
+    assert lines[0] == (
+        f"L=4 w=2 cd m=1 alternative=False chi={0.9.hex()} "
+        f"{pt.epsilon.hex()} {pt.h.hex()} {pt.residual.hex()} rounds=1"
+    )
+    assert lines[-2].startswith("L=6 w=3 cd m=2 alternative=True chi=")
+    digest = hashlib.sha256()
+    for pt in traced:
+        digest.update(struct.pack("<3dq", pt.epsilon, pt.h, pt.residual, pt.rounds))
+        digest.update(pt.state.p.tobytes() + pt.state.q.tobytes())
+    assert lines[-1] == f"sha256 {digest.hexdigest()}"
+
+
+def test_curve_battery_digest(capsys):
+    # The real battery, about 8 s: every point of its 25 curves to the bit.
+    assert load_script("curve_battery").run([]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"sha256 {CURVE_BATTERY_DIGEST}"
 
 
 def test_threshold_table(monkeypatch, capsys):
