@@ -120,46 +120,67 @@ class TannerGraph:
 
 
 def _parallel_edge_reps(bits: np.ndarray, checks: np.ndarray) -> list[int]:
-    """One edge index per repeated (bit, check) pair."""
+    """Every edge of a repeated (bit, check) pair but its lowest-index one,
+    ordered by (bit, check, index).
+
+    The keys go through the default (unstable) sort, which is several times
+    faster than a stable one; only the few repeated-key groups are then put
+    back in index order.
+    """
     stride = np.int64(int(checks.max()) + 1)
     key = bits.astype(np.int64) * stride + checks
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key)
     sorted_key = key[order]
-    dup_pos = np.nonzero(sorted_key[1:] == sorted_key[:-1])[0] + 1
-    return order[dup_pos].tolist()
+    dup = sorted_key[1:] == sorted_key[:-1]
+    if not dup.any():
+        return []
+    in_group = np.zeros(len(key), dtype=bool)
+    in_group[1:] = dup
+    in_group[:-1] |= dup
+    pos = np.flatnonzero(in_group)
+    group_key, edges = sorted_key[pos], order[pos]
+    edges = edges[np.lexsort((edges, group_key))]
+    return edges[1:][group_key[1:] == group_key[:-1]].tolist()
 
 
-def _short_cycle_reps(bits: np.ndarray, checks: np.ndarray, max_bits: int) -> list[int]:
+def _partners(ends: np.ndarray) -> np.ndarray:
+    """The other edge at the same endpoint, for endpoints of degree <= 2; n
+    (the edge count) for none, and entry n maps to n."""
+    n = len(ends)
+    out = np.full(n + 1, n, dtype=np.int64)
+    # Any sort will do: an endpoint has at most two edges, and the pair is
+    # written both ways.
+    order = np.argsort(ends)
+    pair = np.nonzero(ends[order[1:]] == ends[order[:-1]])[0]
+    out[order[pair]] = order[pair + 1]
+    out[order[pair + 1]] = order[pair]
+    return out
+
+
+def _cycle_reps(at_bit: np.ndarray, at_check: np.ndarray, max_bits: int) -> list[int]:
     """Smallest edge index of each cycle spanning at most max_bits bits, in
-    ascending order.
+    ascending order, from the edges' partners at their bits and checks (see
+    _partners).
 
     Assumes both endpoints have degree <= 2 in this edge set, so components
     are paths and cycles. A step to the partner edge at the check and then to
     the partner edge at the bit moves two edges along a cycle, so an edge on a
     cycle of k bits returns to itself after k steps.
     """
-    n = len(bits)
-
-    def partners(ends: np.ndarray) -> np.ndarray:
-        # The other edge at the same endpoint; n for none, and n maps to n.
-        out = np.full(n + 1, n, dtype=np.int64)
-        # Any sort will do: an endpoint has at most two edges, and the pair
-        # is written both ways.
-        order = np.argsort(ends)
-        pair = np.nonzero(ends[order[1:]] == ends[order[:-1]])[0]
-        out[order[pair]] = order[pair + 1]
-        out[order[pair + 1]] = order[pair]
-        return out
-
-    at_check, at_bit = partners(checks), partners(bits)
-    start = np.arange(n)
-    cur, low = start, start
-    closed = np.zeros(n, dtype=bool)
+    start = np.arange(len(at_bit) - 1)
+    low, via = start, at_check[start]
+    closed = np.zeros(len(start), dtype=bool)
     for _ in range(max_bits):
-        cur = at_bit[at_check[cur]]
+        cur = at_bit[via]
         closed |= cur == start
-        low = np.minimum(low, np.minimum(cur, at_check[cur]))
+        via = at_check[cur]
+        low = np.minimum(low, np.minimum(cur, via))
     return np.unique(low[closed]).tolist()
+
+
+def _short_cycle_reps(bits: np.ndarray, checks: np.ndarray, max_bits: int) -> list[int]:
+    """_cycle_reps of the edge set joining bits[e] to checks[e]."""
+    return _cycle_reps(_partners(bits), _partners(checks), max_bits)
 
 
 # Re-wiring passes _condition_matching makes before it gives up.
@@ -179,11 +200,19 @@ def _condition_matching(
 
     Swaps stay inside the offset group of each edge (consecutive quota-sized
     blocks), so every per-(section, offset) quota is preserved exactly.
+
+    A pass swaps the edges it finds in the order found, drawing one socket
+    from rng per edge, so the finders must return the same edges in the same
+    order however they sort: parallel edges by (bit, check, index) with the
+    repeated keys put back in index order after an unstable sort, then cycle
+    representatives in ascending order. Swaps move only checks, so the
+    bit-side partners of the cycle walk are found once.
     """
+    at_bit = _partners(bits) if forbid_cycle_bits else None
     for _ in range(_MAX_PASSES):
         bad = _parallel_edge_reps(bits, checks)
         if forbid_cycle_bits:
-            bad += _short_cycle_reps(bits, checks, forbid_cycle_bits)
+            bad += _cycle_reps(at_bit, _partners(checks), forbid_cycle_bits)
         if not bad:
             return
         for e in bad:

@@ -243,6 +243,19 @@ def decode_trial(
     check message. Running counts (erased inputs per check, known check
     messages per bit, erased centre edges) stand in for recounting every
     edge.
+
+    Of those nodes, four kinds cannot emit anything new and are skipped,
+    each exactly:
+    - a check with two or more erased inputs (it emits only while at most
+      one input is erased);
+    - a punctured bit that already had two known check messages after an
+      earlier round (each of its edges then has another known message, so
+      all its bit-to-check messages are known);
+    - likewise a transmitted bit once its known check messages plus its
+      known detector message reach two;
+    - a symbol none of whose bits got its first known check message this
+      round (a detector input is the bit's check messages, erased until one
+      is known).
     """
     m = family.m
     tables = DetectorTables(m)  # rejects an m the tables cannot serve, before sampling
@@ -256,20 +269,24 @@ def decode_trial(
     # most 67), the distinct ones drawn above that. sub_idx picks a symbol's.
     tab_stack = tables.table(subspaces)
 
+    n_pun = graph.n_punctured
     n_t2 = graph.n_transmitted
     n_sym = graph.n_symbols
     ncheck = graph.n_checks
     t1_bit, t2_bit = graph.t1_bit, graph.t2_bit
     e1 = len(t1_bit)
     check_all = np.concatenate([graph.t1_check, graph.t2_check])
+    # Boundary checks have reduced degree, so checks keep a CSR grouping;
+    # every punctured bit has exactly dl edges and every transmitted bit dg,
+    # so each bit's edges are one row of a table.
     by_check = _grouped(check_all, ncheck)
-    by_punctured = _grouped(t1_bit, graph.n_punctured)
-    by_transmitted = _grouped(t2_bit, n_t2)
+    edges_p = np.argsort(t1_bit).reshape(n_pun, params.dl)
+    edges_t = e1 + np.argsort(t2_bit).reshape(n_t2, params.dg)
     members = graph.symbols
     sym_of = np.empty(n_t2, dtype=np.int64)
     sym_of[members.ravel()] = np.repeat(np.arange(n_sym), m)
     shift, bit = tables.shift, tables.bit
-    center_edges = (t2_bit // M) == L
+    center_edges = np.concatenate([np.zeros(e1, dtype=bool), t2_bit // M == L])
     n_center = int(center_edges.sum())
 
     # known flags: bit-to-check and check-to-bit per edge (type 1, then
@@ -278,14 +295,17 @@ def decode_trial(
     c2b = np.zeros(len(check_all), dtype=bool)
     d2b = np.zeros(n_t2, dtype=bool)
     n_erased_in = np.bincount(check_all, minlength=ncheck)
-    n_known_p = np.zeros(graph.n_punctured, dtype=np.int64)
+    n_known_p = np.zeros(n_pun, dtype=np.int64)
     n_known_t = np.zeros(n_t2, dtype=np.int64)
     center_erased = n_center
     # nodes to update this round; every check and symbol in the first
     dirty_check = np.ones(ncheck, dtype=bool)
     dirty_sym = np.ones(n_sym, dtype=bool)
-    dirty_p = np.zeros(graph.n_punctured, dtype=bool)
+    dirty_p = np.zeros(n_pun, dtype=bool)
     dirty_t = np.zeros(n_t2, dtype=bool)
+    # bits whose every bit-to-check message is known
+    done_p = np.zeros(n_pun, dtype=bool)
+    done_t = np.zeros(n_t2, dtype=bool)
     traj = [1.0]
     # Every round that changes anything fixes at least one message for good.
     cap = e1 + len(t2_bit) + n_t2 + 2
@@ -294,8 +314,10 @@ def decode_trial(
     while True:
         if rounds >= cap:
             raise DecodingFaultError(f"no stall within {cap} rounds (seed={seed!r})")
-        # check -> bit: known once every other input of the check is known
-        e = _edges_of(_take(dirty_check), *by_check)
+        # check -> bit: known once every other input of the check is known,
+        # so a check with two erased inputs emits nothing
+        nodes = _take(dirty_check)
+        e = _edges_of(nodes[n_erased_in[nodes] <= 1], *by_check)
         e = e[(n_erased_in[check_all[e]] - ~b2c[e] == 0) & ~c2b[e]]
         c2b[e] = True
         e_p = e[e < e1]
@@ -305,14 +327,20 @@ def decode_trial(
         bits = t1_bit[e_p]
         np.add.at(n_known_p, bits, 1)
         dirty_p[bits] = True
-        f = _edges_of(_take(dirty_p), *by_punctured)
-        new_b2c_p = f[(n_known_p[t1_bit[f]] - c2b[f] > 0) & ~b2c[f]]
+        nodes = _take(dirty_p)
+        nodes = nodes[~done_p[nodes]]
+        f = edges_p[nodes]
+        n_in = n_known_p[nodes]
+        new_b2c_p = f[(n_in[:, None] - c2b[f] > 0) & ~b2c[f]]
+        # two known check messages make every outgoing one known
+        done_p[nodes[n_in >= 2]] = True
 
-        # transmitted bit -> detector (checks only), then detector -> bit
+        # transmitted bit -> detector (checks only), then detector -> bit;
+        # a detector input changes only at a bit's first known check message
         bits = t2_bit[e_t]
+        dirty_sym[sym_of[bits[n_known_t[bits] == 0]]] = True
         np.add.at(n_known_t, bits, 1)
         dirty_t[bits] = True
-        dirty_sym[sym_of[bits]] = True
         syms = _take(dirty_sym)
         inputs = members[syms]
         out = tab_stack[sub_idx[syms], (n_known_t[inputs] == 0) @ bit]
@@ -322,11 +350,14 @@ def decode_trial(
         dirty_t[new_d2b] = True
 
         # transmitted bit -> check, from the detector and the other checks
-        f = _edges_of(_take(dirty_t), *by_transmitted)
-        n_in = n_known_t[t2_bit[f]] - c2b[e1 + f] + d2b[t2_bit[f]]
-        new_b2c_t = f[(n_in > 0) & ~b2c[e1 + f]]
+        nodes = _take(dirty_t)
+        nodes = nodes[~done_t[nodes]]
+        f = edges_t[nodes]
+        n_in = n_known_t[nodes] + d2b[nodes]
+        new_b2c_t = f[(n_in[:, None] - c2b[f] > 0) & ~b2c[f]]
+        done_t[nodes[n_in >= 2]] = True
 
-        new_b2c = np.concatenate([new_b2c_p, e1 + new_b2c_t])
+        new_b2c = np.concatenate([new_b2c_p, new_b2c_t])
         b2c[new_b2c] = True
         np.subtract.at(n_erased_in, check_all[new_b2c], 1)
         dirty_check[check_all[new_b2c]] = True

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from scmn.ensemble import (
     EnsembleParams,
+    _parallel_edge_reps,
     _short_cycle_reps,
     check_count,
     design_rate,
@@ -181,7 +182,39 @@ def walk_cycle_reps(bits, checks, max_bits):
     return reps
 
 
+def parallel_edge_oracle(bits, checks):
+    """Every edge of a repeated (bit, check) pair but its lowest-index one,
+    ordered by (bit, check, index)."""
+    by_pair = {}
+    for e, pair in enumerate(zip(bits.tolist(), checks.tolist())):
+        by_pair.setdefault(pair, []).append(e)
+    return [e for pair in sorted(by_pair) for e in by_pair[pair][1:]]
+
+
 class TestConditioning:
+    def test_parallel_edge_reps_match_oracle(self):
+        # A small check range makes pairs repeat two, three and four times;
+        # the unstable sort must still give the stable sort's list.
+        rng = np.random.default_rng(5)
+        multiplicities = set()
+        for n_edges, n_bits, n_checks in ((40, 10, 3), (300, 40, 6), (5000, 500, 12)):
+            for _ in range(20):
+                bits = rng.integers(0, n_bits, size=n_edges)
+                checks = rng.integers(0, n_checks, size=n_edges)
+                want = parallel_edge_oracle(bits, checks)
+                assert _parallel_edge_reps(bits, checks) == want
+                _, counts = np.unique(np.stack([bits, checks]), axis=1, return_counts=True)
+                multiplicities.update(counts.tolist())
+        assert {2, 3, 4} <= multiplicities
+        # no repeats
+        bits, checks = np.arange(6), np.array([0, 1, 0, 1, 0, 1])
+        assert _parallel_edge_reps(bits, checks) == []
+        # a repeat involving edge 0, and one whose copies are far apart
+        bits = np.array([3, 1, 2, 3, 1, 0, 3, 2])
+        checks = np.array([4, 0, 1, 4, 2, 0, 4, 1])
+        assert _parallel_edge_reps(bits, checks) == [7, 3, 6]
+        assert parallel_edge_oracle(bits, checks) == [7, 3, 6]
+
     def test_cycle_reps_match_walk(self):
         # Unconditioned degree-2 edge sets hold parallel edges (1-bit cycles)
         # and short cycles at every size. Each bit and each check gets two

@@ -20,6 +20,8 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 BATTERY_DIGEST = "dfc459a9edc09e0cb3c499ba339ad2114af18896e6404fa28c266f4b1bcea838"
 # scripts/curve_battery.py's digest: every point of its 25 curves.
 CURVE_BATTERY_DIGEST = "a2a7bffe6d4bd5df64554560ca29c379c1789e4321a601847033053daa57922f"
+# scripts/decode_battery.py's digest: every graph and result of its 214 trials.
+DECODE_BATTERY_DIGEST = "3d65e70e5380c6369191ef98926d351a8ccaf602b77c847f897a376376a27d16"
 
 
 def load_script(name):
@@ -188,6 +190,16 @@ def test_curve_battery_digest(capsys):
     # The real battery, about 8 s: every point of its 25 curves to the bit.
     assert load_script("curve_battery").run([]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == f"sha256 {CURVE_BATTERY_DIGEST}"
+
+
+def test_decode_battery_digest(capsys):
+    # The real battery, about 5 s: every sampled graph and trial result of
+    # its 214 trials to the bit.
+    assert load_script("decode_battery").run([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 215
+    assert lines[0].startswith("(4,2,2) L=10 w=2 M=2000 cd m=2 eps=0.45 seed=(2000, 1, 0) ")
+    assert lines[-1] == f"sha256 {DECODE_BATTERY_DIGEST}"
 
 
 def test_threshold_table(monkeypatch, capsys):

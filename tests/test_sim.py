@@ -292,6 +292,25 @@ class TestMatchesReferee:
                         params, M, fam, seed
                     )
 
+    @pytest.mark.parametrize("dl, dr, dg", [(5, 2, 3), (3, 3, 3), (2, 2, 2), (6, 3, 2), (4, 4, 1)])
+    def test_other_ensembles(self, dl, dr, dg):
+        # The decoder reads a bit's edges as one row of dl or dg, and skips
+        # bits by their counts of known messages; other degrees than (4, 2, 2)
+        # and the uncoupled L=0/w=1 chain must give the referee's results.
+        # M = 60 and 600 are divisible by dl, w and m; the longer chain
+        # decodes for tens of rounds at eps = 0.05 and 0.35.
+        cells = [(4, w, 60, eps) for w in (1, 2, 3) for eps in (0.05, 0.3, 0.5)]
+        cells += [(0, 1, 60, eps) for eps in (0.05, 0.3, 0.5)]
+        cells += [(10, 2, 600, eps) for eps in (0.05, 0.35)]
+        for L, w, M, eps in cells:
+            params = EnsembleParams(dl=dl, dr=dr, dg=dg, L=L, w=w)
+            for kind in ("cd", "bd"):
+                fam = ChannelFamily(kind, 2, eps)
+                seed = (dl, dr, dg, L, w, int(kind == "cd"), int(eps * 100))
+                assert decode_trial(params, M, fam, seed) == reference_trial(
+                    params, M, fam, seed
+                )
+
 
 class TestDensityEvolutionAgreement:
     @pytest.mark.parametrize("m, M", [(4, 2000), (6, 2004)])
