@@ -42,6 +42,12 @@ class EnsembleParams:
         return 2 * self.L + self.w
 
 
+# Most edges sample_graph builds, over both edge types: a decoding trial
+# peaks near 90 bytes per edge (470 MB for the 5.3 million edges of M = 32,256
+# at L = 20, w = 3), so about 1.5 GB at the bound.
+MAX_GRAPH_EDGES = 2**24
+
+
 def _coupling_sum(params: EnsembleParams) -> Fraction:
     w = params.w
     return sum(
@@ -97,6 +103,12 @@ class TannerGraph:
     t2_bit: np.ndarray
     t2_check: np.ndarray
     symbols: np.ndarray  # (n_symbols, m) transmitted-bit ids
+    # Each node's edges as one row of a table: bit b's in row b, check c's in
+    # row c, with -1 for the sockets a boundary check leaves unused.
+    t1_bit_edges: np.ndarray  # (n_punctured, dl)
+    t2_bit_edges: np.ndarray  # (n_transmitted, dg)
+    t1_check_edges: np.ndarray  # (n_checks, dr)
+    t2_check_edges: np.ndarray  # (n_checks, dg)
 
     @property
     def punctured_per_section(self) -> int:
@@ -119,68 +131,111 @@ class TannerGraph:
         return self.symbols.shape[0]
 
 
-def _parallel_edge_reps(bits: np.ndarray, checks: np.ndarray) -> list[int]:
-    """Every edge of a repeated (bit, check) pair but its lowest-index one,
-    ordered by (bit, check, index).
-
-    The keys go through the default (unstable) sort, which is several times
-    faster than a stable one; only the few repeated-key groups are then put
-    back in index order.
-    """
-    stride = np.int64(int(checks.max()) + 1)
-    key = bits.astype(np.int64) * stride + checks
-    order = np.argsort(key)
-    sorted_key = key[order]
-    dup = sorted_key[1:] == sorted_key[:-1]
-    if not dup.any():
-        return []
-    in_group = np.zeros(len(key), dtype=bool)
-    in_group[1:] = dup
-    in_group[:-1] |= dup
-    pos = np.flatnonzero(in_group)
-    group_key, edges = sorted_key[pos], order[pos]
-    edges = edges[np.lexsort((edges, group_key))]
-    return edges[1:][group_key[1:] == group_key[:-1]].tolist()
-
-
-def _partners(ends: np.ndarray) -> np.ndarray:
-    """The other edge at the same endpoint, for endpoints of degree <= 2; n
-    (the edge count) for none, and entry n maps to n."""
-    n = len(ends)
-    out = np.full(n + 1, n, dtype=np.int64)
-    # Any sort will do: an endpoint has at most two edges, and the pair is
-    # written both ways.
-    order = np.argsort(ends)
-    pair = np.nonzero(ends[order[1:]] == ends[order[:-1]])[0]
-    out[order[pair]] = order[pair + 1]
-    out[order[pair + 1]] = order[pair]
+def _bit_partners(table: np.ndarray) -> np.ndarray:
+    """The other edge at the same bit, from an (n_bits, 2) edge table; entry
+    n (the edge count) maps to n."""
+    n = table.size
+    out = np.empty(n + 1, dtype=np.int64)
+    out[table[:, 0]] = table[:, 1]
+    out[table[:, 1]] = table[:, 0]
+    out[n] = n
     return out
 
 
-def _cycle_reps(at_bit: np.ndarray, at_check: np.ndarray, max_bits: int) -> list[int]:
-    """Smallest edge index of each cycle spanning at most max_bits bits, in
-    ascending order, from the edges' partners at their bits and checks (see
-    _partners).
+def _check_partners(checks: np.ndarray) -> np.ndarray:
+    """The other edge at the same check, for checks of degree <= 2; n (the
+    edge count) for none, and entry n maps to n."""
+    n = len(checks)
+    edge = np.arange(n)
+    # Of two edges at a check one index survives the scatter, whichever it
+    # is; the other edge reads it back and is paired with it.
+    kept = np.empty(int(checks.max()) + 1, dtype=np.int64)
+    kept[checks] = edge
+    other = kept[checks]
+    lost = np.flatnonzero(other != edge)
+    out = np.full(n + 1, n, dtype=np.int64)
+    out[lost] = other = other[lost]
+    out[other] = lost
+    return out
 
-    Assumes both endpoints have degree <= 2 in this edge set, so components
-    are paths and cycles. A step to the partner edge at the check and then to
-    the partner edge at the bit moves two edges along a cycle, so an edge on a
-    cycle of k bits returns to itself after k steps.
+
+def _bad_edges(
+    table: np.ndarray,
+    checks: np.ndarray,
+    bits: np.ndarray | None = None,
+    at_bit: np.ndarray | None = None,
+    at_check: np.ndarray | None = None,
+    max_bits: int = 0,
+) -> list[int]:
+    """The edges a conditioning pass re-wires, among the rows of the given
+    bits (every bit for None): every edge of a repeated (bit, check) pair
+    but its lowest-index one, ordered by (bit, check, index); then, when
+    max_bits > 0, the smallest edge of each cycle through those bits
+    spanning at most max_bits bits, in ascending order.
+
+    table[b] holds bit b's edges and bits must be distinct. The cycle walk
+    needs degree-2 bits, checks of degree <= 2 and the edges' partners at
+    their bits and checks (_bit_partners, _check_partners); a bit on a cycle
+    has both its edges on it, so one walk per bit finds every cycle through
+    it. A step to the partner edge at the check and then to the partner edge
+    at the bit moves two edges along a cycle, so an edge on a cycle of k bits
+    returns to itself after k steps.
     """
-    start = np.arange(len(at_bit) - 1)
-    low, via = start, at_check[start]
-    closed = np.zeros(len(start), dtype=bool)
-    for _ in range(max_bits):
-        cur = at_bit[via]
-        closed |= cur == start
-        via = at_check[cur]
-        low = np.minimum(low, np.minimum(cur, via))
-    return np.unique(low[closed]).tolist()
+    rows = table if bits is None else table[bits]
+    at = checks[rows]
+    degree = rows.shape[1]
+    dup = np.zeros(len(rows), dtype=bool)
+    for i in range(degree):
+        for j in range(i + 1, degree):
+            dup |= at[:, i] == at[:, j]
+    hit = np.flatnonzero(dup)
+    bad = []
+    if len(hit):
+        owner = np.repeat(hit if bits is None else bits[hit], degree)
+        at, edges = at[hit].ravel(), rows[hit].ravel()
+        order = np.lexsort((edges, at, owner))
+        owner, at, edges = owner[order], at[order], edges[order]
+        same = (owner[1:] == owner[:-1]) & (at[1:] == at[:-1])
+        bad = edges[1:][same].tolist()
+    if max_bits:
+        start = rows[:, 0]
+        via, closed = at_check[start], np.zeros(len(start), dtype=bool)
+        for _ in range(max_bits):
+            cur = at_bit[via]
+            closed |= cur == start
+            via = at_check[cur]
+        # Short cycles are few: walk them again for their smallest edges.
+        low = start = start[closed]
+        via = at_check[start]
+        for _ in range(max_bits):
+            cur = at_bit[via]
+            via = at_check[cur]
+            low = np.minimum(low, np.minimum(cur, via))
+        bad += np.unique(low).tolist()
+    return bad
 
 
-def _short_cycle_reps(bits: np.ndarray, checks: np.ndarray, max_bits: int) -> list[int]:
-    """_cycle_reps of the edge set joining bits[e] to checks[e]."""
-    return _cycle_reps(_partners(bits), _partners(checks), max_bits)
+def _rewire(
+    checks: np.ndarray, at_check: np.ndarray | None, bad: list[int], quota: int, rng
+) -> list[int]:
+    """Swap the check of each edge in bad, in order, with that of an edge
+    drawn from rng in its offset group (consecutive quota-sized blocks), and
+    keep the check-side partners at_check (if any) current; returns the
+    edges touched, each swap's pair."""
+    touched = []
+    for e in bad:
+        g = e // quota
+        p = g * quota + int(rng.integers(0, quota))
+        ce, cp = int(checks[e]), int(checks[p])
+        checks[e], checks[p] = cp, ce
+        if at_check is not None and ce != cp:
+            a, b = int(at_check[e]), int(at_check[p])
+            at_check[e], at_check[p] = b, a
+            at_check[a], at_check[b] = p, e
+            # a or b may be the no-partner entry, which stays fixed
+            at_check[-1] = len(checks)
+        touched += (e, p)
+    return touched
 
 
 # Re-wiring passes _condition_matching makes before it gives up.
@@ -189,36 +244,42 @@ _MAX_PASSES = 500
 
 def _condition_matching(
     bits: np.ndarray,
+    table: np.ndarray,
     checks: np.ndarray,
     quota: int,
     rng,
     *,
     forbid_cycle_bits: int = 0,
-) -> None:
+) -> list[int]:
     """Re-wire check sockets until the edge set has no parallel edges and,
-    when forbid_cycle_bits > 0, no cycles spanning that few bits.
+    when forbid_cycle_bits > 0, no cycles spanning that few bits. Returns
+    the edges the swaps touched: every edge whose check moved is among them,
+    and between them they hold the checks they held before.
 
+    Edge e joins bits[e] to checks[e], and table[b] holds bit b's edges.
     Swaps stay inside the offset group of each edge (consecutive quota-sized
     blocks), so every per-(section, offset) quota is preserved exactly.
 
     A pass swaps the edges it finds in the order found, drawing one socket
-    from rng per edge, so the finders must return the same edges in the same
-    order however they sort: parallel edges by (bit, check, index) with the
-    repeated keys put back in index order after an unstable sort, then cycle
-    representatives in ascending order. Swaps move only checks, so the
-    bit-side partners of the cycle walk are found once.
+    from rng per edge. The first pass scans every bit; a later one only the
+    bits of the edges the previous pass touched. Every parallel pair and
+    short cycle found was broken by swapping one of its edges, and a
+    violation made of untouched edges would have existed, and been found,
+    before; so each pass finds the same edges, in the same order, as a scan
+    of the whole edge set. Swaps move only checks, so the bit-side partners
+    of the cycle walk are found once and the check-side ones kept current.
     """
-    at_bit = _partners(bits) if forbid_cycle_bits else None
+    at_bit = at_check = None
+    if forbid_cycle_bits:
+        at_bit, at_check = _bit_partners(table), _check_partners(checks)
+    rows, moved = None, []
     for _ in range(_MAX_PASSES):
-        bad = _parallel_edge_reps(bits, checks)
-        if forbid_cycle_bits:
-            bad += _cycle_reps(at_bit, _partners(checks), forbid_cycle_bits)
+        bad = _bad_edges(table, checks, rows, at_bit, at_check, forbid_cycle_bits)
         if not bad:
-            return
-        for e in bad:
-            g = e // quota
-            p = g * quota + int(rng.integers(0, quota))
-            checks[e], checks[p] = int(checks[p]), int(checks[e])
+            return moved
+        touched = _rewire(checks, at_check, bad, quota, rng)
+        moved += touched
+        rows = np.unique(bits[touched])
     raise ValueError("unable to condition the socket matching; use a larger M")
 
 
@@ -252,34 +313,54 @@ def sample_graph(params: EnsembleParams, M: int, m: int, rng) -> TannerGraph:
     q1 = dr * M // w
     q2 = dg * M // w
 
-    def socket_chunks(n_groups: int, per_section: int, degree: int, quota: int):
-        out = np.empty((n_groups, w, quota), dtype=np.int64)
-        for s in range(n_groups):
-            socks = np.repeat(
-                np.arange(s * per_section, (s + 1) * per_section), degree
-            )
-            rng.shuffle(socks)
-            out[s] = socks.reshape(w, quota)
-        return out
+    n_edges = int(dr + dg) * int(M) * int(nsec)
+    if n_edges > MAX_GRAPH_EDGES:
+        raise ValueError(f"a graph of {n_edges} edges exceeds {MAX_GRAPH_EDGES}; use a smaller M or L")
 
-    src1 = socket_chunks(nsec, npun, dl, q1)
-    src2 = socket_chunks(nsec, M, dg, q2)
-    dst1 = socket_chunks(ncsec, M, dr, q1)
-    dst2 = socket_chunks(ncsec, M, dg, q2)
+    def socket_order(n_groups: int, per_section: int, degree: int) -> np.ndarray:
+        """Row s: section s's sockets in a uniformly random order, by socket
+        index k (socket k belongs to the section's node k // degree)."""
+        return np.stack([rng.permutation(per_section * degree) for _ in range(n_groups)])
 
     # Edges run section-major, then by offset j: group (s, j) pairs bit
     # section s with check section s + j.
     off = np.arange(w)
     dst_sec = np.arange(nsec)[:, None] + off
-    t1_bit = src1.ravel()
-    t1_check = dst1[dst_sec, off].ravel()
-    t2_bit = src2.ravel()
-    t2_check = dst2[dst_sec, off].ravel()
+
+    def bit_side(order: np.ndarray, per_section: int, degree: int):
+        """The bit of each edge, and each bit's edges as a table row."""
+        n_groups, n = order.shape
+        bits = order // degree + per_section * np.arange(n_groups)[:, None]
+        edges = np.empty_like(order)
+        np.put_along_axis(edges, order, np.arange(n_groups * n).reshape(n_groups, n), axis=1)
+        return bits.ravel(), edges.reshape(-1, degree)
+
+    def check_sockets(order: np.ndarray) -> np.ndarray:
+        """The check socket of each edge, numbered over all check sections;
+        socket k belongs to check k // degree."""
+        sockets = order + order.shape[1] * np.arange(ncsec)[:, None]
+        return sockets.reshape(ncsec, w, -1)[dst_sec, off].ravel()
+
+    def check_table(sockets: np.ndarray, checks: np.ndarray, moved: list[int], degree: int):
+        """Each check's edges as a table row, -1 at unused sockets. The edges
+        whose checks conditioning moved hold the same sockets between them,
+        so they take those sockets back in check order."""
+        table = np.full(ncsec * M * degree, -1, dtype=np.int64)
+        table[sockets] = np.arange(len(sockets))
+        moved = np.unique(np.array(moved, dtype=np.int64))
+        table[np.sort(sockets[moved])] = moved[np.argsort(checks[moved], kind="stable")]
+        return table.reshape(-1, degree)
+
+    t1_bit, t1_bit_edges = bit_side(socket_order(nsec, npun, dl), npun, dl)
+    t2_bit, t2_bit_edges = bit_side(socket_order(nsec, M, dg), M, dg)
+    sock1 = check_sockets(socket_order(ncsec, M, dr))
+    sock2 = check_sockets(socket_order(ncsec, M, dg))
+    t1_check, t2_check = sock1 // dr, sock2 // dg
     # A (bit, check) pair fixes its offset group (j = check section minus bit
     # section), so in-group re-wiring reaches every violation.
-    _condition_matching(t1_bit, t1_check, q1, rng)
-    _condition_matching(
-        t2_bit, t2_check, q2, rng, forbid_cycle_bits=4 if dg == 2 else 0
+    moved1 = _condition_matching(t1_bit, t1_bit_edges, t1_check, q1, rng)
+    moved2 = _condition_matching(
+        t2_bit, t2_bit_edges, t2_check, q2, rng, forbid_cycle_bits=4 if dg == 2 else 0
     )
 
     symbols = np.concatenate(
@@ -293,5 +374,9 @@ def sample_graph(params: EnsembleParams, M: int, m: int, rng) -> TannerGraph:
         t1_check=t1_check,
         t2_bit=t2_bit,
         t2_check=t2_check,
+        t1_bit_edges=t1_bit_edges,
+        t2_bit_edges=t2_bit_edges,
+        t1_check_edges=check_table(sock1, t1_check, moved1, dr),
+        t2_check_edges=check_table(sock2, t2_check, moved2, dg),
         symbols=symbols,
     )

@@ -201,26 +201,13 @@ def _sample_symbol_noise(dist: DimensionDistribution, n_symbols: int, rng):
     return subspaces, sub_idx, z
 
 
-def _grouped(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Edges grouped by node: node k owns edges order[ptr[k]:ptr[k + 1]]."""
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=n), out=ptr[1:])
-    return np.argsort(keys), ptr
-
-
-def _edges_of(nodes: np.ndarray, order: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-    """The edges of the given nodes, in node order."""
-    starts = ptr[nodes]
-    counts = ptr[nodes + 1] - starts
-    offsets = np.cumsum(counts) - counts  # where each node's run begins
-    return order[np.repeat(starts - offsets, counts) + np.arange(counts.sum())]
-
-
-def _take(mark: np.ndarray) -> np.ndarray:
-    """The marked nodes, each once; clears the marks."""
-    nodes = np.flatnonzero(mark)
-    mark[nodes] = False
-    return nodes
+def _distinct(nodes: np.ndarray, stamp: np.ndarray) -> np.ndarray:
+    """The distinct entries of nodes, in no set order, with stamp as scratch
+    space over the node ids: of the copies of a node, exactly one wrote the
+    position that survives."""
+    pos = np.arange(len(nodes))
+    stamp[nodes] = pos
+    return nodes[stamp[nodes] == pos]
 
 
 def decode_trial(
@@ -276,12 +263,13 @@ def decode_trial(
     t1_bit, t2_bit = graph.t1_bit, graph.t2_bit
     e1 = len(t1_bit)
     check_all = np.concatenate([graph.t1_check, graph.t2_check])
-    # Boundary checks have reduced degree, so checks keep a CSR grouping;
-    # every punctured bit has exactly dl edges and every transmitted bit dg,
-    # so each bit's edges are one row of a table.
-    by_check = _grouped(check_all, ncheck)
-    edges_p = np.argsort(t1_bit).reshape(n_pun, params.dl)
-    edges_t = e1 + np.argsort(t2_bit).reshape(n_t2, params.dg)
+    # The graph gives each node's edges as one row of a table; a boundary
+    # check's row holds -1 at its unused sockets.
+    edges_c = np.hstack(
+        [graph.t1_check_edges, np.where(graph.t2_check_edges < 0, -1, e1 + graph.t2_check_edges)]
+    )
+    edges_p = graph.t1_bit_edges
+    edges_t = e1 + graph.t2_bit_edges
     members = graph.symbols
     sym_of = np.empty(n_t2, dtype=np.int64)
     sym_of[members.ravel()] = np.repeat(np.arange(n_sym), m)
@@ -298,11 +286,10 @@ def decode_trial(
     n_known_p = np.zeros(n_pun, dtype=np.int64)
     n_known_t = np.zeros(n_t2, dtype=np.int64)
     center_erased = n_center
-    # nodes to update this round; every check and symbol in the first
-    dirty_check = np.ones(ncheck, dtype=bool)
-    dirty_sym = np.ones(n_sym, dtype=bool)
-    dirty_p = np.zeros(n_pun, dtype=bool)
-    dirty_t = np.zeros(n_t2, dtype=bool)
+    # checks to update this round, with repeats; every check and symbol in
+    # the first
+    next_checks = np.arange(ncheck)
+    stamp = np.empty(max(ncheck, n_pun, n_t2, n_sym), dtype=np.int64)  # for _distinct
     # bits whose every bit-to-check message is known
     done_p = np.zeros(n_pun, dtype=bool)
     done_t = np.zeros(n_t2, dtype=bool)
@@ -316,8 +303,9 @@ def decode_trial(
             raise DecodingFaultError(f"no stall within {cap} rounds (seed={seed!r})")
         # check -> bit: known once every other input of the check is known,
         # so a check with two erased inputs emits nothing
-        nodes = _take(dirty_check)
-        e = _edges_of(nodes[n_erased_in[nodes] <= 1], *by_check)
+        nodes = _distinct(next_checks, stamp)
+        e = edges_c[nodes[n_erased_in[nodes] <= 1]]
+        e = e[e >= 0]
         e = e[(n_erased_in[check_all[e]] - ~b2c[e] == 0) & ~c2b[e]]
         c2b[e] = True
         e_p = e[e < e1]
@@ -326,8 +314,7 @@ def decode_trial(
         # punctured bit -> check: known once another check message is
         bits = t1_bit[e_p]
         np.add.at(n_known_p, bits, 1)
-        dirty_p[bits] = True
-        nodes = _take(dirty_p)
+        nodes = _distinct(bits, stamp)
         nodes = nodes[~done_p[nodes]]
         f = edges_p[nodes]
         n_in = n_known_p[nodes]
@@ -338,19 +325,19 @@ def decode_trial(
         # transmitted bit -> detector (checks only), then detector -> bit;
         # a detector input changes only at a bit's first known check message
         bits = t2_bit[e_t]
-        dirty_sym[sym_of[bits[n_known_t[bits] == 0]]] = True
+        if rounds:
+            syms = _distinct(sym_of[bits[n_known_t[bits] == 0]], stamp)
+        else:
+            syms = np.arange(n_sym)
         np.add.at(n_known_t, bits, 1)
-        dirty_t[bits] = True
-        syms = _take(dirty_sym)
         inputs = members[syms]
         out = tab_stack[sub_idx[syms], (n_known_t[inputs] == 0) @ bit]
         now = inputs[(out[:, None] >> shift) & 1 == 0]
         new_d2b = now[~d2b[now]]
         d2b[new_d2b] = True
-        dirty_t[new_d2b] = True
 
         # transmitted bit -> check, from the detector and the other checks
-        nodes = _take(dirty_t)
+        nodes = _distinct(np.concatenate([bits, new_d2b]), stamp)
         nodes = nodes[~done_t[nodes]]
         f = edges_t[nodes]
         n_in = n_known_t[nodes] + d2b[nodes]
@@ -359,8 +346,8 @@ def decode_trial(
 
         new_b2c = np.concatenate([new_b2c_p, new_b2c_t])
         b2c[new_b2c] = True
-        np.subtract.at(n_erased_in, check_all[new_b2c], 1)
-        dirty_check[check_all[new_b2c]] = True
+        next_checks = check_all[new_b2c]
+        np.subtract.at(n_erased_in, next_checks, 1)
         center_erased -= int(center_edges[new_b2c_t].sum())
         rounds += 1
         traj.append(center_erased / n_center)

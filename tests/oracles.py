@@ -8,6 +8,9 @@ per-symbol noise one generator call at a time, beside the word-stream sampler
 in `scmn.sim`; both must leave the same draws and the same generator state.
 `sweep_oracle` is one DE sweep by the plain formula, one numpy call per
 operation, beside the buffered sweep kernel in `scmn.de`.
+`condition_matching` re-wires a socket matching by re-scanning the whole
+edge set on every pass, with sorts, beside the incremental passes of
+`scmn.ensemble`; both must make the same swaps and the same draws.
 """
 
 import functools
@@ -161,3 +164,101 @@ class _PlainSweep:
         rp, rq, kq, s = self._check(p, q)
         p1 = (self.Wf @ (1 - rp * rq * kq)) ** (dl - 1)
         return p1, self._q_update(s**dg, s ** (dg - 1), fcoef)
+
+
+def _parallel_edge_reps(bits: np.ndarray, checks: np.ndarray) -> list[int]:
+    """Every edge of a repeated (bit, check) pair but its lowest-index one,
+    ordered by (bit, check, index).
+
+    The keys go through the default (unstable) sort, which is several times
+    faster than a stable one; only the few repeated-key groups are then put
+    back in index order.
+    """
+    stride = np.int64(int(checks.max()) + 1)
+    key = bits.astype(np.int64) * stride + checks
+    order = np.argsort(key)
+    sorted_key = key[order]
+    dup = sorted_key[1:] == sorted_key[:-1]
+    if not dup.any():
+        return []
+    in_group = np.zeros(len(key), dtype=bool)
+    in_group[1:] = dup
+    in_group[:-1] |= dup
+    pos = np.flatnonzero(in_group)
+    group_key, edges = sorted_key[pos], order[pos]
+    edges = edges[np.lexsort((edges, group_key))]
+    return edges[1:][group_key[1:] == group_key[:-1]].tolist()
+
+
+def _partners(ends: np.ndarray) -> np.ndarray:
+    """The other edge at the same endpoint, for endpoints of degree <= 2; n
+    (the edge count) for none, and entry n maps to n."""
+    n = len(ends)
+    out = np.full(n + 1, n, dtype=np.int64)
+    # Any sort will do: an endpoint has at most two edges, and the pair is
+    # written both ways.
+    order = np.argsort(ends)
+    pair = np.nonzero(ends[order[1:]] == ends[order[:-1]])[0]
+    out[order[pair]] = order[pair + 1]
+    out[order[pair + 1]] = order[pair]
+    return out
+
+
+def _cycle_reps(at_bit: np.ndarray, at_check: np.ndarray, max_bits: int) -> list[int]:
+    """Smallest edge index of each cycle spanning at most max_bits bits, in
+    ascending order, from the edges' partners at their bits and checks (see
+    _partners).
+
+    Assumes both endpoints have degree <= 2 in this edge set, so components
+    are paths and cycles. A step to the partner edge at the check and then to
+    the partner edge at the bit moves two edges along a cycle, so an edge on a
+    cycle of k bits returns to itself after k steps.
+    """
+    start = np.arange(len(at_bit) - 1)
+    low, via = start, at_check[start]
+    closed = np.zeros(len(start), dtype=bool)
+    for _ in range(max_bits):
+        cur = at_bit[via]
+        closed |= cur == start
+        via = at_check[cur]
+        low = np.minimum(low, np.minimum(cur, via))
+    return np.unique(low[closed]).tolist()
+
+
+# Re-wiring passes _condition_matching makes before it gives up.
+_MAX_PASSES = 500
+
+
+def condition_matching(
+    bits: np.ndarray,
+    checks: np.ndarray,
+    quota: int,
+    rng,
+    *,
+    forbid_cycle_bits: int = 0,
+) -> None:
+    """Re-wire check sockets until the edge set has no parallel edges and,
+    when forbid_cycle_bits > 0, no cycles spanning that few bits.
+
+    Swaps stay inside the offset group of each edge (consecutive quota-sized
+    blocks), so every per-(section, offset) quota is preserved exactly.
+
+    A pass swaps the edges it finds in the order found, drawing one socket
+    from rng per edge, so the finders must return the same edges in the same
+    order however they sort: parallel edges by (bit, check, index) with the
+    repeated keys put back in index order after an unstable sort, then cycle
+    representatives in ascending order. Swaps move only checks, so the
+    bit-side partners of the cycle walk are found once.
+    """
+    at_bit = _partners(bits) if forbid_cycle_bits else None
+    for _ in range(_MAX_PASSES):
+        bad = _parallel_edge_reps(bits, checks)
+        if forbid_cycle_bits:
+            bad += _cycle_reps(at_bit, _partners(checks), forbid_cycle_bits)
+        if not bad:
+            return
+        for e in bad:
+            g = e // quota
+            p = g * quota + int(rng.integers(0, quota))
+            checks[e], checks[p] = int(checks[p]), int(checks[e])
+    raise ValueError("unable to condition the socket matching; use a larger M")

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from scmn import cli, de
+from scmn import cli, de, ensemble
 from scmn.cli import build_parser, main
 
 
@@ -286,6 +286,23 @@ def test_de_chain_past_window_bound(capsys, command):
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: invalid-config:")
     assert str(de.MAX_WINDOW_ENTRIES) in err
+    assert out == ""
+
+
+def test_simulate_graph_past_edge_bound(capsys):
+    # Its socket arrays would take hundreds of TiB; the bound is checked
+    # before any of them is allocated.
+    code, out, err = run_cli(
+        capsys,
+        [
+            "simulate", "--dl", "4", "--dr", "2", "--dg", "2", "-L", "10", "-w", "2",
+            "--channel", "cd", "-m", "2", "-M", "1000000000000",
+            "--eps-grid", "0.45", "--trials", "1",
+        ],
+    )
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: invalid-config:")
+    assert str(ensemble.MAX_GRAPH_EDGES) in err
     assert out == ""
 
 
