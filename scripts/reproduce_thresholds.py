@@ -7,6 +7,11 @@ format of `scmn threshold`; each setting's cells are bisected in one
 so that pass is slow; trim --m-max or raise --bisect-tol for a quick look.
 If a cell reaches the DE sweep cap, the CSV of its setting holds the cells
 that answered, and the script names the capped cell and exits with code 3.
+With the defaults it does so, after about two minutes on two cores: at
+L=20/w=3, cd and bd m=1 reach the cap at their first midpoint, 0.5, which
+lies 8.6e-8 below their fold (0.50000009), so that row converges, but in
+more sweeps than the cap allows; bd m=2, for which no fold is found, caps
+at 0.5 too.
 """
 
 import argparse

@@ -33,28 +33,23 @@ _MIN_BISECT_TOL = 2.0**-52
 # run_de reports a stall once a sweep changes every rate by less than this.
 _STALL_TOL = 1e-15
 _MONOTONE_SLACK = 1e-12
-# Undecided bisection steps that `thresholds` runs ahead of each cell's walk,
-# besides the fold's predicted path (_predicted_path): at most
-# 2**levels - 1 tree rows per cell are live. A sweep costs more with more
-# rows: at L=10/w=2 in blocks of 64 (medians of 40 on 2 cores) 12.7 us with
-# one row, 13.9 with three, 16.8 with seven and 26.8 with twenty. Timed with
-# the predicted path at bisect_tol 1e-5, medians of 10 runs in alternating
-# order at 2 and 3 levels: cd m=2 alone took 1.51 and 1.56 s, bd m=4 alone
-# 1.11 and 1.28 s, and the 12-cell L=10/w=2 table (4 runs) 10.2 and 12.3 s.
-# Two levels ran the same lockstep sweeps and 24-32% fewer row-sweeps.
+# Undecided bisection steps that `thresholds` runs ahead of the walk of a cell
+# without a fold: at most 2**levels - 1 tree rows per such cell are live. Two
+# levels ran the same lockstep sweeps as three and 24-32% fewer row-sweeps.
 _BISECT_LEVELS = 2
 # Sweeps that run_de runs between its tests. At L=10/w=2 with three rows a
 # lockstep sweep took 15.4 us in blocks of 64 and 49.9 us when each sweep was
 # tested on its own (medians of 6 run_de calls; the sweep alone takes 13.9).
 _SWEEP_BLOCK = 64
-# Stall certificates, tried on thresholds' rows only (_lockstep). A row is
-# tried when its sweep count passes a power of 2**(1/4), from
-# _CERT_MIN_SWEEPS sweeps on. Its candidate y is extrapolated along the slow
-# mode, then lowered _CERT_PASSES times to max(0, min(y, T(y) - _CERT_STEP)).
-# The float filter passes y when T(y) - y >= _CERT_MARGIN wherever y > 0 (a
-# zero entry needs no margin: T(y) >= 0), above the float error of f (4e-13
-# at m = 15), and some punctured rate of y exceeds _CERT_MIN_P > TOL; the
-# exact sweep decides.
+# Stall certificates, tried on thresholds' rows only. A row above its cell's
+# fold is tried once as it joins, from the fold point (_fold_certified). Any
+# row is tried in _lockstep when its sweep count passes a power of 2**(1/4),
+# from _CERT_MIN_SWEEPS sweeps on, from its state extrapolated along the slow
+# mode. Either candidate y is lowered _CERT_PASSES times to
+# max(0, min(y, T(y) - _CERT_STEP)) (_lowered). The float filter then passes
+# y when T(y) - y >= _CERT_MARGIN wherever y > 0 (a zero entry needs no
+# margin: T(y) >= 0), above the float error of f (4e-13 at m = 15), and some
+# punctured rate of y exceeds _CERT_MIN_P > TOL; the exact sweep decides.
 _CERT_MIN_SWEEPS = 128
 _CERT_PASSES = 4
 _CERT_STEP = 1e-12
@@ -422,7 +417,9 @@ def _lockstep(params: EnsembleParams, frontier, *, certify: bool = False) -> dic
     to the rows wanted live, a dict key -> ChannelFamily. It is called at the
     start and after every block of sweeps in which a row decided: a wanted
     row that is not live joins from all-ones, and a live row that is no
-    longer wanted is dropped. Returns `done`.
+    longer wanted is dropped. A wanted row that the frontier gives as a
+    DeResult instead is decided without a sweep: it goes to `done`, and the
+    frontier is called again. Returns `done`.
 
     The live rows are one stacked state x of shape (2, rows, n, 1), which
     _sweeps advances a block at a time; a window product is one gemv per
@@ -464,8 +461,10 @@ def _lockstep(params: EnsembleParams, frontier, *, certify: bool = False) -> dic
     it: list[int] = []  # sweeps run per row
     x = np.empty((2, 0, n, 1))  # (p, q) of each row
     anchor = np.empty((2, 0, n))  # (p, q) of each row at its anchor
-    wanted = frontier(done)
-    while wanted:
+    while wanted := frontier(done):
+        if decided := {k: v for k, v in wanted.items() if isinstance(v, DeResult)}:
+            done.update(decided)
+            continue
         keep = [r for r, k in enumerate(keys) if k in wanted]
         new = [k for k in wanted if k not in keys]
         keys = [keys[r] for r in keep] + new
@@ -530,7 +529,6 @@ def _lockstep(params: EnsembleParams, frontier, *, certify: bool = False) -> dic
                 if top > it[r].bit_length():
                     anchor[:, r] = X[2 ** (top - 1) - it[r], :, r]
                 it[r] += sweeps
-        wanted = frontier(done)
     return done
 
 
@@ -552,17 +550,47 @@ def _stall_candidates(dev: DensityEvolution, P, Q, change, fcoef, rows) -> dict:
         return {}
     lam = (change[-1, rows] / change[0, rows]) ** (1 / (len(change) - 1))
     k = (2 * lam / (1 - lam))[:, None]
-    y = [np.clip(X[-1, rows] - k * (X[-2, rows] - X[-1, rows]), 0.0, 1.0) for X in (P, Q)]
-    y = [v[..., None] for v in y]
-    f = fcoef[:, rows]
+    y = [(X[-1, rows] - k * (X[-2, rows] - X[-1, rows]))[..., None] for X in (P, Q)]
+    y, ok = _lowered(dev, y, fcoef[:, rows])
+    return {r: (y[0][i, :, 0], y[1][i, :, 0]) for i, r in enumerate(rows) if ok[i]}
+
+
+def _lowered(dev: DensityEvolution, y, fcoef) -> tuple[list, np.ndarray]:
+    """The lowering and the float filter of the stall certificates: the
+    candidates y = [p, q], each of shape (rows, n, 1), clipped to [0, 1] and
+    lowered _CERT_PASSES times at the rows' fcoef (_lockstep's layout), and
+    whether each row passes the filter (see the comment on _CERT_MIN_SWEEPS).
+    Clipped, every lowered entry lies in [0, 1], as _certifies needs."""
+    y = [np.clip(v, 0.0, 1.0) for v in y]
     for _ in range(_CERT_PASSES):
-        Ty = dev.sweep(*y, f)
+        Ty = dev.sweep(*y, fcoef)
         y = [np.maximum(0.0, np.minimum(v, t - _CERT_STEP)) for v, t in zip(y, Ty)]
-    Ty = dev.sweep(*y, f)
+    Ty = dev.sweep(*y, fcoef)
     ok = y[0].max(axis=(1, 2)) > _CERT_MIN_P
     for v, t in zip(y, Ty):
         ok &= ((t - v >= _CERT_MARGIN) | (v == 0)).all(axis=(1, 2))
-    return {r: (y[0][i, :, 0], y[1][i, :, 0]) for i, r in enumerate(rows) if ok[i]}
+    return y, ok
+
+
+def _fold_certified(params: EnsembleParams, kind: str, m: int, point, eps) -> list[bool]:
+    """Whether the fold point (p, q), of shape (2, n), certifies that DE of
+    (kind, m) never converges at each channel parameter of `eps`, which lie
+    above the fold: lowered at that parameter (_lowered), it passes the
+    float filter and _certifies.
+
+    DE is monotone in the parameter as well as in the state, so above the
+    fold T(y) >= T_fold(y), which is y at the fold point up to Newton's
+    residual; the lowering passes work that residual off. A wrong fold
+    point only fails the filter or the exact sweep.
+    """
+    dev = DensityEvolution(params, kind, m)
+    fcoef = np.stack([dev.fpoly(e) for e in eps], axis=1)[..., None, None]
+    y, ok = _lowered(dev, [np.tile(v[:, None], (len(eps), 1, 1)) for v in point], fcoef)
+    exact = DensityEvolution(params, kind, m, exact=True)
+    return [
+        bool(ok[i]) and _certifies(exact, e, y[0][i, :, 0], y[1][i, :, 0])
+        for i, e in enumerate(eps)
+    ]
 
 
 def _certifies(exact: DensityEvolution, eps: float, p, q) -> bool:
@@ -636,20 +664,23 @@ def thresholds(
     carries the values of the others in its `eps_star`.
 
     The bisections run through one lockstep `run_de` whose rows follow each
-    cell's _frontier; a cell's ε* is read from one _walk over its decided
-    rows, which takes plain bisection's steps. A row decides as its own run
-    does, or stalls early on an exact stall certificate (_lockstep), proof
-    that DE at its parameter never converges; its own run then fails too,
-    unless float rounding decodes a row that exact DE cannot (no checked
-    cell did).
+    cell's walk; a cell's ε* is read from one _walk over its decided rows,
+    which takes plain bisection's steps. A row decides as its own run does,
+    or stalls early on an exact stall certificate (_fold_certified,
+    _lockstep), proof that DE at its parameter never converges; its own
+    run then fails too, unless float rounding decodes a row that exact DE
+    cannot (no checked cell did).
 
     A row is keyed by m and the dimension law at its midpoint, which fix
     its f, so cells whose laws agree there (cd and bd at m = 1) share it.
-    Each cell's frontier also holds its _predicted_path from the cell's
-    `fold`, computed once per distinct first row (the midpoint 1/2): the
-    rows of the walk's slow last steps start at once instead of waiting for
-    the rows above them. Only decided rows steer the walk, so a wrong fold,
-    or none, costs only speed.
+    The cell's `fold` and its fold point are computed once per distinct
+    first row (the midpoint 1/2). A cell with a fold wants only its
+    _predicted_path: the rows of the walk's slow last steps start at once
+    instead of waiting for the rows above them. A row that joins above the
+    fold is tried first from the fold point (_fold_certified) and, if
+    certified, stalls at sweep 0. A cell without a fold wants its
+    _frontier. Only decided rows steer the walk, so a wrong fold or fold
+    point, or none, costs only speed.
     """
     cells = list(cells)
     for kind, _ in cells:
@@ -671,21 +702,33 @@ def thresholds(
     def by_cell(done: dict) -> dict:  # cell -> (mid -> DeResult)
         return {c: {mid: done[k] for mid, k in keys[c].items() if k in done} for c in cells}
 
-    folds: dict = {}  # first row key -> fold
+    folds: dict = {}  # first row key -> (fold, fold point), or None
     for cell in cells:
         if row_key(cell, 0.5) not in folds:
-            folds[row_key(cell, 0.5)] = fold(params, *cell)
+            folds[row_key(cell, 0.5)] = _fold(params, *cell)
 
     def frontier(done: dict) -> dict:
         nonlocal rows
         wanted: dict = {}
         for c, d in by_cell(done).items():
-            mids = _frontier(0.0, 1.0, bisect_tol, d)
-            if (eps := folds[row_key(c, 0.5)]) is not None:
-                mids += _predicted_path(0.0, 1.0, bisect_tol, d, eps)
+            if (f := folds[row_key(c, 0.5)]) is None:
+                mids = _frontier(0.0, 1.0, bisect_tol, d)
+            else:
+                mids = _predicted_path(0.0, 1.0, bisect_tol, d, f[0])
+            above = []  # the midpoints of rows joining above the fold
             for mid in mids:
-                if (k := row_key(c, mid)) not in wanted:
-                    wanted[k] = rows[k] if k in rows else ChannelFamily(*c, mid)
+                if (k := row_key(c, mid)) in rows:
+                    wanted[k] = rows[k]
+                elif k not in wanted:
+                    wanted[k] = ChannelFamily(*c, mid)
+                    if f is not None and mid > f[0]:
+                        above.append(mid)
+            if above:
+                ones = np.ones(params.n_sections)
+                for mid, ok in zip(above, _fold_certified(params, *c, f[1], above)):
+                    if ok:
+                        k = row_key(c, mid)
+                        wanted[k] = _de_result(params, wanted[k], ones, ones, 0, "stalled")
         rows = wanted
         return rows
 
@@ -855,6 +898,14 @@ def fold(params: EnsembleParams, kind: str, m: int) -> float | None:
     (2n + 1)-square Jacobian would hold more than MAX_WINDOW_ENTRIES
     entries.
     """
+    found = _fold(params, kind, m)
+    return None if found is None else found[0]
+
+
+def _fold(params: EnsembleParams, kind: str, m: int) -> tuple[float, np.ndarray] | None:
+    """`fold`'s ε with its fold point, (ε, x), or None: x = (p, q), of
+    shape (2, n), is the fixed point at ε in the middle of the triple that
+    _fold_refine ends on."""
     n = params.n_sections
     if (2 * n + 1) ** 2 > MAX_WINDOW_ENTRIES:
         return None
@@ -888,7 +939,7 @@ def fold(params: EnsembleParams, kind: str, m: int) -> float | None:
     if None in triples:
         return None
     least = _fold_refine(newton, min(triples, key=lambda t: t[1][2]), _FOLD_REFINE_STEPS)
-    return None if least is None else least[1][2]
+    return None if least is None else (least[1][2], least[1][1])
 
 
 def _fold_refine(newton: _FixedPoints, triple, steps: int):

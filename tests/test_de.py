@@ -455,16 +455,17 @@ class TestThreshold:
         with pytest.raises(ConvergenceError, match="10-sweep cap"):
             threshold(P422, "cd", 2, bisect_tol=1e-3)
         # In a table the error names the capped cell and carries the others:
-        # at L=4/w=3 under a 1000-sweep cap, cd m=6 reaches it on its walk,
-        # and bd m=6 and cd m=2 answer.
+        # at L=4/w=3 under a 600-sweep cap, bd m=6 reaches it on its walk at
+        # a converging row, and cd m=6 and cd m=2 answer. (Rows above a fold
+        # no longer reach a cap: they are certified as they join.)
         params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=3)
-        capped = ChannelFamily("cd", 6, 0.5029296875)
-        assert reference_run_de(params, capped, max_iter=1000).status == "iter-limit"
-        monkeypatch.setattr(de, "MAX_ITER", 1000)
-        cap = r"cap for cd m=6 at parameter 0\.5029296875;"
+        capped = ChannelFamily("bd", 6, 0.5048828125)
+        assert reference_run_de(params, capped, max_iter=600).status == "iter-limit"
+        monkeypatch.setattr(de, "MAX_ITER", 600)
+        cap = r"cap for bd m=6 at parameter 0\.5048828125;"
         with pytest.raises(ConvergenceError, match=cap) as got:
             thresholds(params, [("bd", 6), ("cd", 6), ("cd", 2)], bisect_tol=1e-3)
-        assert got.value.eps_star == {("bd", 6): 0.50537109375, ("cd", 2): 0.51806640625}
+        assert got.value.eps_star == {("cd", 6): 0.50244140625, ("cd", 2): 0.51806640625}
 
     @pytest.mark.parametrize("L, w", [(4, 2), (4, 3), (6, 4)])
     def test_matches_plain_bisection(self, L, w):
@@ -590,33 +591,61 @@ class TestThreshold:
             walk.append(decided[mid].state.iterations)
             lo, hi = (mid, hi) if decided[mid].success else (lo, mid)
         assert calls["sweep"] < sum(walk) + len(walk) * de._SWEEP_BLOCK
+        # Walk rows above the fold were certified as they joined, at sweep 0.
+        joined = [r for r in decided.values() if r.state.iterations == 0]
+        assert joined and all(r.status == "stalled" for r in joined)
         # Fewer sweeps than the schedule that waited for each batch of
         # _BISECT_LEVELS levels to decide before it started the next.
         assert calls["sweep"] < batched
 
     def test_any_fold_gives_the_same_thresholds(self, monkeypatch):
         # The walk reads decided rows only, so a fold far off, near but
-        # wrong, or missing changes which rows run, never ε*.
+        # wrong, or missing changes which rows run, never ε*. Nor does a
+        # forged fold point: the exact sweep rejects what does not certify,
+        # so no row that converges is certified.
         params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=2)
         cells = [("cd", 1), ("bd", 1), ("cd", 2), ("bd", 6)]
         ref = {cell: reference_threshold(params, *cell, bisect_tol=1e-3) for cell in cells}
+        true = {cell: de._fold(params, *cell) for cell in cells}
+        certified = spy_certifies(monkeypatch, keep_args=True)
         assert thresholds(params, cells, bisect_tol=1e-3) == ref
-        for fake in (
-            lambda params, kind, m: 0.0,
-            lambda params, kind, m: 1.0,
-            lambda params, kind, m: None,
-            lambda params, kind, m: ref[kind, m] - 1e-3,
-            lambda params, kind, m: ref[kind, m] + 1e-3,
-        ):
-            monkeypatch.setattr(de, "fold", fake)
+        assert any(ok for _, ok in certified)
+        points = {
+            "true": lambda cell: true[cell][1],
+            "all-ones": lambda cell: np.ones((2, params.n_sections)),
+            "all-zeros": lambda cell: np.zeros((2, params.n_sections)),
+            # cd m=1 takes cd m=2's, bd m=1 bd m=6's, and back.
+            "another cell's": lambda cell: true[cells[(cells.index(cell) + 2) % 4]][1],
+            "one ulp above its image": lambda cell: ulp_above_image(params, *cell, *true[cell]),
+        }
+        folds = {
+            "true": lambda cell: true[cell][0],
+            "0": lambda cell: 0.0,
+            "1": lambda cell: 1.0,
+            "below": lambda cell: ref[cell] - 1e-3,
+            "above": lambda cell: ref[cell] + 1e-3,
+        }
+        fakes = [lambda params, kind, m: None] + [
+            lambda params, kind, m, e=e, x=x: (e((kind, m)), x((kind, m)))
+            for e in folds.values()
+            for x in points.values()
+        ]
+        for fake in fakes:
+            monkeypatch.setattr(de, "_fold", fake)
             assert thresholds(params, cells, bisect_tol=1e-3) == ref
+        # Each row that was certified, at join or by extrapolation, fails
+        # on its own run.
+        rows = {(exact.kind, exact.m, eps) for (exact, eps, _, _), ok in certified if ok}
+        assert len(rows) > 10
+        results = run_de(params, [ChannelFamily(*row) for row in rows])
+        assert not any(r.success for r in results)
 
     def test_m1_cells_share_their_rows(self, monkeypatch):
         # At m = 1 the cd and bd laws are the same floats, so a table's two
         # m = 1 cells run each row, and compute the fold, once.
         params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=2)
         rows, folds = [], []
-        family, fold = de.ChannelFamily, de.fold
+        family, fold = de.ChannelFamily, de._fold
 
         def counted_family(*args):
             rows.append(args)
@@ -627,7 +656,7 @@ class TestThreshold:
             return fold(*args)
 
         monkeypatch.setattr(de, "ChannelFamily", counted_family)
-        monkeypatch.setattr(de, "fold", counted_fold)
+        monkeypatch.setattr(de, "_fold", counted_fold)
         alone = threshold(params, "cd", 1, bisect_tol=1e-4)
         n_alone = len(rows)
         both = thresholds(params, [("cd", 1), ("bd", 1)], bisect_tol=1e-4)
@@ -646,8 +675,8 @@ class TestThreshold:
         # these cells ran 103,787 and 70,822 sweeps. Sweeps are the n summed
         # over the lockstep run's _sweeps calls (the certificate filter's
         # included); the fold is computed before counting starts.
-        value = de.fold(P422, kind, m)
-        monkeypatch.setattr(de, "fold", lambda *args: value)
+        value = de._fold(P422, kind, m)
+        monkeypatch.setattr(de, "_fold", lambda *args: value)
         sweeps = [0]
         sweeps_orig = de._sweeps
 
@@ -723,6 +752,26 @@ class TestFold:
 
 class TestStallCertificate:
     P43 = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=3)
+
+    @pytest.mark.parametrize(
+        "params, kind, m, eps",
+        [(P422, kind, m, None) for kind, m in REF_L10_W2]
+        + [(EnsembleParams(dl=4, dr=2, dg=2, L=20, w=3), "bd", 3, 0.5)],
+    )
+    def test_fold_point_certifies_rows_just_above_the_fold(self, params, kind, m, eps):
+        # Rows this close above the fold creep too slowly for the slow-mode
+        # certificate: at bisect_tol 1e-8 the walk used to cap cd and bd
+        # m=1, bd m=2 and bd m=3 within 2e-8 above their folds, and bd m=3 at
+        # L=20/w=3 at its first midpoint, 0.5 (4.5e-7 above). Each such row
+        # is certified as it joins: here the dyadic midpoint nearest above
+        # each L=10/w=2 fold at depth 2**-26 (2.5e-10 to 1.2e-8 above it),
+        # in 3-5 ms per row on two cores.
+        eps_fold, point = de._fold(params, kind, m)
+        if eps is None:
+            eps = float(np.floor(eps_fold * 2**26) + 1) / 2**26
+            assert eps - eps_fold <= 2**-26
+        assert eps > eps_fold
+        assert de._fold_certified(params, kind, m, point, [eps]) == [True]
 
     def test_certificate_decides_before_the_cap(self, monkeypatch):
         # cd m=2 at 0.5625 stalls at sweep 196, so a 150-sweep cap stops its
@@ -854,6 +903,18 @@ def exact_image(exact, eps, p, q):
     """One exact sweep of (p, q) at eps, as lists of Fractions."""
     y = [np.array([Fraction(v) for v in x.tolist()], dtype=object) for x in (p, q)]
     return [list(t) for t in exact.sweep(*y, exact.fpoly(Fraction(eps)))]
+
+
+def ulp_above_image(params, kind, m, eps, point):
+    """The fold point with its middle punctured rate raised to the least
+    float above its exact image at the fold eps."""
+    exact = DensityEvolution(params, kind, m, exact=True)
+    p, q = point[0].copy(), point[1]
+    i = params.L
+    p[i] = np.nextafter(float(exact_image(exact, eps, p, q)[0][i]), 2.0)
+    while (t := exact_image(exact, eps, p, q)[0][i]) >= p[i]:
+        p[i] = np.nextafter(float(t), 2.0)
+    return np.array([p, q])
 
 
 def ulp_below(x, i):

@@ -130,7 +130,7 @@ def test_threshold_battery(monkeypatch, capsys):
 
 
 def test_threshold_battery_digest(capsys):
-    # The real battery, about 20 s: every one of its 64 ε* to the bit.
+    # The real battery, about 5 s: every one of its 64 ε* to the bit.
     assert load_script("threshold_battery").run([]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == f"sha256 {BATTERY_DIGEST}"
 
@@ -203,9 +203,9 @@ def test_decode_battery_digest(capsys):
 
 
 def test_threshold_table(monkeypatch, capsys):
-    # A real table takes minutes. The fakes cap both m = 1 cells, put every
-    # other ε* 1e-7 above its reference and every fold 2e-7 below it, and
-    # find no fold for bd m=6.
+    # A real table takes about 70 s. The fakes cap both m = 1 cells, which
+    # makes the script exit with code 3, put every other ε* 1e-7 above its
+    # reference and every fold 2e-7 below it, and find no fold for bd m=6.
     script = load_script("threshold_table")
     assert script.REFERENCE == REF_L10_W2
     calls = []
@@ -222,7 +222,7 @@ def test_threshold_table(monkeypatch, capsys):
 
     monkeypatch.setattr(script, "thresholds", fake_thresholds)
     monkeypatch.setattr(script, "fold", fake_fold)
-    assert script.run([]) == 0
+    assert script.run([]) == 3
     assert calls == [(10, 2, list(REF_L10_W2), 1e-8)]
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert lines[0] == ["cell", "eps*", "fold", "reference", "eps*-ref", "fold-ref"]
@@ -230,3 +230,7 @@ def test_threshold_table(monkeypatch, capsys):
     assert lines[2] == ["cd", "m=2", "0.4995091000", "0.4995088000", "0.49950900", "+1.0e-07", "-2.0e-07"]
     assert lines[12] == ["bd", "m=6", "0.4959686100", "-", "0.49596851", "+1.0e-07", "-"]
     assert [" ".join(line) for line in lines[13:]] == errors
+    # With every cell answered, the script exits 0.
+    monkeypatch.setattr(script, "thresholds", lambda params, cells, *, bisect_tol: REF_L10_W2)
+    assert script.run([]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 13
