@@ -41,16 +41,13 @@ _BISECT_LEVELS = 2
 # lockstep sweep took 15.4 us in blocks of 64 and 49.9 us when each sweep was
 # tested on its own (medians of 6 run_de calls; the sweep alone takes 13.9).
 _SWEEP_BLOCK = 64
-# Stall certificates, tried on thresholds' rows only. A row above its cell's
-# fold is tried once as it joins, from the fold point (_fold_certified). Any
-# row is tried in _lockstep when its sweep count passes a power of 2**(1/4),
-# from _CERT_MIN_SWEEPS sweeps on, from its state extrapolated along the slow
-# mode. Either candidate y is lowered _CERT_PASSES times to
-# max(0, min(y, T(y) - _CERT_STEP)) (_lowered). The float filter then passes
-# y when T(y) - y >= _CERT_MARGIN wherever y > 0 (a zero entry needs no
-# margin: T(y) >= 0), above the float error of f (4e-13 at m = 15), and some
-# punctured rate of y exceeds _CERT_MIN_P > TOL; the exact sweep decides.
-_CERT_MIN_SWEEPS = 128
+# The stall certificate, tried on thresholds' rows above their cell's fold,
+# once as each joins (_fold_certified). The fold point y is lowered
+# _CERT_PASSES times to max(0, min(y, T(y) - _CERT_STEP)) (_lowered). The
+# float filter then passes y when T(y) - y >= _CERT_MARGIN wherever y > 0 (a
+# zero entry needs no margin: T(y) >= 0), above the float error of f (4e-13
+# at m = 15), and some punctured rate of y exceeds _CERT_MIN_P > TOL; the
+# exact sweep decides.
 _CERT_PASSES = 4
 _CERT_STEP = 1e-12
 _CERT_MARGIN = 5e-13
@@ -64,8 +61,8 @@ MAX_WINDOW_ENTRIES = 2**24
 # period 2 / n, halved at most _FOLD_HALVINGS times where Newton fails, down
 # to _FOLD_CHI_MIN. _FOLD_START lies above every threshold at L >= 2 and off
 # the kinks k / m of the cd law for m <= 15; over cd/bd, m in {1, 2, 3, 6, 10,
-# 15} and eight (L, w), it left 18 of 96 curves without a fold, against 19
-# to 33 for starts at 0.6, 0.62, 0.7, 0.75 and 0.9. Newton (_FixedPoints)
+# 15} and eight (L, w) it leaves 18 of 96 curves without a fold, the fewest
+# of the starts scanned. Newton (_FixedPoints)
 # differences with step _FOLD_H, takes at most _FOLD_MAX_STEPS steps per
 # point and stops once the residual is at most _FOLD_FLOOR. A well is refined
 # for at most _FOLD_REFINE_STEPS steps, until chi moves by _FOLD_CHI_TOL.
@@ -105,18 +102,14 @@ _EPS_BISECT_TOL = 1e-12
 # at least two levels deeper and the probes bracket the target strictly;
 # otherwise the round takes one plain bisection step. Once the bracket is
 # _WARM_DEPTH deep the bisection no longer zooms: it evaluates at once every
-# midpoint it would test if each went the way the prediction says
-# (_bisection_path), then tests them in plain bisection's order.
+# midpoint it would test if each went the way the prediction says (the path
+# of a guessed _walk), then tests them in plain bisection's order.
 _WARM_DEPTH = 30
 _WARM_WIDTH = 2.0
-# Detector-half calls, and their rows (evaluations), per L=20/w=3 cd m=6
-# curve trace (chi = 0.95 down to 0.03 by 0.01; 1,356 rounds), by this
-# margin: 18,471 calls of 40,304 rows at 0; 7,351 to 7,491 calls of 24,647
-# to 24,912 rows from 1/32 to 1/4; 7,845 of 25,303 at 1; 8,321 of 25,633 at
-# 4. Four other traces (bd m=6 at L=20/w=3, cd m=2 at L=10/w=2, cd m=6 at
-# L=30/w=4, bd m=15 at L=6/w=3) moved alike: 34,329 to 35,371 calls of
-# 112,394 to 113,748 rows over 1/32..1/4. The middle of that plateau is
-# taken.
+# Detector-half calls per curve trace barely move for margins from 1/32 to
+# 1/4 and grow outside them; the middle of that plateau is taken. At 1/8 the
+# L=20/w=3 cd m=6 trace (chi = 0.95 down to 0.03 by 0.01; 1,356 rounds)
+# makes 7,383 calls of 24,672 rows (evaluations).
 _ZOOM_MARGIN = 1 / 8
 _STATE_TOL = 1e-10
 _EPS_CHANGE_TOL = 1e-10
@@ -394,11 +387,14 @@ def run_de(
 
     `family` may also be a sequence of families, of any kinds and m, which
     gives a list of results. The families run as lockstep rows of one state
-    (_lockstep); a single family is the one-row case.
+    (_lockstep); a single family is the one-row case. `thresholds` passes a
+    frontier (a callable) instead, which gives _lockstep's dict; its rows
+    above a cell's fold may be decided as they join, by the fold-point
+    certificate.
     """
-    # A callable is a frontier (thresholds'): the dict of _lockstep, certified.
+    # A callable is a frontier (thresholds'): the dict of _lockstep.
     if callable(family):
-        return _lockstep(params, family, certify=True)
+        return _lockstep(params, family)
     # Not isinstance(family, ChannelFamily): the benchmark's tracer replaces
     # this module's ChannelFamily with a wrapper function.
     single = not isinstance(family, Sequence)
@@ -410,7 +406,7 @@ def run_de(
     return results[0] if single else results
 
 
-def _lockstep(params: EnsembleParams, frontier, *, certify: bool = False) -> dict:
+def _lockstep(params: EnsembleParams, frontier) -> dict:
     """Run lockstep rows until `frontier` wants none.
 
     `frontier(done)` maps the results decided so far, a dict key -> DeResult,
@@ -443,17 +439,8 @@ def _lockstep(params: EnsembleParams, frontier, *, certify: bool = False) -> dic
     with period lam repeats first at a sweep t >= mu + lam, by which the
     other tests have seen every step of the cycle, so a row they decide keeps
     its result.
-
-    With `certify`, a row that has not decided by the end of a block may
-    also stall there on a certificate (_stall_candidates, _certifies): a
-    state y with 0 <= y <= 1, some punctured rate above _CERT_MIN_P > TOL,
-    and T(y) >= y in every entry of one exact sweep T. DE is monotone, so
-    from all-ones every exact iterate stays at or above y, and the row can
-    never converge. The certificate is tried before the MAX_ITER cap, so a
-    row that would have reached the cap can stall instead.
     """
     n = params.n_sections
-    # dev(kind, m) for fpoly, and dev(kind, m, exact=True) for _certifies.
     dev = functools.cache(functools.partial(DensityEvolution, params))
     done: dict = {}
     keys: list = []  # the key of each live row, all of them in `wanted`
@@ -496,31 +483,12 @@ def _lockstep(params: EnsembleParams, frontier, *, certify: bool = False) -> dic
             checked = ((np.array(it) + s + 1) % 100 == 0) & (s <= t_dec)
             if (dX.max(axis=(1, 3))[checked] > _MONOTONE_SLACK).any():
                 raise AssertionError("monotone decrease from all-ones violated; update is broken")
-            certified = set()
-            if certify:
-                # (b**4).bit_length() > (a**4).bit_length() iff some power of
-                # 2**(1/4) lies in (a, b].
-                due = [
-                    r
-                    for r, i in enumerate(it)
-                    if t_dec[r] == sweeps
-                    and i + sweeps >= _CERT_MIN_SWEEPS
-                    and ((i + sweeps) ** 4).bit_length() > (i**4).bit_length()
-                ]
-                candidates = _stall_candidates(sweeper, X[:, 0], X[:, 1], change, fcoef, due)
-                for r, y in candidates.items():
-                    family = wanted[keys[r]]
-                    if _certifies(dev(family.kind, family.m, exact=True), family.parameter, *y):
-                        certified.add(r)
             for r, key in enumerate(keys):
                 t = int(t_dec[r])
                 if t < sweeps:
                     status = "converged" if converged[t, r] else "stalled"
                     state = *X[t + 1, :, r], it[r] + t + 1
                     done[key] = _de_result(params, wanted[key], *state, status)
-                elif r in certified:
-                    state = *X[-1, :, r], it[r] + sweeps
-                    done[key] = _de_result(params, wanted[key], *state, "stalled")
                 elif it[r] + sweeps == MAX_ITER:
                     state = *X[-1, :, r], MAX_ITER
                     done[key] = _de_result(params, wanted[key], *state, "iter-limit")
@@ -532,34 +500,11 @@ def _lockstep(params: EnsembleParams, frontier, *, certify: bool = False) -> dic
     return done
 
 
-def _stall_candidates(dev: DensityEvolution, P, Q, change, fcoef, rows) -> dict:
-    """The float filter of the stall certificates: row -> (p, q) of a
-    candidate y for each of `rows` whose candidate passes.
-
-    P and Q hold the block's states and `change` the sup-norm change of each
-    sweep, indexed (sweep, row[, section]); fcoef is _lockstep's. Along the
-    slow mode the change shrinks by lam = (last change / first change)
-    ** (1 / (sweeps - 1)) per sweep, so the row's limit lies about
-    lam / (1 - lam) times its last step d below its state x. The candidate
-    y = x - K * d, K = 2 lam / (1 - lam), lies as far again below the limit,
-    where T(y) > y along the slow mode; the lowering passes remove what the
-    other modes leave. Rows whose change did not shrink are not tried.
-    """
-    rows = [r for r in rows if 0 < change[-1, r] < change[0, r]]
-    if not rows:
-        return {}
-    lam = (change[-1, rows] / change[0, rows]) ** (1 / (len(change) - 1))
-    k = (2 * lam / (1 - lam))[:, None]
-    y = [(X[-1, rows] - k * (X[-2, rows] - X[-1, rows]))[..., None] for X in (P, Q)]
-    y, ok = _lowered(dev, y, fcoef[:, rows])
-    return {r: (y[0][i, :, 0], y[1][i, :, 0]) for i, r in enumerate(rows) if ok[i]}
-
-
 def _lowered(dev: DensityEvolution, y, fcoef) -> tuple[list, np.ndarray]:
     """The lowering and the float filter of the stall certificates: the
     candidates y = [p, q], each of shape (rows, n, 1), clipped to [0, 1] and
     lowered _CERT_PASSES times at the rows' fcoef (_lockstep's layout), and
-    whether each row passes the filter (see the comment on _CERT_MIN_SWEEPS).
+    whether each row passes the filter (see the comment on _CERT_PASSES).
     Clipped, every lowered entry lies in [0, 1], as _certifies needs."""
     y = [np.clip(v, 0.0, 1.0) for v in y]
     for _ in range(_CERT_PASSES):
@@ -658,29 +603,27 @@ def thresholds(
     decodable value; returns a dict (kind, m) -> ε*.
 
     Assumes the success predicate is monotone in the parameter. A walk row
-    that reaches MAX_ITER sweeps without deciding or a stall certificate
-    leaves its cell's bracket inconclusive. Every other cell still runs to
-    its end, and then a ConvergenceError names each capped cell and
-    carries the values of the others in its `eps_star`.
+    that reaches MAX_ITER sweeps without deciding leaves its cell's bracket
+    inconclusive. Every other cell still runs to its end, and then a
+    ConvergenceError names each capped cell and carries the values of the
+    others in its `eps_star`.
 
     The bisections run through one lockstep `run_de` whose rows follow each
     cell's walk; a cell's ε* is read from one _walk over its decided rows,
     which takes plain bisection's steps. A row decides as its own run does,
-    or stalls early on an exact stall certificate (_fold_certified,
-    _lockstep), proof that DE at its parameter never converges; its own
-    run then fails too, unless float rounding decodes a row that exact DE
-    cannot (no checked cell did).
+    or, above its cell's fold, stalls at sweep 0 on the fold-point
+    certificate (_fold_certified), proof that DE at its parameter never
+    converges; its own run then fails too, unless float rounding decodes a
+    row that exact DE cannot (no checked cell did).
 
     A row is keyed by m and the dimension law at its midpoint, which fix
     its f, so cells whose laws agree there (cd and bd at m = 1) share it.
     The cell's `fold` and its fold point are computed once per distinct
-    first row (the midpoint 1/2). A cell with a fold wants only its
-    _predicted_path: the rows of the walk's slow last steps start at once
-    instead of waiting for the rows above them. A row that joins above the
-    fold is tried first from the fold point (_fold_certified) and, if
-    certified, stalls at sweep 0. A cell without a fold wants its
-    _frontier. Only decided rows steer the walk, so a wrong fold or fold
-    point, or none, costs only speed.
+    first row (the midpoint 1/2). A cell with a fold wants only the path of
+    its _walk guessed by the fold: the rows of the walk's slow last steps
+    start at once instead of waiting for the rows above them. A cell
+    without a fold wants its _frontier. Only decided rows steer the walk,
+    so a wrong fold or fold point, or none, costs only speed.
     """
     cells = list(cells)
     for kind, _ in cells:
@@ -699,8 +642,12 @@ def thresholds(
             keys[cell][mid] = cell[1], dimension_law(*cell, mid)
         return keys[cell][mid]
 
-    def by_cell(done: dict) -> dict:  # cell -> (mid -> DeResult)
-        return {c: {mid: done[k] for mid, k in keys[c].items() if k in done} for c in cells}
+    def by_cell(done: dict) -> dict:  # cell -> its decision map, mid -> up
+        status = {"converged": True, "stalled": False, "iter-limit": None}
+        return {
+            c: {mid: status[done[k].status] for mid, k in keys[c].items() if k in done}
+            for c in cells
+        }
 
     folds: dict = {}  # first row key -> (fold, fold point), or None
     for cell in cells:
@@ -710,11 +657,11 @@ def thresholds(
     def frontier(done: dict) -> dict:
         nonlocal rows
         wanted: dict = {}
-        for c, d in by_cell(done).items():
+        for c, known in by_cell(done).items():
             if (f := folds[row_key(c, 0.5)]) is None:
-                mids = _frontier(0.0, 1.0, bisect_tol, d)
+                mids = _frontier(0.0, 1.0, bisect_tol, known)
             else:
-                mids = _predicted_path(0.0, 1.0, bisect_tol, d, f[0])
+                mids = _walk(0.0, 1.0, bisect_tol, known, f[0])[3]
             above = []  # the midpoints of rows joining above the fold
             for mid in mids:
                 if (k := row_key(c, mid)) in rows:
@@ -734,8 +681,8 @@ def thresholds(
 
     # The frontier is empty only once every walk has ended or reached a cap.
     eps_star, capped = {}, []
-    for (kind, m), done in by_cell(run_de(params, frontier)).items():
-        lo, hi, mid = _walk(0.0, 1.0, bisect_tol, done)
+    for (kind, m), known in by_cell(run_de(params, frontier)).items():
+        lo, hi, mid, _ = _walk(0.0, 1.0, bisect_tol, known)
         if mid is None:
             eps_star[kind, m] = 0.5 * (lo + hi)
         else:
@@ -754,26 +701,41 @@ def threshold(
     return thresholds(params, [(kind, m)], bisect_tol=bisect_tol)[kind, m]
 
 
-def _walk(lo: float, hi: float, bisect_tol: float, done: dict) -> tuple[float, float, float | None]:
-    """Bisect [lo, hi] through the exact dyadic midpoints decided in `done`:
-    the bracket reached, and the midpoint where the walk stopped, undecided
-    or capped, or None once the bracket is no wider than bisect_tol."""
-    while hi - lo > bisect_tol:
+def _walk(
+    lo: float, hi: float, tol: float, known: dict, guess: float | None = None
+) -> tuple[float, float, float | None, list[float]]:
+    """Bisect the dyadic bracket [lo, hi] down to tol through the decision
+    map `known`: midpoint -> True (go up), False (go down) or None (capped).
+    Returns (lo, hi, mid, path): the bracket reached, the midpoint where the
+    walk stopped (capped, or unmapped without a guess) or None once the
+    bracket is no wider than tol, and the unmapped midpoints passed. With a
+    guess, an unmapped midpoint goes on `path` and the walk takes the
+    guess's side of it: up iff the midpoint lies below the guess."""
+    path: list[float] = []
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if mid not in done or done[mid].status == "iter-limit":
-            return lo, hi, mid
-        lo, hi = (mid, hi) if done[mid].success else (lo, mid)
-    return lo, hi, None
+        if mid in known:
+            up = known[mid]
+        elif guess is None:
+            return lo, hi, mid, path
+        else:
+            path.append(mid)
+            up = mid < guess
+        if up is None:
+            return lo, hi, mid, path
+        lo, hi = (mid, hi) if up else (lo, mid)
+    return lo, hi, None, path
 
 
-def _frontier(lo: float, hi: float, bisect_tol: float, done: dict) -> list[float]:
-    """Every midpoint not in `done` that the _walk from the dyadic bracket
-    [lo, hi] can reach within _BISECT_LEVELS undecided steps, whichever way they decide."""
+def _frontier(lo: float, hi: float, tol: float, known: dict) -> list[float]:
+    """Every unmapped midpoint that the _walk through `known` from the dyadic
+    bracket [lo, hi] can reach within _BISECT_LEVELS unmapped steps,
+    whichever way they decide."""
     mids: list[float] = []
 
     def visit(a: float, b: float, levels: int) -> None:
-        a, b, mid = _walk(a, b, bisect_tol, done)
-        if mid is not None and mid not in done:
+        a, b, mid, _ = _walk(a, b, tol, known)
+        if mid is not None and mid not in known:
             mids.append(mid)
             if levels > 1:
                 visit(a, mid, levels - 1)
@@ -781,21 +743,6 @@ def _frontier(lo: float, hi: float, bisect_tol: float, done: dict) -> list[float
 
     visit(lo, hi, _BISECT_LEVELS)
     return mids
-
-
-def _predicted_path(
-    lo: float, hi: float, bisect_tol: float, done: dict, eps_fold: float
-) -> list[float]:
-    """Every midpoint not in `done` on the _walk from [lo, hi] that takes
-    each undecided midpoint the way the fold eps_fold predicts: converged
-    below it, failed at or above it. Stops at a capped midpoint."""
-    mids: list[float] = []
-    while True:
-        lo, hi, mid = _walk(lo, hi, bisect_tol, done)
-        if mid is None or mid in done:
-            return mids
-        mids.append(mid)
-        lo, hi = (mid, hi) if mid < eps_fold else (lo, mid)
 
 
 class _FixedPoints:
@@ -1105,19 +1052,19 @@ def _zoomed_bisection(chi_at, target: float, lo: float, hi: float) -> tuple[floa
     mean(p) is known at both ends of every bracket: the start was probed, a
     zoom probes both ends, and a step keeps one end and evaluates the other.
     Below _WARM_DEPTH the crossing predicted by linear interpolation between
-    the ends fixes a _bisection_path, evaluated in one call; the bisection
-    then steps through it up to its first midpoint not on the path, and
-    predicts again from there.
+    the ends guesses a _walk, whose path and final midpoint are evaluated in
+    one call; the bisection then walks through them up to its first
+    midpoint off the path, and predicts again from there.
     """
     guess = None
     while hi - lo > _EPS_BISECT_TOL:
         c_lo, c_hi = chi_at(lo, hi)
         prev, guess = guess, lo + (target - c_lo) / (c_hi - c_lo) * (hi - lo)
         if hi - lo <= 2.0**-_WARM_DEPTH:
-            path = _bisection_path(lo, hi, guess)
-            known = dict(zip(path, chi_at(*path)))
-            while hi - lo > _EPS_BISECT_TOL and (mid := 0.5 * (lo + hi)) in known:
-                lo, hi = (mid, hi) if known[mid] < target else (lo, mid)
+            a, b, _, path = _walk(lo, hi, _EPS_BISECT_TOL, {}, guess)
+            path.append(0.5 * (a + b))
+            known = {e: chi < target for e, chi in zip(path, chi_at(*path))}
+            lo, hi, _, _ = _walk(lo, hi, _EPS_BISECT_TOL, known)
             continue
         if prev is not None:
             margin = _ZOOM_MARGIN * abs(guess - prev)
@@ -1133,18 +1080,6 @@ def _zoomed_bisection(chi_at, target: float, lo: float, hi: float) -> tuple[floa
         (c_mid,) = chi_at(mid)
         lo, hi = (mid, hi) if c_mid < target else (lo, mid)
     return lo, hi
-
-
-def _bisection_path(lo: float, hi: float, guess: float) -> list[float]:
-    """The midpoints that bisection of [lo, hi] down to _EPS_BISECT_TOL tests
-    when each goes the way `guess` predicts (mean(p) below the target left
-    of it), then the midpoint of the bracket it ends with."""
-    path = []
-    while True:
-        path.append(mid := 0.5 * (lo + hi))
-        if hi - lo <= _EPS_BISECT_TOL:
-            return path
-        lo, hi = (mid, hi) if mid < guess else (lo, mid)
 
 
 def _warm_bracket(eps: float, d_eps: float) -> tuple[float, float]:

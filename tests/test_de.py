@@ -485,11 +485,15 @@ class TestThreshold:
 
     def test_frontier_matches_brute_force(self):
         # Seeded dyadic brackets, tolerances (exact level widths included)
-        # and decided sets, with runs that converged, stalled or hit the cap.
+        # and decision maps, with runs that converged (up), stalled (down) or
+        # hit the cap (None). The _walk through each map is checked too,
+        # without a guess and with one: inside the bracket, on one of its
+        # midpoints, or at one of its ends.
         rng = np.random.default_rng(14)
+        guesses = np.random.default_rng(15)
         statuses = ["converged", "stalled", "iter-limit"]
-        outcomes = {status: fake_result(status) for status in statuses}
-        sizes = set()
+        outcomes = {"converged": True, "stalled": False, "iter-limit": None}
+        sizes, stops = set(), set()
         for _ in range(300):
             d = int(rng.integers(0, 40))
             j = int(rng.integers(0, 2**d))
@@ -497,26 +501,33 @@ class TestThreshold:
             e = rng.uniform(0, 9)
             bisect_tol = (hi - lo) * 2.0 ** -(np.floor(e) if rng.random() < 0.25 else e)
             share = rng.uniform(0, 1)
-            done = {
+            mids = tree_midpoints(lo, hi, bisect_tol)
+            known = {
                 mid: outcomes[rng.choice(statuses, p=[0.45, 0.45, 0.1])]
-                for mid in tree_midpoints(lo, hi, bisect_tol)
+                for mid in mids
                 if rng.random() < share
             }
-            got = de._frontier(lo, hi, bisect_tol, done)
+            got = de._frontier(lo, hi, bisect_tol, known)
             assert len(got) == len(set(got)) <= 2**de._BISECT_LEVELS - 1
-            assert set(got) == set(brute_force_frontier(lo, hi, bisect_tol, done))
+            assert set(got) == set(brute_force_frontier(lo, hi, bisect_tol, known))
             sizes.add(len(got))
+            on_tree = mids[guesses.integers(len(mids))] if mids else lo
+            for guess in (None, guesses.uniform(lo, hi), on_tree, (lo, hi)[guesses.integers(2)]):
+                walk = de._walk(lo, hi, bisect_tol, known, guess)
+                assert walk == brute_force_walk(lo, hi, bisect_tol, known, guess)
+                mid = walk[2]
+                stops.add("end" if mid is None else "unmapped" if mid not in known else "capped")
         assert sizes == set(range(2**de._BISECT_LEVELS))
+        assert stops == {"end", "unmapped", "capped"}
 
     def test_iter_limit_names_the_same_parameter(self, monkeypatch):
         # At L=4/w=3, cd m=2, bisection steps 4, 5 and 12 are the first to
         # take more than 150, 300 and 3000 sweeps (196, 374 and 3702). Those
-        # rows stall, and each is certified before its cap (see
-        # test_certificate_decides_before_the_cap), so a cap is now reached
-        # on the walk only by a converging row: steps 6, 9 and 13 (158, 318
-        # and 1329 sweeps) under the budgets 150, 300 and 1000. The named
-        # midpoint lies on the walk that uncapped decisions take, and runs to
-        # the cap.
+        # rows stall above the fold, and each is certified as it joins, from
+        # the fold point, so a cap is now reached on the walk only by a
+        # converging row: steps 6, 9 and 13 (158, 318 and 1329 sweeps) under
+        # the budgets 150, 300 and 1000. The named midpoint lies on the walk
+        # that uncapped decisions take, and runs to the cap.
         params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=3)
         walk = reference_walk(params, "cd", 2, bisect_tol=1e-4)
         capped = set()
@@ -633,8 +644,7 @@ class TestThreshold:
         for fake in fakes:
             monkeypatch.setattr(de, "_fold", fake)
             assert thresholds(params, cells, bisect_tol=1e-3) == ref
-        # Each row that was certified, at join or by extrapolation, fails
-        # on its own run.
+        # Each row that was certified as it joined fails on its own run.
         rows = {(exact.kind, exact.m, eps) for (exact, eps, _, _), ok in certified if ok}
         assert len(rows) > 10
         results = run_de(params, [ChannelFamily(*row) for row in rows])
@@ -773,24 +783,12 @@ class TestStallCertificate:
         assert eps > eps_fold
         assert de._fold_certified(params, kind, m, point, [eps]) == [True]
 
-    def test_certificate_decides_before_the_cap(self, monkeypatch):
-        # cd m=2 at 0.5625 stalls at sweep 196, so a 150-sweep cap stops its
-        # plain run; its certificate is accepted at sweep 128.
-        family = ChannelFamily("cd", 2, 0.5625)
-        assert reference_run_de(self.P43, family, max_iter=150).status == "iter-limit"
-        monkeypatch.setattr(de, "MAX_ITER", 150)
-        checks = spy_certifies(monkeypatch)
-        got = certified_run(self.P43, family)
-        assert got.status == "stalled" and not got.success
-        assert got.state.iterations == 128
-        assert checks == [True]
-
     def test_checker_rejects_one_ulp(self, monkeypatch):
-        # A certificate from a real row, with one punctured rate raised to
-        # the least float above its exact image: rejected. One ulp lower it
-        # passes, and so does every other entry.
+        # A fold-point certificate of a real row, with one punctured rate
+        # raised to the least float above its exact image: rejected. One ulp
+        # lower it passes, and so does every other entry.
         checks = spy_certifies(monkeypatch, keep_args=True)
-        certified_run(P422, ChannelFamily("cd", 2, 0.5))
+        de._fold_certified(P422, "cd", 2, de._fold(P422, "cd", 2)[1], [0.5])
         (exact, eps, p, q), ok = checks[0]
         assert ok and de._certifies(exact, eps, p, q)
         i = P422.L
@@ -802,27 +800,9 @@ class TestStallCertificate:
         assert not de._certifies(exact, eps, p, q)
         assert de._certifies(exact, eps, ulp_below(p, i), q)
 
-    def test_forged_candidate_leaves_the_row_live(self, monkeypatch):
-        # Every due row offers all-ones, which the exact sweep rejects; the
-        # row then runs on to its float stall, bit for bit.
-        def forged(dev, P, Q, change, fcoef, rows):
-            return {r: (np.ones(P.shape[2]), np.ones(Q.shape[2])) for r in rows}
-
-        family = ChannelFamily("cd", 2, 0.5625)
-        monkeypatch.setattr(de, "_stall_candidates", forged)
-        checks = spy_certifies(monkeypatch)
-        got = certified_run(self.P43, family)
-        assert_same_result(got, reference_run_de(self.P43, family))
-        assert len(checks) > 0 and not any(checks)
-
-    def test_certified_long_before_the_float_stall(self):
-        family = ChannelFamily("cd", 2, 0.5)
-        got = certified_run(P422, family)
-        assert got.status == "stalled" and got.state.iterations <= 2000
-        assert run_de(P422, family).state.iterations > 6000
-
     def test_no_row_below_threshold_is_certified(self, monkeypatch):
-        # Every cell of the table, in one certifying run.
+        # Every cell of the table: its rows converge, and its fold point
+        # certifies neither of them.
         checks = spy_certifies(monkeypatch)
         families = {
             (cell, eps): ChannelFamily(*cell, eps)
@@ -831,7 +811,14 @@ class TestStallCertificate:
         }
         done = run_de(P422, lambda done: {k: f for k, f in families.items() if k not in done})
         assert [k for k, r in done.items() if r.status != "converged"] == []
-        assert len(done) == 24 and not any(checks)
+        refused = [
+            ok
+            for cell, ref in REF_L10_W2.items()
+            for ok in de._fold_certified(
+                P422, *cell, de._fold(P422, *cell)[1], [ref - 1e-3, ref - 1e-4]
+            )
+        ]
+        assert len(done) == len(refused) == 24 and not any(refused) and not any(checks)
 
     @pytest.mark.parametrize(
         "gain, level, accepted",
@@ -844,10 +831,10 @@ class TestStallCertificate:
         ],
     )
     def test_filter_rules(self, gain, level, accepted):
-        got = filter_with_fake_sweep(ShiftedSweep(gain), level, level)
-        assert (0 in got) == accepted
+        y, ok = filter_with_fake_sweep(ShiftedSweep(gain), level)
+        assert ok[0] == accepted
         if accepted:
-            assert np.array_equal(got[0][0], np.full(P422.n_sections, level))
+            assert np.array_equal(y[0][0, :, 0], np.full(P422.n_sections, level))
 
     def test_every_candidate_in_a_search_is_certified(self, monkeypatch):
         # The float filter is tight: no candidate it passes on a whole
@@ -858,8 +845,8 @@ class TestStallCertificate:
 
 
 class ShiftedSweep:
-    """Stands in for a DensityEvolution in _stall_candidates: its sweep
-    maps every rate x to x + gain."""
+    """Stands in for a DensityEvolution in _lowered: its sweep maps every
+    rate x to x + gain."""
 
     def __init__(self, gain):
         self.gain = gain
@@ -868,16 +855,11 @@ class ShiftedSweep:
         return p + self.gain, q + self.gain
 
 
-def filter_with_fake_sweep(dev, level, first):
-    """_stall_candidates on one row whose last two states are all `level`
-    but for a first punctured rate `first`. With no last step, the
-    candidate starts at that state."""
-    n = P422.n_sections
-    P = np.full((3, 1, n), level)
-    P[:, 0, 0] = first
-    Q = np.full((3, 1, n), level)
-    change = np.array([[2e-3], [1e-3]])
-    return de._stall_candidates(dev, P, Q, change, np.zeros((1, 1, 1, 1)), [0])
+def filter_with_fake_sweep(dev, level):
+    """_lowered on one row whose candidate is all `level`: the lowered
+    candidate and whether it passes the float filter."""
+    y = [np.full((1, P422.n_sections, 1), level) for _ in range(2)]
+    return de._lowered(dev, y, np.zeros((1, 1, 1, 1)))
 
 
 def spy_certifies(monkeypatch, keep_args=False):
@@ -892,11 +874,6 @@ def spy_certifies(monkeypatch, keep_args=False):
 
     monkeypatch.setattr(de, "_certifies", spy)
     return checks
-
-
-def certified_run(params, family):
-    """One row on run_de's frontier path, where certificates are tried."""
-    return run_de(params, lambda done: {} if done else {0: family})[0]
 
 
 def exact_image(exact, eps, p, q):
@@ -965,11 +942,6 @@ def reference_run_de(params, family, *, max_iter=de.MAX_ITER):
     return DeResult(state=state, success=status == "converged", status=status)
 
 
-def fake_result(status):
-    state = DeState(L=0, p=np.zeros(1), q=np.zeros(1), epsilon=0.0)
-    return DeResult(state=state, success=status == "converged", status=status)
-
-
 def tree_midpoints(lo, hi, bisect_tol):
     """Every midpoint that bisection from [lo, hi] to bisect_tol can form."""
     if hi - lo <= bisect_tol:
@@ -978,11 +950,11 @@ def tree_midpoints(lo, hi, bisect_tol):
     return [mid, *tree_midpoints(lo, mid, bisect_tol), *tree_midpoints(mid, hi, bisect_tol)]
 
 
-def brute_force_frontier(lo, hi, bisect_tol, done):
-    """de._frontier by enumeration: each undecided midpoint of the whole
-    bisection tree whose path from [lo, hi] is open (every decided midpoint
-    on it decided the way the path turns, none hit the cap) and holds fewer
-    than _BISECT_LEVELS undecided midpoints above it."""
+def brute_force_frontier(lo, hi, bisect_tol, known):
+    """de._frontier by enumeration: each unmapped midpoint of the whole
+    bisection tree whose path from [lo, hi] is open (every mapped midpoint
+    on it maps to the way the path turns, none to the cap) and holds fewer
+    than _BISECT_LEVELS unmapped midpoints above it."""
     found = []
     nodes = [(lo, hi, [])]  # a bracket and the (midpoint, went up) above it
     while nodes:
@@ -990,15 +962,38 @@ def brute_force_frontier(lo, hi, bisect_tol, done):
         if b - a <= bisect_tol:
             continue
         mid = 0.5 * (a + b)
-        above = [done.get(x) for x, _ in path]
-        open_path = all(
-            r is None or (r.status != "iter-limit" and r.success == up)
-            for r, (_, up) in zip(above, path)
-        )
-        if open_path and mid not in done and above.count(None) < de._BISECT_LEVELS:
+        open_path = all(x not in known or known[x] is up for x, up in path)
+        unmapped = sum(x not in known for x, _ in path)
+        if open_path and mid not in known and unmapped < de._BISECT_LEVELS:
             found.append(mid)
         nodes += [(a, mid, [*path, (mid, False)]), (mid, b, [*path, (mid, True)])]
     return found
+
+
+def brute_force_walk(lo, hi, bisect_tol, known, guess):
+    """de._walk by enumeration: (lo, hi, mid, path) of the one bracket of the
+    whole bisection tree that the walk reaches (each midpoint above it maps
+    to the way the path turns, or is unmapped and the guess lies on that
+    side) and ends on (no wider than bisect_tol, mid None, or its midpoint
+    mid can turn neither way); path holds the unmapped midpoints above it."""
+
+    def turns(x, up):
+        if x in known:
+            return known[x] is up
+        return guess is not None and (x < guess) == up
+
+    ends = []
+    nodes = [(lo, hi, [])]  # a bracket and the (midpoint, went up) above it
+    while nodes:
+        a, b, path = nodes.pop()
+        mid = 0.5 * (a + b) if b - a > bisect_tol else None
+        if all(turns(x, up) for x, up in path):
+            if mid is None or not (turns(mid, True) or turns(mid, False)):
+                ends.append((a, b, mid, [x for x, _ in path if x not in known]))
+        if mid is not None:
+            nodes += [(a, mid, [*path, (mid, False)]), (mid, b, [*path, (mid, True)])]
+    (end,) = ends
+    return end
 
 
 def batched_schedule_sweeps(params, kind, m, bisect_tol):
