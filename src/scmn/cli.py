@@ -31,8 +31,8 @@ EXIT_USAGE = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_INTERNAL = 4
 
-# Most targets an exit-curve grid may hold: at about 7 ms per point of an
-# L=20/w=3 cd m=6 trace, some 12 minutes of tracing and 0.8 MB of targets.
+# Most targets an exit-curve grid may hold: at about 5.5 ms per point of an
+# L=20/w=3 cd m=6 trace, some 9 minutes of tracing and 0.8 MB of targets.
 MAX_CURVE_POINTS = 100_000
 
 

@@ -103,13 +103,17 @@ _EPS_BISECT_TOL = 1e-12
 # otherwise the round takes one plain bisection step. Once the bracket is
 # _WARM_DEPTH deep the bisection no longer zooms: it evaluates at once every
 # midpoint it would test if each went the way the prediction says (the path
-# of a guessed _walk), then tests them in plain bisection's order.
+# of a guessed _walk), then tests them in plain bisection's order. A call
+# evaluates with the ε it needs those it will probably need next: a
+# bracket's midpoint with its two ends, and the guessed path inside a zoom
+# of depth _WARM_DEPTH with its two probes.
 _WARM_DEPTH = 30
 _WARM_WIDTH = 2.0
 # Detector-half calls per curve trace barely move for margins from 1/32 to
 # 1/4 and grow outside them; the middle of that plateau is taken. At 1/8 the
 # L=20/w=3 cd m=6 trace (chi = 0.95 down to 0.03 by 0.01; 1,356 rounds)
-# makes 7,383 calls of 24,672 rows (evaluations).
+# makes 5,141 calls of 25,796 rows (evaluations), against 5,249 at 1/32 and
+# 5,198 at 1/4 (scripts/curve_work.py counts them).
 _ZOOM_MARGIN = 1 / 8
 _STATE_TOL = 1e-10
 _EPS_CHANGE_TOL = 1e-10
@@ -346,19 +350,35 @@ class DensityEvolution:
         rows (R, n, 1) of one call, of which a float is the one-row case.
         Each row's f is one vector-matrix product (fpoly's) and each window
         product one gemv per row, so every row has the bits of staged_round.
+        As in _sweeps, f's coefficients, z and s1 are broadcast to the rows'
+        shape up front, so that every ufunc takes numpy's same-shape path,
+        and every step writes into a buffer.
         """
-        dg = self.params.dg
+        dl, dg = self.params.dl, self.params.dg
+        n = self.params.n_sections
         rp, s = (v[:, None] for v in self._check_rates(p, q))
         z, s1 = s**dg, s ** (dg - 1)
+        d = self.K.shape[1]
 
         def at(eps) -> tuple[np.ndarray, np.ndarray]:
             stacked = np.ndim(eps) == 1
             rows = eps if stacked else [eps]
             laws = np.array([dimension_law(self.kind, self.m, e) for e in rows])
-            # Coefficient j of every row's f, shape (R, 1, 1), is fcoef[j].
-            fcoef = np.matmul(laws[:, None, :], self.K).transpose(2, 0, 1)[..., None]
-            q1 = self._q_update(z, s1, fcoef, np.empty((len(laws), *z.shape)))
-            p1, q1 = self._p_update(rp, q1)[..., 0], q1[..., 0]
+            R = len(laws)
+            # Slots 0..d-1: coefficient j of every row's f; then z and s1,
+            # each of shape (R, n, 1). The new p and q get their own buffer,
+            # so that rows kept by a caller do not keep this one alive.
+            b = np.empty((d + 2, R, n, 1))
+            b[:d] = np.matmul(laws[:, None, :], self.K).transpose(2, 0, 1)[..., None]
+            b[d], b[d + 1] = z, s1
+            x = np.empty((2, R, n, 1))
+            q1 = self._q_update(b[d], b[d + 1], b[:d], x[1])
+            # _p_update's arithmetic, into buffers.
+            u = self.Wb @ q1
+            np.subtract(1.0, u, out=u)
+            np.multiply(rp, _power(u, dg, u), out=u)
+            v = np.matmul(self.Wf, np.subtract(1.0, u, out=u), out=x[0])
+            p1, q1 = _power(v, dl - 1, v)[..., 0], q1[..., 0]
             return (p1, q1) if stacked else (p1[0], q1[0])
 
         return at
@@ -990,9 +1010,15 @@ def _anchored_point(dev: DensityEvolution, p: np.ndarray, q: np.ndarray, target:
     cold path: the ends of [0, 1] first, then bisection from [0, 1]. Either
     way the bisection zooms (_zoomed_bisection) and tests the same dyadic
     midpoints below each bracket it adopts, so every ε is the one plain
-    bisection from [0, 1] gives. The ε a round needs together (the two ends
-    of a bracket, a zoom's two probes, a predicted bisection path) are
-    evaluated as rows of one call of the staged map.
+    bisection from [0, 1] gives. The ε a round needs together are evaluated
+    as rows of one call of the staged map, and with them the ε it will
+    probably need next: a bracket's two ends with its midpoint (the
+    bisection's first step while the bracket is wider than
+    2**-_WARM_DEPTH), a zoom's two probes with the path guessed inside a
+    cover of depth _WARM_DEPTH, and a guessed path alone (see
+    _zoomed_bisection). Every row is kept for the round, and a row has the
+    bits of the same ε evaluated alone, so the rows evaluated ahead change
+    no decision.
     """
     eps_prev = None
     d_eps = float("inf")
@@ -1001,33 +1027,39 @@ def _anchored_point(dev: DensityEvolution, p: np.ndarray, q: np.ndarray, target:
         staged = dev.staged_round_map(p, q)
         seen: dict[float, tuple] = {}  # (mean(p), p, q) at each ε of the round
 
-        def at(*eps: float) -> list[tuple]:
-            new = [e for e in dict.fromkeys(eps) if e not in seen]
-            if new:
+        def at(eps, ahead=()) -> list[tuple]:
+            """(mean(p), p, q) at each ε of eps. If one is not seen yet, those
+            of eps and ahead not seen yet are evaluated as rows of one call."""
+            if any(e not in seen for e in eps):
+                new = [e for e in dict.fromkeys((*eps, *ahead)) if e not in seen]
                 P, Q = staged(new)
                 # Each row's mean() to the bit, without its per-call overhead.
-                for e, chi, pe, qe in zip(new, P.sum(axis=1) / P.shape[1], P, Q):
+                for e, chi, pe, qe in zip(new, (P.sum(axis=1) / P.shape[1]).tolist(), P, Q):
                     seen[e] = chi, pe, qe
             return [seen[e] for e in eps]
 
-        def chi_at(*eps: float) -> list:
-            return [v[0] for v in at(*eps)]
+        def chi_at(eps, ahead=()) -> list[float]:
+            return [v[0] for v in at(eps, ahead)]
+
+        def ends(lo: float, hi: float) -> list[float]:
+            """mean(p) at lo and hi, evaluated with the bracket's midpoint."""
+            return chi_at((lo, hi), (0.5 * (lo + hi),) if hi - lo > 2.0**-_WARM_DEPTH else ())
 
         lo, hi = (0.0, 1.0) if d_eps == float("inf") else _warm_bracket(eps_prev, d_eps)
-        c_lo, c_hi = chi_at(lo, hi)
+        c_lo, c_hi = ends(lo, hi)
         # Strictly inside, as on the cold path's way to its bisection.
         if (lo, hi) != (0.0, 1.0) and not c_lo < target < c_hi:
             lo, hi = 0.0, 1.0
-            c_lo, c_hi = chi_at(lo, hi)
+            c_lo, c_hi = ends(lo, hi)
         # Only the cold path can meet the target at an end of its bracket.
         if target <= c_lo:
             eps = 0.0
         elif target >= c_hi:
             eps = 1.0
         else:
-            lo, hi = _zoomed_bisection(chi_at, target, lo, hi)
+            lo, hi = _zoomed_bisection(chi_at, target, lo, hi, c_lo, c_hi)
             eps = 0.5 * (lo + hi)
-        ((_, p1, q1),) = at(eps)
+        ((_, p1, q1),) = at((eps,))
         d_state = max(np.abs(p1 - p).max(), np.abs(q1 - q).max())
         d_eps = float("inf") if eps_prev is None else abs(eps - eps_prev)
         p, q, eps_prev = p1, q1, eps
@@ -1043,28 +1075,33 @@ def _anchored_point(dev: DensityEvolution, p: np.ndarray, q: np.ndarray, target:
     return None
 
 
-def _zoomed_bisection(chi_at, target: float, lo: float, hi: float) -> tuple[float, float]:
-    """Bisect the dyadic bracket [lo, hi], with mean(p) below the target at
-    lo and not below it at hi, down to _EPS_BISECT_TOL, zooming as the
-    comment on _ZOOM_MARGIN says. chi_at(*eps) gives mean(p) at each ε,
-    evaluating those not yet seen as rows of one call.
+def _zoomed_bisection(
+    chi_at, target: float, lo: float, hi: float, c_lo: float, c_hi: float
+) -> tuple[float, float]:
+    """Bisect the dyadic bracket [lo, hi], with mean(p) c_lo < target at lo
+    and c_hi >= target at hi, down to _EPS_BISECT_TOL, zooming as the
+    comment on _ZOOM_MARGIN says. chi_at(eps, ahead) gives mean(p) at each ε
+    of eps, evaluating those not yet seen, and those of ahead, as rows of
+    one call.
 
     mean(p) is known at both ends of every bracket: the start was probed, a
     zoom probes both ends, and a step keeps one end and evaluates the other.
     Below _WARM_DEPTH the crossing predicted by linear interpolation between
     the ends guesses a _walk, whose path and final midpoint are evaluated in
     one call; the bisection then walks through them up to its first
-    midpoint off the path, and predicts again from there.
+    midpoint off the path, and predicts again from there. A zoom to a cover
+    of depth _WARM_DEPTH evaluates the path guessed inside the cover with
+    its two probes, so that the walk after it mostly finds its rows seen.
     """
     guess = None
     while hi - lo > _EPS_BISECT_TOL:
-        c_lo, c_hi = chi_at(lo, hi)
         prev, guess = guess, lo + (target - c_lo) / (c_hi - c_lo) * (hi - lo)
         if hi - lo <= 2.0**-_WARM_DEPTH:
-            a, b, _, path = _walk(lo, hi, _EPS_BISECT_TOL, {}, guess)
-            path.append(0.5 * (a + b))
-            known = {e: chi < target for e, chi in zip(path, chi_at(*path))}
-            lo, hi, _, _ = _walk(lo, hi, _EPS_BISECT_TOL, known)
+            path = _guessed_path(lo, hi, guess)
+            chi = dict(zip(path, chi_at(path)))
+            chi[lo], chi[hi] = c_lo, c_hi
+            lo, hi, _, _ = _walk(lo, hi, _EPS_BISECT_TOL, {e: c < target for e, c in chi.items()})
+            c_lo, c_hi = chi[lo], chi[hi]
             continue
         if prev is not None:
             margin = _ZOOM_MARGIN * abs(guess - prev)
@@ -1072,14 +1109,27 @@ def _zoomed_bisection(chi_at, target: float, lo: float, hi: float) -> tuple[floa
             # At least two levels deeper, or the probes cost more than the
             # one step they would save.
             if b - a <= 0.25 * (hi - lo):
-                c_a, c_b = chi_at(a, b)
+                ahead = _guessed_path(a, b, guess) if b - a <= 2.0**-_WARM_DEPTH else ()
+                c_a, c_b = chi_at((a, b), ahead)
                 if c_a < target < c_b:
-                    lo, hi = a, b
+                    lo, hi, c_lo, c_hi = a, b, c_a, c_b
                     continue
         mid = 0.5 * (lo + hi)
-        (c_mid,) = chi_at(mid)
-        lo, hi = (mid, hi) if c_mid < target else (lo, mid)
+        (c_mid,) = chi_at((mid,))
+        if c_mid < target:
+            lo, c_lo = mid, c_mid
+        else:
+            hi, c_hi = mid, c_mid
     return lo, hi
+
+
+def _guessed_path(lo: float, hi: float, guess: float) -> list[float]:
+    """The midpoints a bisection of [lo, hi] down to _EPS_BISECT_TOL tests if
+    each goes the way `guess` says, and the midpoint of the bracket it ends
+    with: the ε the round then evaluates."""
+    a, b, _, path = _walk(lo, hi, _EPS_BISECT_TOL, {}, guess)
+    path.append(0.5 * (a + b))
+    return path
 
 
 def _warm_bracket(eps: float, d_eps: float) -> tuple[float, float]:

@@ -1133,6 +1133,20 @@ class TestEbpTrace:
             assert len(got) == len(grid)
             assert_same_points(got, ref)
 
+    @pytest.mark.parametrize("kind, m", [("cd", 2), ("bd", 2), ("bd", 6)])
+    def test_matches_cold_bisection_wide_window(self, kind, m, monkeypatch):
+        # More laws at L=20/w=3, where many warm windows straddle 0.5 and so
+        # start from [0, 1], and where a few warm brackets miss the target
+        # and fall back to [0, 1], leaving the midpoint evaluated with their
+        # ends unused. Every point still matches the cold tracer bit for bit.
+        params = EnsembleParams(dl=4, dr=2, dg=2, L=20, w=3)
+        grid = np.arange(0.9, 0.05, -0.1)
+        got = ebp_trace(params, kind, m, grid)
+        monkeypatch.setattr(de, "_anchored_point", cold_anchored_point)
+        ref = ebp_trace(params, kind, m, grid)
+        assert len(got) == len(grid)
+        assert_same_points(got, ref)
+
     def test_fewer_evaluations_per_round(self, monkeypatch):
         # Every round of the cold tracer here evaluates the detector half 43
         # times, one call each: both ends of [0, 1], 40 bisection steps and

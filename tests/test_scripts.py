@@ -192,6 +192,23 @@ def test_curve_battery_digest(capsys):
     assert capsys.readouterr().out.splitlines()[-1] == f"sha256 {CURVE_BATTERY_DIGEST}"
 
 
+def test_curve_work(capsys):
+    # The `curve` benchmark trace, about 1 s. Its rounds are fixed by the
+    # points; its detector-half calls and rows are pinned from above, so a
+    # change that gives back the lookahead's saving (7,383 calls of 24,672
+    # rows before it, 5,141 of 25,796 with it) fails here.
+    script = load_script("curve_work")
+    rounds, calls, rows = script.count()
+    assert rounds == 1356
+    assert calls <= 5200
+    assert rows <= 27000
+    assert script.run([]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "rounds 1356"
+    assert out[1].startswith(f"calls {calls} ")
+    assert out[2].startswith(f"rows {rows} ")
+
+
 def test_decode_battery_digest(capsys):
     # The real battery, about 5 s: every sampled graph and trial result of
     # its 214 trials to the bit.
