@@ -8,7 +8,7 @@ the SHA-256 digest of the 64 doubles (little-endian IEEE 754, in the order
 printed). Two source trees give the same digest exactly when they give every
 ε* to the bit, so a speed change to `thresholds` is checked by running this on
 both. Each (L, w, bisect_tol) is one `thresholds` call over its eight cells.
-The whole battery takes about 5 s on two cores.
+The whole battery takes 3.5-6 s on two cores.
 """
 
 import argparse

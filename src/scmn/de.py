@@ -630,20 +630,29 @@ def thresholds(
 
     The bisections run through one lockstep `run_de` whose rows follow each
     cell's walk; a cell's ε* is read from one _walk over its decided rows,
-    which takes plain bisection's steps. A row decides as its own run does,
-    or, above its cell's fold, stalls at sweep 0 on the fold-point
-    certificate (_fold_certified), proof that DE at its parameter never
-    converges; its own run then fails too, unless float rounding decodes a
-    row that exact DE cannot (no checked cell did).
+    closed under monotonicity in the parameter: a converged row decides
+    every midpoint below it, and a stalled row every midpoint above it.
+    Wherever DE is monotone in the parameter in floats too, as in exact
+    arithmetic (it was on every checked cell), the walk takes plain
+    bisection's steps. A row decides as its own run does, or, above its
+    cell's fold, stalls at sweep 0 on the fold-point certificate
+    (_fold_certified), proof that DE at its parameter never converges; its
+    own run then fails too, unless float rounding decodes a row that exact
+    DE cannot (no checked cell did).
 
     A row is keyed by m and the dimension law at its midpoint, which fix
     its f, so cells whose laws agree there (cd and bd at m = 1) share it.
     The cell's `fold` and its fold point are computed once per distinct
-    first row (the midpoint 1/2). A cell with a fold wants only the path of
-    its _walk guessed by the fold: the rows of the walk's slow last steps
-    start at once instead of waiting for the rows above them. A cell
-    without a fold wants its _frontier. Only decided rows steer the walk,
-    so a wrong fold or fold point, or none, costs only speed.
+    first row (the midpoint 1/2). A cell with a fold wants two midpoints of
+    the path of its _walk guessed by the fold: the highest one below the
+    fold, whose row is the walk's slowest and decides every lower one, and
+    the lowest one above it, which the certificate tries as it joins. So
+    the slow row starts at once, and it is most often the only row that
+    runs. A cell whose fold a decided row refutes (a row below it stalled,
+    or one above it converged), and a cell without a fold, want their
+    _frontier; the certificate still tries the rows joining above a
+    refuted fold. Only decided rows steer the walk, so a wrong fold or fold
+    point, or none, costs only speed.
     """
     cells = list(cells)
     for kind, _ in cells:
@@ -665,7 +674,7 @@ def thresholds(
     def by_cell(done: dict) -> dict:  # cell -> its decision map, mid -> up
         status = {"converged": True, "stalled": False, "iter-limit": None}
         return {
-            c: {mid: status[done[k].status] for mid, k in keys[c].items() if k in done}
+            c: _Monotone({mid: status[done[k].status] for mid, k in keys[c].items() if k in done})
             for c in cells
         }
 
@@ -678,23 +687,25 @@ def thresholds(
         nonlocal rows
         wanted: dict = {}
         for c, known in by_cell(done).items():
-            if (f := folds[row_key(c, 0.5)]) is None:
+            f = folds[row_key(c, 0.5)]
+            # A decided row on the wrong side of the fold refutes it.
+            if f is None or any(up == (x >= f[0]) for x, up in known.rows.items()):
                 mids = _frontier(0.0, 1.0, bisect_tol, known)
             else:
-                mids = _walk(0.0, 1.0, bisect_tol, known, f[0])[3]
-            above = []  # the midpoints of rows joining above the fold
+                # Path midpoints below the fold ascend and those above it
+                # descend: its highest one below and its lowest one above,
+                # if they go as the fold predicts, decide all the others.
+                path = _walk(0.0, 1.0, bisect_tol, known, f[0])[3]
+                mids = [x for x in path if x < f[0]][-1:] + [x for x in path if x >= f[0]][-1:]
             for mid in mids:
                 if (k := row_key(c, mid)) in rows:
                     wanted[k] = rows[k]
                 elif k not in wanted:
                     wanted[k] = ChannelFamily(*c, mid)
-                    if f is not None and mid > f[0]:
-                        above.append(mid)
-            if above:
-                ones = np.ones(params.n_sections)
-                for mid, ok in zip(above, _fold_certified(params, *c, f[1], above)):
-                    if ok:
-                        k = row_key(c, mid)
+                    # A row joining above the fold is tried by the certificate.
+                    above = f is not None and mid >= f[0]
+                    if above and _fold_certified(params, *c, f[1], [mid])[0]:
+                        ones = np.ones(params.n_sections)
                         wanted[k] = _de_result(params, wanted[k], ones, ones, 0, "stalled")
         rows = wanted
         return rows
@@ -722,10 +733,11 @@ def threshold(
 
 
 def _walk(
-    lo: float, hi: float, tol: float, known: dict, guess: float | None = None
+    lo: float, hi: float, tol: float, known: dict | _Monotone, guess: float | None = None
 ) -> tuple[float, float, float | None, list[float]]:
     """Bisect the dyadic bracket [lo, hi] down to tol through the decision
-    map `known`: midpoint -> True (go up), False (go down) or None (capped).
+    map `known`: midpoint -> True (go up), False (go down) or None (capped);
+    `thresholds` passes its rows closed under monotonicity (_Monotone).
     Returns (lo, hi, mid, path): the bracket reached, the midpoint where the
     walk stopped (capped, or unmapped without a guess) or None once the
     bracket is no wider than tol, and the unmapped midpoints passed. With a
@@ -747,7 +759,28 @@ def _walk(
     return lo, hi, None, path
 
 
-def _frontier(lo: float, hi: float, tol: float, known: dict) -> list[float]:
+class _Monotone:
+    """A decision map of `thresholds`, `rows`: midpoint -> True (its row
+    converged), False (stalled) or None (capped), closed under monotonicity
+    in the parameter for _walk. DE from all-ones is monotone in it (see
+    _fold_certified), so a midpoint without a row of its own goes up when a
+    row at or above it converged, and down when a row at or below it
+    stalled. If both or neither hold, it is unmapped; a capped row implies
+    nothing."""
+
+    def __init__(self, rows: dict):
+        self.rows = rows
+        self.top = max((x for x, up in rows.items() if up), default=-math.inf)
+        self.bottom = min((x for x, up in rows.items() if up is False), default=math.inf)
+
+    def __contains__(self, mid: float) -> bool:
+        return mid in self.rows or (mid <= self.top) != (mid >= self.bottom)
+
+    def __getitem__(self, mid: float) -> bool | None:
+        return self.rows[mid] if mid in self.rows else mid <= self.top
+
+
+def _frontier(lo: float, hi: float, tol: float, known: dict | _Monotone) -> list[float]:
     """Every unmapped midpoint that the _walk through `known` from the dyadic
     bracket [lo, hi] can reach within _BISECT_LEVELS unmapped steps,
     whichever way they decide."""

@@ -486,13 +486,16 @@ class TestThreshold:
     def test_frontier_matches_brute_force(self):
         # Seeded dyadic brackets, tolerances (exact level widths included)
         # and decision maps, with runs that converged (up), stalled (down) or
-        # hit the cap (None). The _walk through each map is checked too,
+        # hit the cap (None). A map is monotone (converged below a seeded
+        # threshold, stalled above it), monotone with a share of flipped
+        # entries (a converged row above a stalled one), or drawn at random,
+        # and may hold rows outside the bracket. _frontier reads each map
+        # closed under monotonicity (de._Monotone, as thresholds passes it).
+        # The _walk through each map, as it is and closed, is checked too,
         # without a guess and with one: inside the bracket, on one of its
         # midpoints, or at one of its ends.
         rng = np.random.default_rng(14)
         guesses = np.random.default_rng(15)
-        statuses = ["converged", "stalled", "iter-limit"]
-        outcomes = {"converged": True, "stalled": False, "iter-limit": None}
         sizes, stops = set(), set()
         for _ in range(300):
             d = int(rng.integers(0, 40))
@@ -502,23 +505,35 @@ class TestThreshold:
             bisect_tol = (hi - lo) * 2.0 ** -(np.floor(e) if rng.random() < 0.25 else e)
             share = rng.uniform(0, 1)
             mids = tree_midpoints(lo, hi, bisect_tol)
+            outside = [lo - (hi - lo) * rng.uniform(0, 1), hi + (hi - lo) * rng.uniform(0, 1)]
+            cut = rng.uniform(lo - (hi - lo) / 4, hi + (hi - lo) / 4)
+            flips = rng.choice([0.0, 0.05, 0.5])
             known = {
-                mid: outcomes[rng.choice(statuses, p=[0.45, 0.45, 0.1])]
-                for mid in mids
+                mid: None if rng.random() < 0.1 else bool((mid < cut) != (rng.random() < flips))
+                for mid in mids + outside[: rng.integers(3)]
                 if rng.random() < share
             }
-            got = de._frontier(lo, hi, bisect_tol, known)
+            closed = monotone_closure(known, mids)
+            got = de._frontier(lo, hi, bisect_tol, de._Monotone(known))
             assert len(got) == len(set(got)) <= 2**de._BISECT_LEVELS - 1
-            assert set(got) == set(brute_force_frontier(lo, hi, bisect_tol, known))
+            assert set(got) == set(brute_force_frontier(lo, hi, bisect_tol, closed))
             sizes.add(len(got))
             on_tree = mids[guesses.integers(len(mids))] if mids else lo
             for guess in (None, guesses.uniform(lo, hi), on_tree, (lo, hi)[guesses.integers(2)]):
                 walk = de._walk(lo, hi, bisect_tol, known, guess)
                 assert walk == brute_force_walk(lo, hi, bisect_tol, known, guess)
-                mid = walk[2]
-                stops.add("end" if mid is None else "unmapped" if mid not in known else "capped")
+                closed_walk = de._walk(lo, hi, bisect_tol, de._Monotone(known), guess)
+                assert closed_walk == brute_force_walk(lo, hi, bisect_tol, closed, guess)
+                mid = closed_walk[2]
+                stops.add("end" if mid is None else "unmapped" if mid not in closed else "capped")
+                if closed_walk != walk:
+                    stops.add("implied")
+                # Unmapped with a converged row above: a stalled row lies below.
+                if mid is not None and mid not in closed:
+                    if any(up is True and x >= mid for x, up in known.items()):
+                        stops.add("conflict")
         assert sizes == set(range(2**de._BISECT_LEVELS))
-        assert stops == {"end", "unmapped", "capped"}
+        assert stops == {"end", "unmapped", "capped", "implied", "conflict"}
 
     def test_iter_limit_names_the_same_parameter(self, monkeypatch):
         # At L=4/w=3, cd m=2, bisection steps 4, 5 and 12 are the first to
@@ -577,7 +592,10 @@ class TestThreshold:
                 decided.update(done)
                 return wanted
 
-            return run_de_orig(params, counted_frontier)
+            before = calls["sweep"]
+            done = run_de_orig(params, counted_frontier)
+            calls["lockstep"] = calls["sweep"] - before
+            return done
 
         def counted_sweeps(dev, x, fcoef, n):
             calls["sweep"] += n
@@ -586,23 +604,32 @@ class TestThreshold:
         monkeypatch.setattr(de, "run_de", counted_run_de)
         monkeypatch.setattr(de, "_sweeps", counted_sweeps)
         monkeypatch.setattr(de, "ChannelFamily", counted_family)
-        threshold(params, "cd", 2, bisect_tol=1e-5)
+        eps_star = threshold(params, "cd", 2, bisect_tol=1e-5)
         # One pipelined run; a row starts on each midpoint that enters the
         # frontier, and runs in lockstep with the others.
         assert calls["run_de"] == 1
         assert calls["family"] == calls["rows"] > 0
-        assert 0 < max(r.state.iterations for r in decided.values()) <= calls["sweep"]
-        # Some walk midpoint is live in every block, and each block ends at
-        # most a block after the sweep where a row decides.
+        longest = max(r.state.iterations for r in decided.values())
+        assert 0 < longest <= calls["sweep"]
+        # Each walk midpoint is decided by its own row, or implied by one (DE
+        # is monotone in the parameter): it lies at or below a converged row,
+        # or at or above a stalled one, and not both.
         # Rows are keyed by their dimension law; each holds its midpoint.
         decided = {r.state.epsilon: r for r in decided.values()}
-        lo, hi, walk = 0.0, 1.0, []
+        lo, hi = 0.0, 1.0
         while hi - lo > 1e-5:
             mid = 0.5 * (lo + hi)
-            walk.append(decided[mid].state.iterations)
-            lo, hi = (mid, hi) if decided[mid].success else (lo, mid)
-        assert calls["sweep"] < sum(walk) + len(walk) * de._SWEEP_BLOCK
-        # Walk rows above the fold were certified as they joined, at sweep 0.
+            up = any(r.success for e, r in decided.items() if e >= mid)
+            down = any(not r.success for e, r in decided.items() if e <= mid)
+            assert up != down
+            assert mid not in decided or decided[mid].success == up
+            lo, hi = (mid, hi) if up else (lo, mid)
+        assert 0.5 * (lo + hi) == eps_star
+        # The rows that run are the ones the walk cannot do without, so the
+        # lockstep run (the certificate filter's few sweeps included, the
+        # fold's not) is its longest row plus at most one block.
+        assert calls["lockstep"] <= longest + de._SWEEP_BLOCK
+        # The walk's row above the fold was certified as it joined, at sweep 0.
         joined = [r for r in decided.values() if r.state.iterations == 0]
         assert joined and all(r.status == "stalled" for r in joined)
         # Fewer sweeps than the schedule that waited for each batch of
@@ -679,12 +706,13 @@ class TestThreshold:
     )
     def test_walk_starts_its_slow_rows_at_once(self, monkeypatch, kind, m, eps_star, most):
         # The benchmark cells. The rows of the walk's last steps each take
-        # 10^4 to 6.5 * 10^4 sweeps; with the fold's predicted path they
-        # start at sweep 0 instead of waiting for the rows above them, so
-        # the run is about as long as its longest row. Without the path
-        # these cells ran 103,787 and 70,822 sweeps. Sweeps are the n summed
-        # over the lockstep run's _sweeps calls (the certificate filter's
-        # included); the fold is computed before counting starts.
+        # 10^4 to 6.5 * 10^4 sweeps; with the fold's predicted path the
+        # slowest of them, the highest below the fold, starts at sweep 0
+        # and decides the others, so the run is about as long as that row.
+        # Without the path these cells ran 103,787 and 70,822 sweeps. Sweeps
+        # are the n summed over the lockstep run's _sweeps calls (the
+        # certificate filter's included); the fold is computed before
+        # counting starts.
         value = de._fold(P422, kind, m)
         monkeypatch.setattr(de, "_fold", lambda *args: value)
         sweeps = [0]
@@ -948,6 +976,21 @@ def tree_midpoints(lo, hi, bisect_tol):
         return []
     mid = 0.5 * (lo + hi)
     return [mid, *tree_midpoints(lo, mid, bisect_tol), *tree_midpoints(mid, hi, bisect_tol)]
+
+
+def monotone_closure(known, mids):
+    """The decision map `known` closed over `mids` by enumeration: a midpoint
+    without its own decision goes up if some row at or above it converged,
+    and down if some row at or below it stalled; if both or neither, it
+    stays unmapped. Capped rows (None) imply nothing."""
+    closed = dict(known)
+    for x in mids:
+        if x not in known:
+            up = any(v is True and y >= x for y, v in known.items())
+            down = any(v is False and y <= x for y, v in known.items())
+            if up != down:
+                closed[x] = up
+    return closed
 
 
 def brute_force_frontier(lo, hi, bisect_tol, known):

@@ -209,6 +209,27 @@ def test_curve_work(capsys):
     assert out[2].startswith(f"rows {rows} ")
 
 
+def test_threshold_work(capsys):
+    # The `threshold` benchmark cells, about 4 s. Each row-sweep count is
+    # pinned from above: before the walk read its decisions closed under
+    # monotonicity, cd m=2 ran 15 rows for 201,676 row-sweeps and bd m=4 12
+    # rows for 113,822, with 2 and 5 certificates.
+    assert load_script("threshold_work").run([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    for line, cell, eps_star, most in zip(
+        lines,
+        ("cd m=2", "bd m=4"),
+        ("0x1.ff7f000000000p-2", "0x1.fed3000000000p-2"),
+        (70_000, 52_000),
+    ):
+        words = line.split()
+        assert " ".join(words[:2]) == cell and words[3] == eps_star
+        counts = {words[i]: int(words[i + 1]) for i in (4, 6, 10, 12)}
+        assert counts["rows"] >= 1 and counts["certificates"] <= 1
+        assert counts["sweeps"] <= counts["row-sweeps"] <= most
+
+
 def test_decode_battery_digest(capsys):
     # The real battery, about 5 s: every sampled graph and trial result of
     # its 214 trials to the bit.
