@@ -10,7 +10,7 @@ For each cell the script prints its ε* in float.hex and four counts:
   joined (`de._fold_certified`), and how many it certified;
 - sweeps: the lockstep sweeps, the n summed over `de._sweeps` calls;
 - row-sweeps: each such n times the rows of its call.
-The certificate filter's one-sweep calls are counted too. The fold is
+The certificate's lowering sweeps are counted too. The fold is
 computed before counting starts. DE is deterministic, so the counts are
 too; a change to the walk's schedule shows here as more or fewer rows and
 row-sweeps.

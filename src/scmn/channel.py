@@ -63,16 +63,8 @@ class ChannelFamily:
         _check_channel(self.kind, self.m, self.parameter)
 
     @classmethod
-    def fixed(cls, m: int, w: int) -> "ChannelFamily":
-        return cls("w", m, w)
-
-    @classmethod
     def concentrated(cls, m: int, eps: float) -> "ChannelFamily":
         return cls("cd", m, eps)
-
-    @classmethod
-    def binomial(cls, m: int, eps: float) -> "ChannelFamily":
-        return cls("bd", m, eps)
 
 
 def _check_channel(kind: str, m: int, parameter: float) -> None:

@@ -33,10 +33,6 @@ _MIN_BISECT_TOL = 2.0**-52
 # run_de reports a stall once a sweep changes every rate by less than this.
 _STALL_TOL = 1e-15
 _MONOTONE_SLACK = 1e-12
-# Undecided bisection steps that `thresholds` runs ahead of the walk of a cell
-# without a fold: at most 2**levels - 1 tree rows per such cell are live. Two
-# levels ran the same lockstep sweeps as three and 24-32% fewer row-sweeps.
-_BISECT_LEVELS = 2
 # Sweeps that run_de runs between its tests. At L=10/w=2 with three rows a
 # lockstep sweep took 15.4 us in blocks of 64 and 49.9 us when each sweep was
 # tested on its own (medians of 6 run_de calls; the sweep alone takes 13.9).
@@ -44,13 +40,11 @@ _SWEEP_BLOCK = 64
 # The stall certificate, tried on thresholds' rows above their cell's fold,
 # once as each joins (_fold_certified). The fold point y is lowered
 # _CERT_PASSES times to max(0, min(y, T(y) - _CERT_STEP)) (_lowered). The
-# float filter then passes y when T(y) - y >= _CERT_MARGIN wherever y > 0 (a
-# zero entry needs no margin: T(y) >= 0), above the float error of f (4e-13
-# at m = 15), and some punctured rate of y exceeds _CERT_MIN_P > TOL; the
-# exact sweep decides.
+# lowered y certifies when some punctured rate of it exceeds _CERT_MIN_P > TOL
+# and one sweep in exact rationals gives T(y) >= y (_certifies): every
+# iterate from all-ones then stays at or above y, so the row never decodes.
 _CERT_PASSES = 4
 _CERT_STEP = 1e-12
-_CERT_MARGIN = 5e-13
 _CERT_MIN_P = 1e-6
 # Most entries of a window matrix (Wb, Wf): 128 MiB each, L up to 2047 at w = 2.
 MAX_WINDOW_ENTRIES = 2**24
@@ -521,32 +515,28 @@ def _lockstep(params: EnsembleParams, frontier) -> dict:
 
 
 def _lowered(dev: DensityEvolution, y, fcoef) -> tuple[list, np.ndarray]:
-    """The lowering and the float filter of the stall certificates: the
-    candidates y = [p, q], each of shape (rows, n, 1), clipped to [0, 1] and
-    lowered _CERT_PASSES times at the rows' fcoef (_lockstep's layout), and
-    whether each row passes the filter (see the comment on _CERT_PASSES).
+    """The lowering of the stall certificates: the candidates y = [p, q],
+    each of shape (rows, n, 1), clipped to [0, 1] and lowered _CERT_PASSES
+    times at the rows' fcoef (_lockstep's layout), and whether some punctured
+    rate of each row exceeds _CERT_MIN_P (see the comment on _CERT_PASSES).
     Clipped, every lowered entry lies in [0, 1], as _certifies needs."""
     y = [np.clip(v, 0.0, 1.0) for v in y]
     for _ in range(_CERT_PASSES):
         Ty = dev.sweep(*y, fcoef)
         y = [np.maximum(0.0, np.minimum(v, t - _CERT_STEP)) for v, t in zip(y, Ty)]
-    Ty = dev.sweep(*y, fcoef)
-    ok = y[0].max(axis=(1, 2)) > _CERT_MIN_P
-    for v, t in zip(y, Ty):
-        ok &= ((t - v >= _CERT_MARGIN) | (v == 0)).all(axis=(1, 2))
-    return y, ok
+    return y, y[0].max(axis=(1, 2)) > _CERT_MIN_P
 
 
 def _fold_certified(params: EnsembleParams, kind: str, m: int, point, eps) -> list[bool]:
     """Whether the fold point (p, q), of shape (2, n), certifies that DE of
     (kind, m) never converges at each channel parameter of `eps`, which lie
-    above the fold: lowered at that parameter (_lowered), it passes the
-    float filter and _certifies.
+    above the fold: lowered at that parameter (_lowered), it keeps a
+    punctured rate above _CERT_MIN_P and passes _certifies.
 
     DE is monotone in the parameter as well as in the state, so above the
     fold T(y) >= T_fold(y), which is y at the fold point up to Newton's
     residual; the lowering passes work that residual off. A wrong fold
-    point only fails the filter or the exact sweep.
+    point only fails the exact sweep, which alone decides T(y) >= y.
     """
     dev = DensityEvolution(params, kind, m)
     fcoef = np.stack([dev.fpoly(e) for e in eps], axis=1)[..., None, None]
@@ -641,7 +631,9 @@ def thresholds(
     DE cannot (no checked cell did).
 
     A row is keyed by m and the dimension law at its midpoint, which fix
-    its f, so cells whose laws agree there (cd and bd at m = 1) share it.
+    its f. A cell reads every decided row whose key its own law gives at
+    the row's midpoint, so cells whose laws agree there (cd and bd at
+    m = 1) share it.
     The cell's `fold` and its fold point are computed once per distinct
     first row (the midpoint 1/2). A cell with a fold wants two midpoints of
     the path of its _walk guessed by the fold: the highest one below the
@@ -663,18 +655,16 @@ def thresholds(
     # strictly inside; a narrower one could end as two adjacent floats.
     if not _MIN_BISECT_TOL <= bisect_tol < 1:
         raise ValueError(f"bisect_tol must lie in [2**-52, 1), got {bisect_tol}")
-    keys: dict = {cell: {} for cell in cells}  # cell -> (mid -> row key)
     rows: dict = {}  # row key -> ChannelFamily, the rows wanted last
 
     def row_key(cell, mid: float) -> tuple:
-        if mid not in keys[cell]:
-            keys[cell][mid] = cell[1], dimension_law(*cell, mid)
-        return keys[cell][mid]
+        return cell[1], dimension_law(*cell, mid)
 
     def by_cell(done: dict) -> dict:  # cell -> its decision map, mid -> up
         status = {"converged": True, "stalled": False, "iter-limit": None}
+        mids = {k: r.state.epsilon for k, r in done.items()}
         return {
-            c: _Monotone({mid: status[done[k].status] for mid, k in keys[c].items() if k in done})
+            c: _Monotone({x: status[done[k].status] for k, x in mids.items() if k == row_key(c, x)})
             for c in cells
         }
 
@@ -782,20 +772,11 @@ class _Monotone:
 
 def _frontier(lo: float, hi: float, tol: float, known: dict | _Monotone) -> list[float]:
     """Every unmapped midpoint that the _walk through `known` from the dyadic
-    bracket [lo, hi] can reach within _BISECT_LEVELS unmapped steps,
-    whichever way they decide."""
-    mids: list[float] = []
-
-    def visit(a: float, b: float, levels: int) -> None:
-        a, b, mid, _ = _walk(a, b, tol, known)
-        if mid is not None and mid not in known:
-            mids.append(mid)
-            if levels > 1:
-                visit(a, mid, levels - 1)
-                visit(mid, b, levels - 1)
-
-    visit(lo, hi, _BISECT_LEVELS)
-    return mids
+    bracket [lo, hi] can reach within two unmapped steps, whichever way they
+    decide: the first two on the path of the walk that goes down at every
+    unmapped midpoint, then those of the walk that goes up, without repeats."""
+    down, up = (_walk(lo, hi, tol, known, guess)[3][:2] for guess in (lo, hi))
+    return list(dict.fromkeys(down + up))
 
 
 class _FixedPoints:

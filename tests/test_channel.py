@@ -27,7 +27,7 @@ def cd(m, eps):
 
 
 def bd(m, eps):
-    return dimension_distribution(ChannelFamily.binomial(m, eps))
+    return dimension_distribution(ChannelFamily("bd", m, eps))
 
 
 class TestDistributions:
@@ -49,7 +49,7 @@ class TestDistributions:
             assert p == pytest.approx(math.comb(4, d) * 0.3**d * 0.7 ** (4 - d))
 
     def test_w_point_mass(self):
-        dist = dimension_distribution(ChannelFamily.fixed(3, 0))
+        dist = dimension_distribution(ChannelFamily("w", 3, 0))
         assert dist.probs == (1.0, 0.0, 0.0, 0.0)
 
     def test_parameter_validation(self):
@@ -64,7 +64,7 @@ class TestDistributions:
         rng = np.random.default_rng(11)
         for m in range(1, 9):
             for d in range(m + 1):
-                fam = ChannelFamily.fixed(m, d)
+                fam = ChannelFamily("w", m, d)
                 assert dimension_law("w", m, d) == dimension_distribution(fam).probs
             grid = [0.0, 1.0, *(k / m for k in range(m + 1)), *rng.uniform(0, 1, 5)]
             for kind in ("cd", "bd"):
@@ -95,8 +95,8 @@ class TestCapacity:
                 assert abs(capacity(bd(m, eps)) - (1 - eps)) < 1e-12
 
     def test_w_channel(self):
-        assert capacity(dimension_distribution(ChannelFamily.fixed(4, 0))) == 1.0
-        assert capacity(dimension_distribution(ChannelFamily.fixed(4, 3))) == pytest.approx(0.25)
+        assert capacity(dimension_distribution(ChannelFamily("w", 4, 0))) == 1.0
+        assert capacity(dimension_distribution(ChannelFamily("w", 4, 3))) == pytest.approx(0.25)
 
 
 class TestSampleNoise:
@@ -110,7 +110,7 @@ class TestSampleNoise:
     def test_noiseless(self):
         rng = np.random.default_rng(0)
         for m, _ in self.SIZES:
-            dist = dimension_distribution(ChannelFamily.fixed(m, 0))
+            dist = dimension_distribution(ChannelFamily("w", m, 0))
             subs, idx, z = _sample_symbol_noise(dist, 200, rng)
             assert np.all(z == 0)
             assert all(subs[i] == SubspaceBasis.zero(m) for i in idx)
@@ -127,7 +127,7 @@ class TestSampleNoise:
     def test_full_space_uniform_noise(self):
         rng = np.random.default_rng(2)
         for m, n in self.SIZES:
-            dist = dimension_distribution(ChannelFamily.fixed(m, m))
+            dist = dimension_distribution(ChannelFamily("w", m, m))
             _, _, z = _sample_symbol_noise(dist, n, rng)
             cell = 1.0 / (1 << m)
             freq = np.bincount(z, minlength=1 << m) / n
@@ -152,7 +152,7 @@ class TestTransfer:
         assert transfer_f(cd(2, 0.5), 0.0) == pytest.approx(1 / 3, abs=1e-15)
 
     def test_noiseless_gives_zero(self):
-        dist = dimension_distribution(ChannelFamily.fixed(3, 0))
+        dist = dimension_distribution(ChannelFamily("w", 3, 0))
         for z in (0.0, 0.5, 1.0):
             assert transfer_f(dist, z) == 0.0
 

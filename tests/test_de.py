@@ -23,6 +23,8 @@ from test_acceptance import REF_L10_W2
 
 P422 = EnsembleParams(dl=4, dr=2, dg=2, L=10, w=2)
 CD2 = ChannelFamily.concentrated(2, 0.45)
+# Undecided bisection steps that de._frontier looks ahead of a walk.
+FRONTIER_DEPTH = 2
 
 
 def ones_state(params, eps):
@@ -326,7 +328,7 @@ class TestRunDe:
     def test_single_family_matches_reference(self, monkeypatch):
         # The one-row run against the 1-D loop it replaced.
         params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=3)
-        for fam in (CD2, ChannelFamily.binomial(3, 0.3), ChannelFamily.concentrated(2, 0.6)):
+        for fam in (CD2, ChannelFamily("bd", 3, 0.3), ChannelFamily.concentrated(2, 0.6)):
             assert_same_result(run_de(params, fam), reference_run_de(params, fam))
         fam = ChannelFamily.concentrated(2, 0.49)
         monkeypatch.setattr(de, "MAX_ITER", 40)
@@ -515,7 +517,7 @@ class TestThreshold:
             }
             closed = monotone_closure(known, mids)
             got = de._frontier(lo, hi, bisect_tol, de._Monotone(known))
-            assert len(got) == len(set(got)) <= 2**de._BISECT_LEVELS - 1
+            assert len(got) == len(set(got)) <= 2**FRONTIER_DEPTH - 1
             assert set(got) == set(brute_force_frontier(lo, hi, bisect_tol, closed))
             sizes.add(len(got))
             on_tree = mids[guesses.integers(len(mids))] if mids else lo
@@ -532,7 +534,7 @@ class TestThreshold:
                 if mid is not None and mid not in closed:
                     if any(up is True and x >= mid for x, up in known.items()):
                         stops.add("conflict")
-        assert sizes == set(range(2**de._BISECT_LEVELS))
+        assert sizes == set(range(2**FRONTIER_DEPTH))
         assert stops == {"end", "unmapped", "capped", "implied", "conflict"}
 
     def test_iter_limit_names_the_same_parameter(self, monkeypatch):
@@ -626,14 +628,14 @@ class TestThreshold:
             lo, hi = (mid, hi) if up else (lo, mid)
         assert 0.5 * (lo + hi) == eps_star
         # The rows that run are the ones the walk cannot do without, so the
-        # lockstep run (the certificate filter's few sweeps included, the
+        # lockstep run (the certificate's lowering sweeps included, the
         # fold's not) is its longest row plus at most one block.
         assert calls["lockstep"] <= longest + de._SWEEP_BLOCK
         # The walk's row above the fold was certified as it joined, at sweep 0.
         joined = [r for r in decided.values() if r.state.iterations == 0]
         assert joined and all(r.status == "stalled" for r in joined)
         # Fewer sweeps than the schedule that waited for each batch of
-        # _BISECT_LEVELS levels to decide before it started the next.
+        # FRONTIER_DEPTH levels to decide before it started the next.
         assert calls["sweep"] < batched
 
     def test_any_fold_gives_the_same_thresholds(self, monkeypatch):
@@ -701,6 +703,24 @@ class TestThreshold:
         assert len(rows) == 2 * n_alone and len(folds) == 2
 
     @pytest.mark.parametrize(
+        "kind, eps_star", [("cd", 0.4380836486816406), ("bd", 0.4610557556152344)]
+    )
+    def test_cells_without_a_fold_match_plain_bisection(self, kind, eps_star):
+        # m=15 at L=10/w=2 has no fold for either law, so its walk runs on
+        # _frontier alone. The referee runs one run_de row per step: the
+        # reference DE has no repeat test, and the cd row at 0.5 ends in a
+        # float cycle that it runs to the cap.
+        assert de.fold(P422, kind, 15) is None
+        assert threshold(P422, kind, 15, bisect_tol=1e-5) == eps_star
+        lo, hi = 0.0, 1.0
+        while hi - lo > 1e-5:
+            mid = 0.5 * (lo + hi)
+            result = run_de(P422, ChannelFamily(kind, 15, mid))
+            assert result.status != "iter-limit"
+            lo, hi = (mid, hi) if result.success else (lo, mid)
+        assert 0.5 * (lo + hi) == eps_star
+
+    @pytest.mark.parametrize(
         "kind, m, eps_star, most",
         [("cd", 2, "0x1.ff7f000000000p-2", 70_000), ("bd", 4, "0x1.fed3000000000p-2", 52_000)],
     )
@@ -711,8 +731,8 @@ class TestThreshold:
         # and decides the others, so the run is about as long as that row.
         # Without the path these cells ran 103,787 and 70,822 sweeps. Sweeps
         # are the n summed over the lockstep run's _sweeps calls (the
-        # certificate filter's included); the fold is computed before
-        # counting starts.
+        # certificate's lowering sweeps included); the fold is computed
+        # before counting starts.
         value = de._fold(P422, kind, m)
         monkeypatch.setattr(de, "_fold", lambda *args: value)
         sweeps = [0]
@@ -852,21 +872,23 @@ class TestStallCertificate:
         "gain, level, accepted",
         [
             (1e-12, 0.5, True),
-            # Below the margin: the float error of f reaches 4e-13 at m = 15.
-            (4e-13, 0.5, False),
             # No punctured rate above 1e-6 keeps a row from decoding.
             (1e-12, 1e-7, False),
         ],
     )
     def test_filter_rules(self, gain, level, accepted):
-        y, ok = filter_with_fake_sweep(ShiftedSweep(gain), level)
+        # The lowering takes _CERT_PASSES sweeps and no other: the exact
+        # sweep alone decides T(y) >= y.
+        dev = ShiftedSweep(gain)
+        y, ok = filter_with_fake_sweep(dev, level)
+        assert dev.sweeps == de._CERT_PASSES
         assert ok[0] == accepted
         if accepted:
             assert np.array_equal(y[0][0, :, 0], np.full(P422.n_sections, level))
 
     def test_every_candidate_in_a_search_is_certified(self, monkeypatch):
-        # The float filter is tight: no candidate it passes on a whole
-        # threshold search fails the exact sweep.
+        # The fold-point lowering is tight: no candidate that a whole
+        # threshold search tries fails the exact sweep.
         checks = spy_certifies(monkeypatch)
         threshold(self.P43, "cd", 2, bisect_tol=1e-4)
         assert len(checks) > 0 and all(checks)
@@ -874,18 +896,20 @@ class TestStallCertificate:
 
 class ShiftedSweep:
     """Stands in for a DensityEvolution in _lowered: its sweep maps every
-    rate x to x + gain."""
+    rate x to x + gain, and counts its calls."""
 
     def __init__(self, gain):
         self.gain = gain
+        self.sweeps = 0
 
     def sweep(self, p, q, fcoef):
+        self.sweeps += 1
         return p + self.gain, q + self.gain
 
 
 def filter_with_fake_sweep(dev, level):
     """_lowered on one row whose candidate is all `level`: the lowered
-    candidate and whether it passes the float filter."""
+    candidate and whether some punctured rate of it exceeds _CERT_MIN_P."""
     y = [np.full((1, P422.n_sections, 1), level) for _ in range(2)]
     return de._lowered(dev, y, np.zeros((1, 1, 1, 1)))
 
@@ -997,7 +1021,7 @@ def brute_force_frontier(lo, hi, bisect_tol, known):
     """de._frontier by enumeration: each unmapped midpoint of the whole
     bisection tree whose path from [lo, hi] is open (every mapped midpoint
     on it maps to the way the path turns, none to the cap) and holds fewer
-    than _BISECT_LEVELS unmapped midpoints above it."""
+    than FRONTIER_DEPTH unmapped midpoints above it."""
     found = []
     nodes = [(lo, hi, [])]  # a bracket and the (midpoint, went up) above it
     while nodes:
@@ -1007,7 +1031,7 @@ def brute_force_frontier(lo, hi, bisect_tol, known):
         mid = 0.5 * (a + b)
         open_path = all(x not in known or known[x] is up for x, up in path)
         unmapped = sum(x not in known for x, _ in path)
-        if open_path and mid not in known and unmapped < de._BISECT_LEVELS:
+        if open_path and mid not in known and unmapped < FRONTIER_DEPTH:
             found.append(mid)
         nodes += [(a, mid, [*path, (mid, False)]), (mid, b, [*path, (mid, True)])]
     return found
@@ -1041,12 +1065,12 @@ def brute_force_walk(lo, hi, bisect_tol, known, guess):
 
 def batched_schedule_sweeps(params, kind, m, bisect_tol):
     """Sweeps of threshold's earlier schedule: each lockstep run_de call
-    decided every midpoint of the next _BISECT_LEVELS bisection levels, in
+    decided every midpoint of the next FRONTIER_DEPTH bisection levels, in
     whole blocks until its slowest row decided, before the next call began."""
     lo, hi = 0.0, 1.0
     total = 0
     while hi - lo > bisect_tol:
-        n = 2 ** sum(hi - lo > bisect_tol * 2**i for i in range(de._BISECT_LEVELS))
+        n = 2 ** sum(hi - lo > bisect_tol * 2**i for i in range(FRONTIER_DEPTH))
         mids = [lo + (hi - lo) * k / n for k in range(1, n)]
         runs = dict(zip(mids, run_de(params, [ChannelFamily(kind, m, x) for x in mids])))
         longest = max(r.state.iterations for r in runs.values())

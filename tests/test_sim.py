@@ -183,7 +183,7 @@ class TestSampleSymbolNoise:
 
 class TestDecodeTrial:
     def test_noiseless_channel_decodes_immediately(self):
-        r = decode_trial(P422, 8, ChannelFamily.fixed(2, 0), 0)
+        r = decode_trial(P422, 8, ChannelFamily("w", 2, 0), 0)
         assert r.fully_decoded
         assert sum(r.residual_erasures_per_section) == 0
         # transmitted bits resolve in the first round
