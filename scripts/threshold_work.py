@@ -53,10 +53,10 @@ def count(kind: str, m: int) -> dict:
         return sweeps(dev, x, fcoef, n)
 
     def counted_fold_certified(params, kind, m, point, eps):
-        oks = fold_certified(params, kind, m, point, eps)
-        counts["certificates"] += len(oks)
-        counts["certified"] += sum(oks)
-        return oks
+        ok = fold_certified(params, kind, m, point, eps)
+        counts["certificates"] += 1
+        counts["certified"] += ok
+        return ok
 
     de.run_de, de._sweeps = counted_run_de, counted_sweeps
     de._fold_certified, de._fold = counted_fold_certified, lambda *args: fold

@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -70,6 +71,10 @@ class ChannelFamily:
 def _check_channel(kind: str, m: int, parameter: float) -> None:
     if kind not in CHANNEL_KINDS:
         raise ValueError(f"kind must be one of {CHANNEL_KINDS}, got {kind!r}")
+    # The int test first: dimension_law runs once per curve-trace row, and
+    # the Integral test alone made it twice as slow.
+    if type(m) is not int and (isinstance(m, bool) or not isinstance(m, Integral)):
+        raise ValueError(f"m must be an integer, got {m!r}")
     if not 1 <= m <= MAX_WIDTH:
         raise ValueError(f"m must be in 1..{MAX_WIDTH}, got {m}")
     if kind == "w":

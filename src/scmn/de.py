@@ -183,23 +183,6 @@ class CurvePoint:
     rounds: int
 
 
-class _ExactWindow:
-    """A window matrix W, all of whose nonzero entries are 1/w, as exact
-    rationals: `np.matmul(W, x, out=(y,))` sums the window of each row over
-    the stacked object columns x of Fractions and divides by w, touching no
-    zero entry."""
-
-    def __init__(self, W: np.ndarray, w: int):
-        self.windows = [np.flatnonzero(row) for row in W]
-        self.w = w
-
-    def __array_ufunc__(self, ufunc, method, W, x, *, out):
-        (y,) = out
-        for i, j in enumerate(self.windows):
-            y[..., i, 0] = x[..., j, 0].sum(axis=-1) / self.w
-        return y
-
-
 def _power(x: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
     """x ** k with the bits of numpy's `x ** k` (which squares for k = 2),
     written into out; x itself for k = 1."""
@@ -216,9 +199,10 @@ class DensityEvolution:
     and never sees the channel. The detector half passes them through the
     transfer polynomial to the new q, and through the bit nodes to the new p.
 
-    With `exact`, the window products (_ExactWindow) and the transfer
-    polynomial are exact: fpoly takes a Fraction parameter, and sweep maps
-    object arrays of Fractions by the same formulas in exact rationals.
+    With `exact`, the window matrices hold Fraction(1, w) and the transfer
+    polynomial's coefficients are Fractions: fpoly takes a Fraction
+    parameter, and sweep maps object arrays of Fractions by the same formulas
+    in exact rationals.
     """
 
     def __init__(self, params: EnsembleParams, kind: str, m: int, *, exact: bool = False):
@@ -234,12 +218,12 @@ class DensityEvolution:
         # check sections back over one bit section's window. Wf is stored
         # C-contiguous: a product with a transposed view sums in another order.
         lag = np.arange(nc)[:, None] - np.arange(n)
-        self.Wb = np.where((0 <= lag) & (lag < w), 1.0 / w, 0.0)
+        weight = Fraction(1, w) if exact else 1.0 / w
+        self.Wb = np.where((0 <= lag) & (lag < w), weight, 0 * weight)
         self.Wf = np.ascontiguousarray(self.Wb.T)
         # Row j: transfer polynomial for noise dimension exactly j.
         self.K = _mixture_poly_matrix(m)
         if exact:
-            self.Wb, self.Wf = _ExactWindow(self.Wb, w), _ExactWindow(self.Wf, w)
             self.K = np.array(_mixture_poly_fractions(m), dtype=object)
 
     def fpoly(self, eps: float) -> np.ndarray:
@@ -312,12 +296,10 @@ class DensityEvolution:
     def sweep(
         self, p: np.ndarray, q: np.ndarray, fcoef: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One parallel update of every section: the one-sweep case of
-        _sweeps, on 1-D rates or on lockstep rows of shape (rows, n, 1)."""
-        x = np.array([p, q])
-        if x.ndim == 2:
-            return tuple(_sweeps(self, x[..., None], fcoef, 1)[1, ..., 0])
-        return tuple(_sweeps(self, x, fcoef, 1)[1])
+        """One parallel update of every section of the 1-D rates (p, q): the
+        one-sweep case of _sweeps."""
+        x = np.array([p, q])[..., None]
+        return tuple(_sweeps(self, x, fcoef, 1)[1, ..., 0])
 
     def staged_round(
         self, p: np.ndarray, q: np.ndarray, fcoef: np.ndarray
@@ -514,24 +496,24 @@ def _lockstep(params: EnsembleParams, frontier) -> dict:
     return done
 
 
-def _lowered(dev: DensityEvolution, y, fcoef) -> tuple[list, np.ndarray]:
-    """The lowering of the stall certificates: the candidates y = [p, q],
-    each of shape (rows, n, 1), clipped to [0, 1] and lowered _CERT_PASSES
-    times at the rows' fcoef (_lockstep's layout), and whether some punctured
-    rate of each row exceeds _CERT_MIN_P (see the comment on _CERT_PASSES).
-    Clipped, every lowered entry lies in [0, 1], as _certifies needs."""
+def _lowered(dev: DensityEvolution, y, fcoef) -> tuple[list, bool]:
+    """The lowering of the stall certificate: the candidate y = (p, q), 1-D
+    rates, clipped to [0, 1] and lowered _CERT_PASSES times at f's
+    coefficients fcoef, and whether some punctured rate of it exceeds
+    _CERT_MIN_P (see the comment on _CERT_PASSES). Clipped, every lowered
+    entry lies in [0, 1], as _certifies needs."""
     y = [np.clip(v, 0.0, 1.0) for v in y]
     for _ in range(_CERT_PASSES):
         Ty = dev.sweep(*y, fcoef)
         y = [np.maximum(0.0, np.minimum(v, t - _CERT_STEP)) for v, t in zip(y, Ty)]
-    return y, y[0].max(axis=(1, 2)) > _CERT_MIN_P
+    return y, bool(y[0].max() > _CERT_MIN_P)
 
 
-def _fold_certified(params: EnsembleParams, kind: str, m: int, point, eps) -> list[bool]:
+def _fold_certified(params: EnsembleParams, kind: str, m: int, point, eps: float) -> bool:
     """Whether the fold point (p, q), of shape (2, n), certifies that DE of
-    (kind, m) never converges at each channel parameter of `eps`, which lie
-    above the fold: lowered at that parameter (_lowered), it keeps a
-    punctured rate above _CERT_MIN_P and passes _certifies.
+    (kind, m) never converges at the channel parameter eps, which lies above
+    the fold: lowered at eps (_lowered), it keeps a punctured rate above
+    _CERT_MIN_P and passes _certifies.
 
     DE is monotone in the parameter as well as in the state, so above the
     fold T(y) >= T_fold(y), which is y at the fold point up to Newton's
@@ -539,13 +521,8 @@ def _fold_certified(params: EnsembleParams, kind: str, m: int, point, eps) -> li
     point only fails the exact sweep, which alone decides T(y) >= y.
     """
     dev = DensityEvolution(params, kind, m)
-    fcoef = np.stack([dev.fpoly(e) for e in eps], axis=1)[..., None, None]
-    y, ok = _lowered(dev, [np.tile(v[:, None], (len(eps), 1, 1)) for v in point], fcoef)
-    exact = DensityEvolution(params, kind, m, exact=True)
-    return [
-        bool(ok[i]) and _certifies(exact, e, y[0][i, :, 0], y[1][i, :, 0])
-        for i, e in enumerate(eps)
-    ]
+    y, ok = _lowered(dev, point, dev.fpoly(eps))
+    return ok and _certifies(DensityEvolution(params, kind, m, exact=True), eps, *y)
 
 
 def _certifies(exact: DensityEvolution, eps: float, p, q) -> bool:
@@ -694,7 +671,7 @@ def thresholds(
                     wanted[k] = ChannelFamily(*c, mid)
                     # A row joining above the fold is tried by the certificate.
                     above = f is not None and mid >= f[0]
-                    if above and _fold_certified(params, *c, f[1], [mid])[0]:
+                    if above and _fold_certified(params, *c, f[1], mid):
                         ones = np.ones(params.n_sections)
                         wanted[k] = _de_result(params, wanted[k], ones, ones, 0, "stalled")
         rows = wanted

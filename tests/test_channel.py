@@ -74,10 +74,22 @@ class TestDistributions:
                     assert law == dimension_distribution(fam).probs
 
     def test_dimension_law_validation(self):
-        bad = (("cd", 2, 1.5), ("bd", 2, float("nan")), ("w", 2, 3), ("nope", 2, 0.5))
+        bad = (
+            ("cd", 2, 1.5),
+            ("bd", 2, float("nan")),
+            ("w", 2, 3),
+            ("nope", 2, 0.5),
+            ("cd", 2.5, 0.5),
+            ("cd", True, 0.5),
+            ("bd", 2.0, 0.4),
+        )
         for args in bad:
             with pytest.raises(ValueError):
                 dimension_law(*args)
+            with pytest.raises(ValueError):
+                ChannelFamily(*args)
+        # numpy integers are integers.
+        assert dimension_law("bd", np.int64(2), 0.4) == dimension_law("bd", 2, 0.4)
 
     def test_distribution_validation(self):
         with pytest.raises(ValueError):

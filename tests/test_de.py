@@ -116,21 +116,27 @@ class TestSweep:
         assert q1 == pytest.approx(q, abs=1e-9)
 
     def test_window_matrices_match_loops(self):
-        # The coupling windows as the per-row loops that first built them.
+        # The coupling windows as the per-row loops that first built them:
+        # entries 1/w in floats, and Fraction(1, w) (every entry a Fraction)
+        # for the exact operator.
         for L in range(9):
             for w in range(1, 7):
                 n, nc = 2 * L + 1, 2 * L + w
-                Wb = np.zeros((nc, n))
-                for c in range(nc):
-                    Wb[c, max(0, c - w + 1) : min(n - 1, c) + 1] = 1.0 / w
-                Wf = np.zeros((n, nc))
-                for i in range(n):
-                    Wf[i, i : i + w] = 1.0 / w
-                dev = DensityEvolution(EnsembleParams(dl=4, dr=2, dg=2, L=L, w=w), "cd", 2)
-                assert np.array_equal(dev.Wb, Wb)
-                assert np.array_equal(dev.Wf, Wf)
-                # gemv on a transposed view would sum in another order
-                assert dev.Wf.flags.c_contiguous
+                params = EnsembleParams(dl=4, dr=2, dg=2, L=L, w=w)
+                for exact, weight in ((False, 1.0 / w), (True, Fraction(1, w))):
+                    Wb = np.full((nc, n), 0 * weight)
+                    for c in range(nc):
+                        Wb[c, max(0, c - w + 1) : min(n - 1, c) + 1] = weight
+                    Wf = np.full((n, nc), 0 * weight)
+                    for i in range(n):
+                        Wf[i, i : i + w] = weight
+                    dev = DensityEvolution(params, "cd", 2, exact=exact)
+                    for got, want in ((dev.Wb, Wb), (dev.Wf, Wf)):
+                        assert got.dtype == want.dtype and np.array_equal(got, want)
+                        if exact:
+                            assert all(type(v) is Fraction for v in got.flat)
+                    # gemv on a transposed view would sum in another order
+                    assert dev.Wf.flags.c_contiguous
 
     def test_stacked_coupling_matches_gemv(self):
         # Rows held as (K, n, 1) columns: W @ X is one gemv per row and
@@ -207,7 +213,7 @@ class TestSweep:
                             got = X[t, ..., 0] if x.ndim == 3 else X[t]
                             assert np.array_equal(got[0], p) and np.array_equal(got[1], q)
 
-    @pytest.mark.parametrize("w", [2, 3, 4])
+    @pytest.mark.parametrize("w", [2, 3, 4, 5])
     def test_exact_step_matches_oracle(self, w):
         # One exact sweep of a random state, equal as Fractions to the plain
         # formula over dense object windows.
@@ -823,20 +829,20 @@ class TestStallCertificate:
         # L=20/w=3 at its first midpoint, 0.5 (4.5e-7 above). Each such row
         # is certified as it joins: here the dyadic midpoint nearest above
         # each L=10/w=2 fold at depth 2**-26 (2.5e-10 to 1.2e-8 above it),
-        # in 3-5 ms per row on two cores.
+        # in 4-6 ms per row on two cores.
         eps_fold, point = de._fold(params, kind, m)
         if eps is None:
             eps = float(np.floor(eps_fold * 2**26) + 1) / 2**26
             assert eps - eps_fold <= 2**-26
         assert eps > eps_fold
-        assert de._fold_certified(params, kind, m, point, [eps]) == [True]
+        assert de._fold_certified(params, kind, m, point, eps) is True
 
     def test_checker_rejects_one_ulp(self, monkeypatch):
         # A fold-point certificate of a real row, with one punctured rate
         # raised to the least float above its exact image: rejected. One ulp
         # lower it passes, and so does every other entry.
         checks = spy_certifies(monkeypatch, keep_args=True)
-        de._fold_certified(P422, "cd", 2, de._fold(P422, "cd", 2)[1], [0.5])
+        de._fold_certified(P422, "cd", 2, de._fold(P422, "cd", 2)[1], 0.5)
         (exact, eps, p, q), ok = checks[0]
         assert ok and de._certifies(exact, eps, p, q)
         i = P422.L
@@ -859,13 +865,11 @@ class TestStallCertificate:
         }
         done = run_de(P422, lambda done: {k: f for k, f in families.items() if k not in done})
         assert [k for k, r in done.items() if r.status != "converged"] == []
-        refused = [
-            ok
-            for cell, ref in REF_L10_W2.items()
-            for ok in de._fold_certified(
-                P422, *cell, de._fold(P422, *cell)[1], [ref - 1e-3, ref - 1e-4]
-            )
-        ]
+        refused = []
+        for cell, ref in REF_L10_W2.items():
+            point = de._fold(P422, *cell)[1]
+            for eps in (ref - 1e-3, ref - 1e-4):
+                refused.append(de._fold_certified(P422, *cell, point, eps))
         assert len(done) == len(refused) == 24 and not any(refused) and not any(checks)
 
     @pytest.mark.parametrize(
@@ -882,9 +886,9 @@ class TestStallCertificate:
         dev = ShiftedSweep(gain)
         y, ok = filter_with_fake_sweep(dev, level)
         assert dev.sweeps == de._CERT_PASSES
-        assert ok[0] == accepted
+        assert ok is accepted
         if accepted:
-            assert np.array_equal(y[0][0, :, 0], np.full(P422.n_sections, level))
+            assert np.array_equal(y[0], np.full(P422.n_sections, level))
 
     def test_every_candidate_in_a_search_is_certified(self, monkeypatch):
         # The fold-point lowering is tight: no candidate that a whole
@@ -908,10 +912,10 @@ class ShiftedSweep:
 
 
 def filter_with_fake_sweep(dev, level):
-    """_lowered on one row whose candidate is all `level`: the lowered
-    candidate and whether some punctured rate of it exceeds _CERT_MIN_P."""
-    y = [np.full((1, P422.n_sections, 1), level) for _ in range(2)]
-    return de._lowered(dev, y, np.zeros((1, 1, 1, 1)))
+    """_lowered on a candidate that is all `level`: the lowered candidate
+    and whether some punctured rate of it exceeds _CERT_MIN_P."""
+    y = [np.full(P422.n_sections, level) for _ in range(2)]
+    return de._lowered(dev, y, np.zeros(1))
 
 
 def spy_certifies(monkeypatch, keep_args=False):
