@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -34,8 +35,8 @@ _MIN_BISECT_TOL = 2.0**-52
 _STALL_TOL = 1e-15
 _MONOTONE_SLACK = 1e-12
 # Sweeps that run_de runs between its tests. At L=10/w=2 with three rows a
-# lockstep sweep took 15.4 us in blocks of 64 and 49.9 us when each sweep was
-# tested on its own (medians of 6 run_de calls; the sweep alone takes 13.9).
+# lockstep sweep took 7.4 us in blocks of 64 and 33 us tested one by one
+# (medians of 6 run_de calls; alone it takes 6.5, scripts/sweep_cost.py).
 _SWEEP_BLOCK = 64
 # The stall certificate, tried on thresholds' rows above their cell's fold,
 # once as each joins (_fold_certified). The fold point y is lowered
@@ -183,12 +184,14 @@ class CurvePoint:
     rounds: int
 
 
-def _power(x: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
-    """x ** k with the bits of numpy's `x ** k` (which squares for k = 2),
-    written into out; x itself for k = 1."""
-    if k == 1:
-        return x
-    return np.square(x, out=out) if k == 2 else np.power(x, k, out=out)
+def _power(k: int, shape: tuple, dtype):
+    """A function (x, out) that writes x ** k, for x of `shape` and dtype,
+    into out with the bits of numpy's `x ** k`, which copies for k = 1 and
+    squares for k = 2; any other k is bound as in _check's `one`."""
+    if k in (1, 2):
+        return np.positive if k == 1 else np.square
+    exponent = np.full(shape, k, dtype)
+    return lambda x, out: np.power(x, exponent, out)
 
 
 class DensityEvolution:
@@ -229,15 +232,9 @@ class DensityEvolution:
     def fpoly(self, eps: float) -> np.ndarray:
         return np.asarray(dimension_law(self.kind, self.m, eps)) @ self.K
 
-    def _work(self, shape: tuple, dtype) -> tuple:
-        """Buffers of _check for stacked states of `shape`, with their views."""
-        b = np.empty((3, 2, *shape[1:-2], self.params.n_check_sections, 1), dtype)
-        v = np.empty(shape, dtype)
-        # Indexed one by one: unpacking an array makes its views more slowly.
-        return b[0], b[0, 0], b[0, 1], b[1, 0], b[1, 1], b[2], b[2, 0], b[2, 1], v, v[0], v[1]
-
-    def _check(self, x: np.ndarray, work: tuple):
-        """Check half of an update: (rp, vp, s), written into `work`.
+    def _check(self, shape: tuple, dtype):
+        """The check half for stacked states of `shape`: (check, rp, vp, s,
+        z, s1), where check(x) writes those rates into buffers made here.
 
         x stacks the bit-to-check rates (p, q), each rate vector a column, in
         shape (2, ..., n, 1), so that a window product is one gemv per
@@ -246,46 +243,74 @@ class DensityEvolution:
         kq = 1 - Qb, rp = kp**(dr-1) and rq = kq**(dg-1). vp and s hold the
         erasure rates of check-to-punctured (1 - rp*rq*kq) and
         check-to-transmitted (1 - rp*kp*rq) messages, averaged per bit
-        section.
+        section, and the q-update reads z = s**dg and s1 = s**(dg-1). Every
+        operand is bound here once, on numpy's fastest path: the buffers' views,
+        each power of exponent 1 as its base, the ufuncs (each takes its out
+        positionally) and the 1 of `1 - ...` as an array of the operand's shape
+        and dtype (the int 1 under object dtype, so that Fractions stay exact).
         """
         dr, dg = self.params.dr, self.params.dg
-        k, kp, kq, r0, r1, u, u0, u1, v, vp, s = work
-        # 1 - x, not 1.0 - x: the same bits on floats, and exact on Fractions.
-        np.subtract(1, np.matmul(self.Wb, x, out=k), out=k)
-        rp = _power(kp, dr - 1, r0)
-        rq = _power(kq, dg - 1, r1)
-        np.multiply(rp, rq, out=u0)
-        u0 *= kq
-        np.multiply(rp, kp, out=u1)
-        u1 *= rq
-        np.matmul(self.Wf, np.subtract(1, u, out=u), out=v)
-        return rp, vp, s
+        b = np.empty((4, 2, *shape[1:-2], self.params.n_check_sections, 1), dtype)
+        # Indexed one by one: unpacking an array makes its views more slowly.
+        k, kp, kq, u, u0, u1, one = b[0], b[0, 0], b[0, 1], b[2], b[2, 0], b[2, 1], b[3]
+        rp, rq = (kp if dr == 2 else b[1, 0]), (kq if dg == 2 else b[1, 1])
+        one.fill(1)
+        v = np.empty((4, *shape[1:]), dtype)  # vp, s, z, s1
+        vs, s = v[:2], v[1]
+        z, s1 = (s if dg == 1 else v[2]), (s if dg == 2 else v[3])
+        # (function, base, out) of each power that is not its base.
+        ahead, after = (
+            [(_power(e, a.shape, dtype), a, r) for e, a, r in powers if r is not a]
+            for powers in (((dr - 1, kp, rp), (dg - 1, kq, rq)), ((dg, s, z), (dg - 1, s, s1)))
+        )
+        Wb, Wf, matmul, multiply, subtract = self.Wb, self.Wf, np.matmul, np.multiply, np.subtract
 
-    def _check_rates(self, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """_check on 1-D rates: (rp, s), 1-D."""
+        def check(x: np.ndarray) -> None:
+            matmul(Wb, x, k)
+            subtract(one, k, k)
+            for power, a, r in ahead:
+                power(a, r)
+            multiply(rp, rq, u0)
+            multiply(u0, kq, u0)
+            multiply(rp, kp, u1)
+            multiply(u1, rq, u1)
+            matmul(Wf, subtract(one, u, u), vs)
+            for power, a, r in after:
+                power(a, r)
+
+        return check, rp, v[0], s, z, s1
+
+    def _check_rates(self, p: np.ndarray, q: np.ndarray) -> tuple:
+        """_check on 1-D rates: (rp, s, z, s1), 1-D."""
         x = np.array([p, q])[..., None]
-        rp, _, s = self._check(x, self._work(x.shape, x.dtype))
-        return rp[:, 0], s[:, 0]
+        check, rp, _, s, z, s1 = self._check(x.shape, x.dtype)
+        check(x)
+        return rp[:, 0], s[:, 0], z[:, 0], s1[:, 0]
 
     @staticmethod
-    def _q_update(z: np.ndarray, s1: np.ndarray, fcoef, out: np.ndarray | None = None):
-        """Transmitted-bit rates clip(f(z) * s1), with z = s**dg and
-        s1 = s**(dg-1), into `out` if given. f is evaluated by Horner's rule
-        in place, step for step as numpy's polyval does it. Its first step is
-        the one product z * c_n, which has the bits of c_n * z."""
-        if len(fcoef) == 1:  # a constant f (m = 1) takes no product with z
-            q1 = np.empty_like(z) if out is None else out
-            q1[...] = fcoef[0]
-        else:
-            q1 = np.multiply(z, fcoef[-1], out=out)
-            for c in fcoef[-2:0:-1]:
-                q1 += c
-                q1 *= z
-            q1 += fcoef[0]
-        q1 *= s1
-        # np.clip(q1, 0, 1), without its per-call overhead.
-        np.maximum(q1, 0.0, out=q1)
-        return np.minimum(q1, 1.0, out=q1)
+    def _q_update(fcoef, zero, one):
+        """The q-update update(z, s1, q1): clip(f(z) * s1) into q1, z = s**dg
+        and s1 = s**(dg-1), with the bounds zero and one bound as _check binds
+        its 1. Horner's rule in place evaluates f step for step as numpy's
+        polyval does; its first step, the product z * c_n, has c_n * z's bits."""
+        first, last, middle = fcoef[0], fcoef[-1], list(fcoef[-2:0:-1])
+        add, multiply, maximum, minimum = np.add, np.multiply, np.maximum, np.minimum
+
+        def update(z, s1, q1: np.ndarray) -> np.ndarray:
+            if len(fcoef) == 1:  # a constant f (m = 1) takes no product with z
+                q1[...] = first
+            else:
+                multiply(z, last, q1)
+                for c in middle:
+                    add(q1, c, q1)
+                    multiply(q1, z, q1)
+                add(q1, first, q1)
+            multiply(q1, s1, q1)
+            # np.clip(q1, 0, 1) without its overhead; numpy deprecates a positional out here.
+            maximum(q1, zero, out=q1)
+            return minimum(q1, one, out=q1)
+
+        return update
 
     def _p_update(self, rp: np.ndarray, q1: np.ndarray) -> np.ndarray:
         """Punctured-bit rates from a fresh q, with rp from the check half."""
@@ -310,9 +335,8 @@ class DensityEvolution:
         p-output responds to the channel parameter within a single round,
         which the anchored continuation needs.
         """
-        dg = self.params.dg
-        rp, s = self._check_rates(p, q)
-        q1 = self._q_update(s**dg, s ** (dg - 1), fcoef)
+        rp, _, z, s1 = self._check_rates(p, q)
+        q1 = self._q_update(fcoef, 0.0, 1.0)(z, s1, np.empty_like(z))
         return self._p_update(rp, q1), q1
 
     def staged_round_map(self, p: np.ndarray, q: np.ndarray):
@@ -332,8 +356,7 @@ class DensityEvolution:
         """
         dl, dg = self.params.dl, self.params.dg
         n = self.params.n_sections
-        rp, s = (v[:, None] for v in self._check_rates(p, q))
-        z, s1 = s**dg, s ** (dg - 1)
+        rp, _, z, s1 = (v[:, None] for v in self._check_rates(p, q))
         d = self.K.shape[1]
 
         def at(eps) -> tuple[np.ndarray, np.ndarray]:
@@ -348,13 +371,13 @@ class DensityEvolution:
             b[:d] = np.matmul(laws[:, None, :], self.K).transpose(2, 0, 1)[..., None]
             b[d], b[d + 1] = z, s1
             x = np.empty((2, R, n, 1))
-            q1 = self._q_update(b[d], b[d + 1], b[:d], x[1])
-            # _p_update's arithmetic, into buffers.
+            q1 = self._q_update(b[:d], 0.0, 1.0)(b[d], b[d + 1], x[1])
+            # _p_update's arithmetic, into buffers: each ufunc's last argument is its out.
             u = self.Wb @ q1
-            np.subtract(1.0, u, out=u)
-            np.multiply(rp, _power(u, dg, u), out=u)
-            v = np.matmul(self.Wf, np.subtract(1.0, u, out=u), out=x[0])
-            p1, q1 = _power(v, dl - 1, v)[..., 0], q1[..., 0]
+            np.subtract(1.0, u, u)
+            np.multiply(rp, operator.ipow(u, dg), u)
+            v = np.matmul(self.Wf, np.subtract(1.0, u, u), x[0])
+            p1, q1 = operator.ipow(v, dl - 1)[..., 0], q1[..., 0]
             return (p1, q1) if stacked else (p1[0], q1[0])
 
         return at
@@ -365,10 +388,9 @@ class DensityEvolution:
         """Per-section EXIT-like values f(z) * z**dg (f(z) * z if
         `alternative`), z = s**dg the detector-input erasure rate. f is
         clipped to [0, 1] as in the q-update."""
-        dg = self.params.dg
-        z = self._check_rates(p, q)[1] ** dg
-        f = self._q_update(z, 1.0, fcoef)
-        return f * (z if alternative else z**dg)
+        z = self._check_rates(p, q)[2]
+        f = self._q_update(fcoef, 0.0, 1.0)(z, 1.0, np.empty_like(z))
+        return f * (z if alternative else z**self.params.dg)
 
 
 def run_de(
@@ -545,30 +567,25 @@ def _sweeps(dev: DensityEvolution, x: np.ndarray, fcoef, n: int) -> np.ndarray:
 
     x holds each rate vector as a column, in shape (2, ..., sections, 1)
     (see _check); fcoef is f's coefficients, each a scalar or broadcasting
-    to one row's shape (_lockstep's are (deg, rows, 1, 1)). The buffers and
-    their views are made once, and the coefficients are broadcast to the
-    shape of a rate array up front, so every ufunc of the loop takes numpy's
-    same-shape path and writes into a buffer or X. Object arrays of
-    Fractions (an exact `dev`) run the same loop.
+    to one row's shape (_lockstep's are (deg, rows, 1, 1)). Every operand of
+    the loop is bound once per call, as _check binds its own, and f's
+    coefficients are broadcast to the shape of a rate array up front, so
+    every ufunc takes numpy's same-shape path and writes into a buffer or X.
+    Object arrays of Fractions (an exact `dev`) run the same loop.
     """
-    dl, dg = dev.params.dl, dev.params.dg
     X = np.empty((n + 1, *x.shape), x.dtype)
     X[0] = x
     shape = x.shape[1:]
     c = np.asarray(fcoef)
     coef = np.empty((len(c), *shape), c.dtype)
     coef[...] = c.reshape(*c.shape, *(1,) * (len(shape) + 1 - c.ndim))
-    coef = list(coef)
-    work = dev._work(x.shape, x.dtype)
-    z, s1 = np.empty(shape, x.dtype), np.empty(shape, x.dtype)
-    for t in range(1, n + 1):
-        _, vp, s = dev._check(X[t - 1], work)
-        p1, q1 = X[t, 0], X[t, 1]
-        if dl == 2:
-            np.copyto(p1, vp)
-        else:
-            _power(vp, dl - 1, p1)
-        dev._q_update(_power(s, dg, z), _power(s, dg - 1, s1), coef, q1)
+    check, _, vp, _, z, s1 = dev._check(x.shape, x.dtype)
+    power_p = _power(dev.params.dl - 1, shape, x.dtype)
+    q_update = dev._q_update(list(coef), np.zeros(shape, x.dtype), np.ones(shape, x.dtype))
+    for prev, p1, q1 in zip(X[:-1], X[1:, 0], X[1:, 1]):
+        check(prev)
+        power_p(vp, p1)
+        q_update(z, s1, q1)
     return X
 
 
@@ -614,14 +631,15 @@ def thresholds(
     The cell's `fold` and its fold point are computed once per distinct
     first row (the midpoint 1/2). A cell with a fold wants two midpoints of
     the path of its _walk guessed by the fold: the highest one below the
-    fold, whose row is the walk's slowest and decides every lower one, and
+    fold, whose row is the walk's slowest and decides every lower one (all
+    below, once a row there capped, so capped rows run in one pass), and
     the lowest one above it, which the certificate tries as it joins. So
-    the slow row starts at once, and it is most often the only row that
-    runs. A cell whose fold a decided row refutes (a row below it stalled,
-    or one above it converged), and a cell without a fold, want their
-    _frontier; the certificate still tries the rows joining above a
-    refuted fold. Only decided rows steer the walk, so a wrong fold or fold
-    point, or none, costs only speed.
+    the slow row starts at once, and most often it alone runs. A cell
+    whose fold a decided row refutes (a row below it stalled, or one above
+    it converged), and a cell without a fold, want their _frontier; the
+    certificate still tries the rows joining above a refuted fold. Only
+    decided rows steer the walk, so a wrong fold or fold point, or none,
+    costs only speed.
     """
     cells = list(cells)
     for kind, _ in cells:
@@ -659,11 +677,13 @@ def thresholds(
             if f is None or any(up == (x >= f[0]) for x, up in known.rows.items()):
                 mids = _frontier(0.0, 1.0, bisect_tol, known)
             else:
-                # Path midpoints below the fold ascend and those above it
-                # descend: its highest one below and its lowest one above,
-                # if they go as the fold predicts, decide all the others.
+                # Path midpoints below the fold ascend and those above it descend:
+                # the highest below (all below, once a row there capped) and the
+                # lowest above decide the others if they go as the fold predicts.
                 path = _walk(0.0, 1.0, bisect_tol, known, f[0])[3]
-                mids = [x for x in path if x < f[0]][-1:] + [x for x in path if x >= f[0]][-1:]
+                below = [x for x in path if x < f[0]]
+                capped = None in [up for x, up in known.rows.items() if x < f[0]]
+                mids = (below if capped else below[-1:]) + [x for x in path if x >= f[0]][-1:]
             for mid in mids:
                 if (k := row_key(c, mid)) in rows:
                     wanted[k] = rows[k]

@@ -41,6 +41,12 @@ def sweep(p, q, params, family):
     return p1, q1
 
 
+def q_update(z, s1, fcoef):
+    """The q-update in one call, with the float bounds of the one-call
+    paths (staged_round, h_profile), into a fresh array."""
+    return DensityEvolution._q_update(fcoef, 0.0, 1.0)(z, s1, np.empty_like(z))
+
+
 class TestDeState:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -159,9 +165,9 @@ class TestSweep:
             fcoefs = [dev.fpoly(float(e)) for e in rng.uniform(0, 1, 5)]
             z = rng.uniform(-0.2, 1.2, (5, P422.n_sections, 1))
             s1 = rng.uniform(0, 1, z.shape)
-            got = dev._q_update(z, s1, np.stack(fcoefs, axis=1)[..., None, None])
+            got = q_update(z, s1, np.stack(fcoefs, axis=1)[..., None, None])
             for k, fcoef in enumerate(fcoefs):
-                assert np.array_equal(got[k, :, 0], dev._q_update(z[k, :, 0], s1[k, :, 0], fcoef))
+                assert np.array_equal(got[k, :, 0], q_update(z[k, :, 0], s1[k, :, 0], fcoef))
 
     def test_q_update_matches_full_start(self):
         # The Horner loop starts with the product z * c_n; Horner's rule
@@ -179,12 +185,12 @@ class TestSweep:
             z = rng.uniform(-0.2, 1.2, 21)
             s1 = rng.uniform(0, 1, z.shape)
             fcoef = rng.normal(0, 1, deg)
-            got = DensityEvolution._q_update(z, s1, fcoef)
+            got = q_update(z, s1, fcoef)
             assert np.array_equal(got, full_start(z, s1, fcoef))
             z = rng.uniform(-0.2, 1.2, (3, 21, 1))
             s1 = rng.uniform(0, 1, z.shape)
             fcoef = rng.normal(0, 1, (deg, 3, 1, 1))
-            got = DensityEvolution._q_update(z, s1, fcoef)
+            got = q_update(z, s1, fcoef)
             assert got.shape == z.shape
             assert np.array_equal(got, full_start(z, s1, fcoef))
 
@@ -193,7 +199,9 @@ class TestSweep:
         # 300 sweeps from all-ones, one _sweeps block, bit for bit against
         # the plain formula: on 1-D rates (trajectory's and sweep's form),
         # and on one and on four lockstep rows.
-        for dl, dr, dg in ((4, 2, 2), (3, 3, 3), (5, 2, 3)):
+        # The last three triples reach the kernel's other exponents: dl - 1,
+        # dr - 1 and dg - 1 of 1 (a copy or the base itself) and of 0.
+        for dl, dr, dg in ((4, 2, 2), (3, 3, 3), (5, 2, 3), (2, 2, 2), (3, 1, 3), (5, 2, 1)):
             params = EnsembleParams(dl=dl, dr=dr, dg=dg, L=L, w=w)
             n = params.n_sections
             for kind in ("cd", "bd"):
@@ -231,6 +239,7 @@ class TestSweep:
                     got = exact.sweep(p, q, fcoef)
                     want = sweep_oracle(params, p, q, fcoef)
                     for g, v in zip(got, want):
+                        assert all(type(a) is Fraction for a in g)
                         assert [Fraction(a) for a in g] == [Fraction(b) for b in v]
 
     def test_staged_round_map_matches_staged_round(self):
@@ -550,20 +559,37 @@ class TestThreshold:
         # the fold point, so a cap is now reached on the walk only by a
         # converging row: steps 6, 9 and 13 (158, 318 and 1329 sweeps) under
         # the budgets 150, 300 and 1000. The named midpoint lies on the walk
-        # that uncapped decisions take, and runs to the cap.
+        # that uncapped decisions take, and runs to the cap. Once the
+        # highest row below the fold has capped, the other unmapped path
+        # midpoints below it run in one lockstep pass, so the run takes at
+        # most two capped passes (run one after another, the capped rows
+        # took 664, 1,092 and 1,704 lockstep sweeps). Lockstep rows are the
+        # stacked (2, rows, n, 1) states; the certificate sweeps 1-D rates,
+        # and the fold is computed before counting starts.
         params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=3)
         walk = reference_walk(params, "cd", 2, bisect_tol=1e-4)
-        capped = set()
+        value = de._fold(params, "cd", 2)
+        monkeypatch.setattr(de, "_fold", lambda *args: value)
+        sweeps_orig, lockstep = de._sweeps, [0]
+
+        def counted_sweeps(dev, x, fcoef, n):
+            lockstep[0] += n if x.ndim == 4 else 0
+            return sweeps_orig(dev, x, fcoef, n)
+
+        monkeypatch.setattr(de, "_sweeps", counted_sweeps)
+        capped = []
         for max_iter in (150, 300, 1000):
             monkeypatch.setattr(de, "MAX_ITER", max_iter)
+            lockstep[0] = 0
             with pytest.raises(ConvergenceError, match=f"the {max_iter}-sweep cap") as got:
                 threshold(params, "cd", 2, bisect_tol=1e-4)
+            assert lockstep[0] <= 2 * max_iter
             mid = float(str(got.value).split("parameter ")[1].split(";")[0])
             assert mid in walk
             family = ChannelFamily("cd", 2, mid)
             assert reference_run_de(params, family, max_iter=max_iter).status == "iter-limit"
-            capped.add(mid)
-        assert len(capped) == 3
+            capped.append(mid)
+        assert capped == [0.515625, 0.517578125, 0.5181884765625]
         # At 3000 every walk row decides or is certified: threshold answers
         # with the uncapped value, where the capped plain bisection raises.
         monkeypatch.setattr(de, "MAX_ITER", 3000)
@@ -1149,7 +1175,7 @@ class TestHExit:
                 for eps in (0.0, 1.0, *rng.uniform(0, 1, 3)):
                     fcoef = dev.fpoly(float(eps))
                     raw = npoly.polyval(z_wide, fcoef)
-                    f = dev._q_update(z_wide, 1.0, fcoef)
+                    f = q_update(z_wide, 1.0, fcoef)
                     assert np.array_equal(f, np.clip(raw, 0.0, 1.0))
                     clipped_lo |= bool((raw < 0.0).any())
                     clipped_hi |= bool((raw > 1.0).any())

@@ -7,6 +7,7 @@ They are loaded by path, as `python scripts/<name>.py` would run them.
 
 import hashlib
 import importlib.util
+import re
 import struct
 from pathlib import Path
 
@@ -230,6 +231,23 @@ def test_threshold_work(capsys):
         certified = int(words[8].lstrip("("))
         assert counts["rows"] >= 1 and counts["certificates"] == certified == 1
         assert counts["sweeps"] <= counts["row-sweeps"] <= most
+
+
+def test_sweep_cost(monkeypatch, capsys):
+    # One block per case, once: the line format only, never a time.
+    script = load_script("sweep_cost")
+    monkeypatch.setattr(script, "RUNS", 1)
+    monkeypatch.setattr(script, "BLOCKS", 1)
+    assert script.run([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    floats = [
+        rf"float L={L}/w={w} rows {r}: \d+\.\d\d us per sweep" for L, w, r in script.FLOAT_CASES
+    ]
+    exact = [rf"exact L={L}/w={w} cd m=6: \d+\.\d\d ms per sweep" for L, w in script.EXACT_CASES]
+    assert script.FLOAT_CASES == ((10, 2, 1), (10, 2, 3), (10, 2, 11), (40, 5, 30))
+    assert len(lines) == len(floats + exact) == 6
+    for line, pattern in zip(lines, floats + exact):
+        assert re.fullmatch(pattern, line), line
 
 
 def test_decode_battery_digest(capsys):
