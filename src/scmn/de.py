@@ -202,35 +202,38 @@ class DensityEvolution:
     and never sees the channel. The detector half passes them through the
     transfer polynomial to the new q, and through the bit nodes to the new p.
 
-    With `exact`, the window matrices hold Fraction(1, w) and the transfer
-    polynomial's coefficients are Fractions: fpoly takes a Fraction
-    parameter, and sweep maps object arrays of Fractions by the same formulas
-    in exact rationals.
+    The arithmetic follows the inputs: fpoly gives Fraction coefficients
+    exactly when its parameter is a Fraction, and the sweep kernel maps
+    object arrays of Fractions by the same formulas in exact rationals, on
+    windows of Fraction(1, w) (_windows).
     """
 
-    def __init__(self, params: EnsembleParams, kind: str, m: int, *, exact: bool = False):
+    def __init__(self, params: EnsembleParams, kind: str, m: int):
         self.params = params
         self.kind = kind
         self.m = m
-        w = params.w
         nc, n = params.n_check_sections, params.n_sections
         if nc * n > MAX_WINDOW_ENTRIES:
             raise ValueError(f"DE window matrices {nc} x {n} exceed {MAX_WINDOW_ENTRIES} entries")
-        # Check section c sees bit sections i with 0 <= c - i < w. Wb averages
-        # bit sections over the window feeding one check section; Wf averages
-        # check sections back over one bit section's window. Wf is stored
-        # C-contiguous: a product with a transposed view sums in another order.
-        lag = np.arange(nc)[:, None] - np.arange(n)
-        weight = Fraction(1, w) if exact else 1.0 / w
-        self.Wb = np.where((0 <= lag) & (lag < w), weight, 0 * weight)
-        self.Wf = np.ascontiguousarray(self.Wb.T)
+        self.Wb, self.Wf = self._windows(float)
         # Row j: transfer polynomial for noise dimension exactly j.
         self.K = _mixture_poly_matrix(m)
-        if exact:
-            self.K = np.array(_mixture_poly_fractions(m), dtype=object)
+
+    def _windows(self, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """(Wb, Wf) for rates of dtype: entries 1/w in floats, Fraction(1, w)
+        under object dtype. Check section c sees bit sections i, 0 <= c - i < w:
+        Wb averages bit sections over the window feeding one check section, Wf
+        check sections back over one bit section's window. Wf is C-contiguous:
+        a product with a transposed view sums in another order."""
+        w = self.params.w
+        lag = np.arange(self.params.n_check_sections)[:, None] - np.arange(self.params.n_sections)
+        weight = Fraction(1, w) if dtype == object else 1.0 / w
+        Wb = np.where((0 <= lag) & (lag < w), weight, 0 * weight)
+        return Wb, np.ascontiguousarray(Wb.T)
 
     def fpoly(self, eps: float) -> np.ndarray:
-        return np.asarray(dimension_law(self.kind, self.m, eps)) @ self.K
+        law = np.asarray(dimension_law(self.kind, self.m, eps))
+        return law @ (np.array(_mixture_poly_fractions(self.m)) if law.dtype == object else self.K)
 
     def _check(self, shape: tuple, dtype):
         """The check half for stacked states of `shape`: (check, rp, vp, s,
@@ -263,7 +266,8 @@ class DensityEvolution:
             [(_power(e, a.shape, dtype), a, r) for e, a, r in powers if r is not a]
             for powers in (((dr - 1, kp, rp), (dg - 1, kq, rq)), ((dg, s, z), (dg - 1, s, s1)))
         )
-        Wb, Wf, matmul, multiply, subtract = self.Wb, self.Wf, np.matmul, np.multiply, np.subtract
+        Wb, Wf = self._windows(dtype) if dtype == object else (self.Wb, self.Wf)
+        matmul, multiply, subtract = np.matmul, np.multiply, np.subtract
 
         def check(x: np.ndarray) -> None:
             matmul(Wb, x, k)
@@ -439,13 +443,14 @@ def _lockstep(params: EnsembleParams, frontier) -> dict:
     _sweeps advances a block at a time; a window product is one gemv per
     row, so each row gets the bits of its own run. Rows may mix kinds and m:
     only f depends on them, and _sweeps reads only the ensemble. Each f is
-    zero-padded to the longest degree, where Horner's rule takes z * 0 = +0
-    (z >= 0) and +0 + c = c, so a padded row keeps its bits, m = 1's constant
-    f too. Sweeps run in blocks of _SWEEP_BLOCK and are tested sweep by sweep
-    after each block: a row that decided is frozen at the sweep where it did,
-    and the sweeps it ran after that are dropped. Each row counts its own
-    sweeps, which place its every-100th-sweep monotone check and its MAX_ITER
-    cap; a block is never longer than the smallest remaining budget.
+    built at float(parameter), as the float state needs, and zero-padded to
+    the longest degree, where Horner's rule takes z * 0 = +0 (z >= 0) and
+    +0 + c = c, so a padded row keeps its bits, m = 1's constant f too.
+    Sweeps run in blocks of _SWEEP_BLOCK and are tested sweep by sweep after
+    each block: a row that decided is frozen at the sweep where it did, and
+    the sweeps it ran after that are dropped. Each row counts its own sweeps,
+    which place its every-100th-sweep monotone check and its MAX_ITER cap; a
+    block is never longer than the smallest remaining budget.
 
     A row also stalls at a sweep whose state equals its anchor exactly: its
     state at the last power-of-two sweep count (or sweep 0) before the block
@@ -473,8 +478,8 @@ def _lockstep(params: EnsembleParams, frontier) -> dict:
         keep = [r for r, k in enumerate(keys) if k in wanted]
         new = [k for k in wanted if k not in keys]
         keys = [keys[r] for r in keep] + new
-        fams = [wanted[k] for k in new]
-        polys = [polys[r] for r in keep] + [dev(f.kind, f.m).fpoly(f.parameter) for f in fams]
+        polys = [polys[r] for r in keep]
+        polys += [dev(f.kind, f.m).fpoly(float(f.parameter)) for f in map(wanted.get, new)]
         it = [it[r] for r in keep] + [0] * len(new)
         x = np.concatenate([x[:, keep], np.ones((2, len(new), n, 1))], axis=1)
         anchor = np.concatenate([anchor[:, keep], np.ones((2, len(new), n))], axis=1)
@@ -544,15 +549,15 @@ def _fold_certified(params: EnsembleParams, kind: str, m: int, point, eps: float
     """
     dev = DensityEvolution(params, kind, m)
     y, ok = _lowered(dev, point, dev.fpoly(eps))
-    return ok and _certifies(DensityEvolution(params, kind, m, exact=True), eps, *y)
+    return ok and _certifies(dev, eps, *y)
 
 
-def _certifies(exact: DensityEvolution, eps: float, p, q) -> bool:
+def _certifies(dev: DensityEvolution, eps: float, p, q) -> bool:
     """Whether the state y = (p, q) satisfies T(y) >= y in every entry, for
-    one sweep T of `exact` (an exact DensityEvolution) at the parameter eps,
-    in exact rationals."""
+    one sweep T of `dev` at the parameter eps, in exact rationals: y and eps
+    are taken as Fractions, so the sweep runs on them."""
     y = [np.array([Fraction(v) for v in x.tolist()], dtype=object) for x in (p, q)]
-    Ty = exact.sweep(*y, exact.fpoly(Fraction(eps)))
+    Ty = dev.sweep(*y, dev.fpoly(Fraction(eps)))
     return all((t >= v).all() for t, v in zip(Ty, y))
 
 
@@ -571,7 +576,7 @@ def _sweeps(dev: DensityEvolution, x: np.ndarray, fcoef, n: int) -> np.ndarray:
     the loop is bound once per call, as _check binds its own, and f's
     coefficients are broadcast to the shape of a rate array up front, so
     every ufunc takes numpy's same-shape path and writes into a buffer or X.
-    Object arrays of Fractions (an exact `dev`) run the same loop.
+    Object arrays of Fractions run the same loop, exactly (see _windows).
     """
     X = np.empty((n + 1, *x.shape), x.dtype)
     X[0] = x
@@ -596,7 +601,8 @@ def trajectory(
     if n_sweeps < 0:
         raise ValueError(f"n_sweeps must be non-negative, got {n_sweeps}")
     dev = DensityEvolution(params, family.kind, family.m)
-    X = _sweeps(dev, np.ones((2, params.n_sections, 1)), dev.fpoly(family.parameter), n_sweeps)
+    fcoef = dev.fpoly(float(family.parameter))
+    X = _sweeps(dev, np.ones((2, params.n_sections, 1)), fcoef, n_sweeps)
     return X[:, 0, :, 0], X[:, 1, :, 0]
 
 
@@ -876,6 +882,8 @@ def fold(params: EnsembleParams, kind: str, m: int) -> float | None:
     (2n + 1)-square Jacobian would hold more than MAX_WINDOW_ENTRIES
     entries.
     """
+    if kind not in ("cd", "bd"):
+        raise ValueError(f"fold search needs kind 'cd' or 'bd', got {kind!r}")
     found = _fold(params, kind, m)
     return None if found is None else found[0]
 

@@ -5,7 +5,14 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from scmn import de
-from scmn.channel import ChannelFamily, dimension_distribution, transfer_poly
+from scmn.channel import (
+    ChannelFamily,
+    _mixture_poly_fractions,
+    _mixture_poly_matrix,
+    dimension_distribution,
+    dimension_law,
+    transfer_poly,
+)
 from scmn.de import (
     ConvergenceError,
     DensityEvolution,
@@ -124,11 +131,12 @@ class TestSweep:
     def test_window_matrices_match_loops(self):
         # The coupling windows as the per-row loops that first built them:
         # entries 1/w in floats, and Fraction(1, w) (every entry a Fraction)
-        # for the exact operator.
+        # for the windows of object (Fraction) rates.
         for L in range(9):
             for w in range(1, 7):
                 n, nc = 2 * L + 1, 2 * L + w
                 params = EnsembleParams(dl=4, dr=2, dg=2, L=L, w=w)
+                dev = DensityEvolution(params, "cd", 2)
                 for exact, weight in ((False, 1.0 / w), (True, Fraction(1, w))):
                     Wb = np.full((nc, n), 0 * weight)
                     for c in range(nc):
@@ -136,13 +144,13 @@ class TestSweep:
                     Wf = np.full((n, nc), 0 * weight)
                     for i in range(n):
                         Wf[i, i : i + w] = weight
-                    dev = DensityEvolution(params, "cd", 2, exact=exact)
-                    for got, want in ((dev.Wb, Wb), (dev.Wf, Wf)):
+                    gotb, gotf = dev._windows(object) if exact else (dev.Wb, dev.Wf)
+                    for got, want in ((gotb, Wb), (gotf, Wf)):
                         assert got.dtype == want.dtype and np.array_equal(got, want)
                         if exact:
                             assert all(type(v) is Fraction for v in got.flat)
                     # gemv on a transposed view would sum in another order
-                    assert dev.Wf.flags.c_contiguous
+                    assert gotf.flags.c_contiguous
 
     def test_stacked_coupling_matches_gemv(self):
         # Rows held as (K, n, 1) columns: W @ X is one gemv per row and
@@ -230,17 +238,62 @@ class TestSweep:
             params = EnsembleParams(dl=dl, dr=dr, dg=dg, L=4, w=w)
             for kind in ("cd", "bd"):
                 for m in (1, 2, 6):
-                    exact = DensityEvolution(params, kind, m, exact=True)
-                    fcoef = exact.fpoly(Fraction(float(rng.uniform(0.3, 0.7))))
+                    dev = DensityEvolution(params, kind, m)
+                    fcoef = dev.fpoly(Fraction(float(rng.uniform(0.3, 0.7))))
                     p, q = (
                         np.array([Fraction(v) for v in rng.uniform(0, 1, params.n_sections)])
                         for _ in range(2)
                     )
-                    got = exact.sweep(p, q, fcoef)
+                    got = dev.sweep(p, q, fcoef)
                     want = sweep_oracle(params, p, q, fcoef)
                     for g, v in zip(got, want):
                         assert all(type(a) is Fraction for a in g)
                         assert [Fraction(a) for a in g] == [Fraction(b) for b in v]
+
+    @pytest.mark.parametrize("w", [2, 3, 4, 5])
+    def test_one_operator_both_arithmetics(self, w):
+        # One operator sweeps a float state, a Fraction state and the float
+        # state again, and the reverse: its windows follow each state's
+        # dtype, and no sweep leaves them behind for the next. Every float
+        # sweep has the bits of the plain formula (so of the first float
+        # sweep); every Fraction sweep stays in Fractions and equals the
+        # plain formula in exact rationals.
+        rng = np.random.default_rng(100 + w)
+        params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=w)
+        for kind, m in (("cd", 1), ("cd", 6), ("bd", 2)):
+            eps = float(rng.uniform(0.3, 0.7))
+            p, q = rng.uniform(0, 1, (2, params.n_sections))
+            y = [np.array([Fraction(v) for v in x.tolist()], dtype=object) for x in (p, q)]
+            fcoef = {"float": DensityEvolution(params, kind, m).fpoly(eps)}
+            fcoef["exact"] = DensityEvolution(params, kind, m).fpoly(Fraction(eps))
+            state = {"float": (p, q), "exact": y}
+            want = {k: sweep_oracle(params, *state[k], fcoef[k]) for k in state}
+            for order in (("float", "exact", "float"), ("exact", "float", "exact")):
+                dev = DensityEvolution(params, kind, m)
+                for k in order:
+                    for got, v in zip(dev.sweep(*state[k], fcoef[k]), want[k]):
+                        if k == "exact":
+                            assert all(type(a) is Fraction for a in got)
+                            assert [Fraction(a) for a in got] == [Fraction(b) for b in v]
+                        else:
+                            assert got.dtype == np.float64 and np.array_equal(got, v)
+
+    def test_fpoly_follows_its_parameter(self):
+        # A Fraction parameter gives f in Fractions: the exact law times the
+        # exact mixture matrix, entry by entry. A float keeps the float
+        # product's bits.
+        for kind in ("cd", "bd"):
+            for m in (1, 2, 6, 15):
+                dev = DensityEvolution(P422, kind, m)
+                K = _mixture_poly_fractions(m)
+                for e in (0.0, 0.3, 0.45, 0.7, 1.0):
+                    law = dimension_law(kind, m, Fraction(e))
+                    want = [sum(law[j] * K[j][i] for j in range(m + 1)) for i in range(len(K[0]))]
+                    got = dev.fpoly(Fraction(e))
+                    assert all(type(c) is Fraction for c in got) and list(got) == want
+                    got = dev.fpoly(e)
+                    want = np.asarray(dimension_law(kind, m, e)) @ _mixture_poly_matrix(m)
+                    assert got.dtype == np.float64 and np.array_equal(got, want)
 
     def test_staged_round_map_matches_staged_round(self):
         # Every row of a stacked call, and a float call, equals staged_round
@@ -380,6 +433,20 @@ class TestRunDe:
             monkeypatch.undo()
             assert rows[-1].status != "iter-limit"
             assert sum(r.status == "iter-limit" for r in rows) == 1
+
+    def test_fraction_parameter_runs_in_floats(self):
+        # A Fraction parameter, which ChannelFamily accepts, gives the run
+        # of its float bit for bit, in run_de (alone and as a lockstep row)
+        # and in trajectory: f is built at the float parameter.
+        params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=2)
+        for kind, m, e in (("cd", 2, Fraction(1, 2)), ("bd", 4, Fraction(3, 8))):
+            exact, plain = ChannelFamily(kind, m, e), ChannelFamily(kind, m, float(e))
+            ref = run_de(params, plain)
+            assert_same_result(run_de(params, exact), ref)
+            for got, want in zip(run_de(params, [exact, CD2]), run_de(params, [plain, CD2])):
+                assert_same_result(got, want)
+            for got, want in zip(trajectory(params, exact, 3), trajectory(params, plain, 3)):
+                assert got.dtype == np.float64 and np.array_equal(got, want)
 
     def test_float_cycle_stalls(self):
         # cd m=15 above threshold settles into an exact float cycle (entered
@@ -706,7 +773,7 @@ class TestThreshold:
             monkeypatch.setattr(de, "_fold", fake)
             assert thresholds(params, cells, bisect_tol=1e-3) == ref
         # Each row that was certified as it joined fails on its own run.
-        rows = {(exact.kind, exact.m, eps) for (exact, eps, _, _), ok in certified if ok}
+        rows = {(dev.kind, dev.m, eps) for (dev, eps, _, _), ok in certified if ok}
         assert len(rows) > 10
         results = run_de(params, [ChannelFamily(*row) for row in rows])
         assert not any(r.success for r in results)
@@ -811,6 +878,10 @@ class TestFold:
             assert {shape for _, shape in calls[1:]} == {(2, 8, P422.n_sections, 1)}
             assert {n for n, _ in calls[1:]} == {1} and len(calls) <= 301
 
+    def test_kind_validation(self):
+        with pytest.raises(ValueError, match="fold search needs kind 'cd' or 'bd', got 'w'"):
+            de.fold(P422, "w", 2)
+
     def test_none_where_not_found(self, monkeypatch):
         # The uncoupled chain decodes nowhere: no well on its curve.
         assert de.fold(EnsembleParams(dl=4, dr=2, dg=2, L=0, w=1), "cd", 2) is None
@@ -863,22 +934,37 @@ class TestStallCertificate:
         assert eps > eps_fold
         assert de._fold_certified(params, kind, m, point, eps) is True
 
+    def test_one_operator_per_certificate(self, monkeypatch):
+        # The lowering and the exact sweep run on the one operator that the
+        # certificate builds.
+        built = []
+
+        class Counted(DensityEvolution):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        point = de._fold(P422, "cd", 2)[1]
+        monkeypatch.setattr(de, "DensityEvolution", Counted)
+        assert de._fold_certified(P422, "cd", 2, point, 0.5) is True
+        assert built == [(P422, "cd", 2)]
+
     def test_checker_rejects_one_ulp(self, monkeypatch):
         # A fold-point certificate of a real row, with one punctured rate
         # raised to the least float above its exact image: rejected. One ulp
         # lower it passes, and so does every other entry.
         checks = spy_certifies(monkeypatch, keep_args=True)
         de._fold_certified(P422, "cd", 2, de._fold(P422, "cd", 2)[1], 0.5)
-        (exact, eps, p, q), ok = checks[0]
-        assert ok and de._certifies(exact, eps, p, q)
+        (dev, eps, p, q), ok = checks[0]
+        assert ok and de._certifies(dev, eps, p, q)
         i = P422.L
         p = p.copy()
-        while (t := exact_image(exact, eps, p, q)[0][i]) >= p[i]:
+        while (t := exact_image(dev, eps, p, q)[0][i]) >= p[i]:
             p[i] = np.nextafter(float(t), 2.0)
-        while exact_image(exact, eps, (low := ulp_below(p, i)), q)[0][i] < low[i]:
+        while exact_image(dev, eps, (low := ulp_below(p, i)), q)[0][i] < low[i]:
             p = low
-        assert not de._certifies(exact, eps, p, q)
-        assert de._certifies(exact, eps, ulp_below(p, i), q)
+        assert not de._certifies(dev, eps, p, q)
+        assert de._certifies(dev, eps, ulp_below(p, i), q)
 
     def test_no_row_below_threshold_is_certified(self, monkeypatch):
         # Every cell of the table: its rows converge, and its fold point
@@ -958,20 +1044,20 @@ def spy_certifies(monkeypatch, keep_args=False):
     return checks
 
 
-def exact_image(exact, eps, p, q):
+def exact_image(dev, eps, p, q):
     """One exact sweep of (p, q) at eps, as lists of Fractions."""
     y = [np.array([Fraction(v) for v in x.tolist()], dtype=object) for x in (p, q)]
-    return [list(t) for t in exact.sweep(*y, exact.fpoly(Fraction(eps)))]
+    return [list(t) for t in dev.sweep(*y, dev.fpoly(Fraction(eps)))]
 
 
 def ulp_above_image(params, kind, m, eps, point):
     """The fold point with its middle punctured rate raised to the least
     float above its exact image at the fold eps."""
-    exact = DensityEvolution(params, kind, m, exact=True)
+    dev = DensityEvolution(params, kind, m)
     p, q = point[0].copy(), point[1]
     i = params.L
-    p[i] = np.nextafter(float(exact_image(exact, eps, p, q)[0][i]), 2.0)
-    while (t := exact_image(exact, eps, p, q)[0][i]) >= p[i]:
+    p[i] = np.nextafter(float(exact_image(dev, eps, p, q)[0][i]), 2.0)
+    while (t := exact_image(dev, eps, p, q)[0][i]) >= p[i]:
         p[i] = np.nextafter(float(t), 2.0)
     return np.array([p, q])
 
