@@ -326,9 +326,13 @@ class DensityEvolution:
         self, p: np.ndarray, q: np.ndarray, fcoef: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """One parallel update of every section of the 1-D rates (p, q): the
-        one-sweep case of _sweeps."""
-        x = np.array([p, q])[..., None]
-        return tuple(_sweeps(self, x, fcoef, 1)[1, ..., 0])
+        one-sweep case of _sweeps, in the arithmetic (floats or Fractions)
+        that the state and f's coefficients share; a mix raises ValueError."""
+        x, c = np.array([p, q])[..., None], np.asarray(fcoef)
+        if (x.dtype == object) != (c.dtype == object):
+            state, coef = (type(a.flat[0]).__name__ for a in (x, c))
+            raise ValueError(f"a {state} state cannot sweep with {coef} coefficients")
+        return tuple(_sweeps(self, x, c, 1)[1, ..., 0])
 
     def staged_round(
         self, p: np.ndarray, q: np.ndarray, fcoef: np.ndarray

@@ -221,11 +221,11 @@ def _rewire(
     """Swap the check of each edge in bad, in order, with that of an edge
     drawn from rng in its offset group (consecutive quota-sized blocks), and
     keep the check-side partners at_check (if any) current; returns the
-    edges touched, each swap's pair."""
+    edges touched, each swap's pair. One call draws every offset, as one call
+    per edge in turn would."""
     touched = []
-    for e in bad:
-        g = e // quota
-        p = g * quota + int(rng.integers(0, quota))
+    for e, r in zip(bad, rng.integers(0, quota, size=len(bad)).tolist()):
+        p = e // quota * quota + r
         ce, cp = int(checks[e]), int(checks[p])
         checks[e], checks[p] = cp, ce
         if at_check is not None and ce != cp:
@@ -319,8 +319,9 @@ def sample_graph(params: EnsembleParams, M: int, m: int, rng) -> TannerGraph:
 
     def socket_order(n_groups: int, per_section: int, degree: int) -> np.ndarray:
         """Row s: section s's sockets in a uniformly random order, by socket
-        index k (socket k belongs to the section's node k // degree)."""
-        return np.stack([rng.permutation(per_section * degree) for _ in range(n_groups)])
+        index k (socket k belongs to the section's node k // degree); one
+        shuffle call, with the draws of n_groups rng.permutation calls."""
+        return rng.permuted(np.tile(np.arange(per_section * degree), (n_groups, 1)), axis=1)
 
     # Edges run section-major, then by offset j: group (s, j) pairs bit
     # section s with check section s + j.
@@ -363,9 +364,8 @@ def sample_graph(params: EnsembleParams, M: int, m: int, rng) -> TannerGraph:
         t2_bit, t2_bit_edges, t2_check, q2, rng, forbid_cycle_bits=4 if dg == 2 else 0
     )
 
-    symbols = np.concatenate(
-        [(rng.permutation(M) + s * M).reshape(M // m, m) for s in range(nsec)]
-    )
+    # each section's bits in a uniformly random order, m to a symbol
+    symbols = (socket_order(nsec, M, 1) + M * np.arange(nsec)[:, None]).reshape(-1, m)
     return TannerGraph(
         params=params,
         M=M,

@@ -42,22 +42,22 @@ def _rref_ints(rows: Iterable[int]) -> tuple[int, ...]:
     """Reduced row echelon form over F_2 on bit-packed rows.
 
     Pivot of a row is its lowest set bit; returned rows have strictly
-    increasing pivots and each pivot column appears in exactly one row.
+    increasing pivots and each pivot column appears in exactly one row. The
+    rows kept so far stay fully reduced, so one pass over them clears every
+    pivot column of a new row, and its own pivot is then cleared from them.
     """
-    piv: dict[int, int] = {}
+    piv: dict[int, int] = {}  # pivot bit -> its row
     for v in rows:
-        while v:
-            c = _low_bit(v)
-            if c in piv:
-                v ^= piv[c]
-            else:
-                piv[c] = v
-                break
-    for c in sorted(piv, reverse=True):
-        for c2 in piv:
-            if c2 < c and (piv[c2] >> c) & 1:
-                piv[c2] ^= piv[c]
-    return tuple(piv[c] for c in sorted(piv))
+        for b, r in piv.items():
+            if v & b:
+                v ^= r
+        if v:
+            b = v & -v
+            for c, r in piv.items():
+                if r & b:
+                    piv[c] = r ^ v
+            piv[b] = v
+    return tuple(piv[b] for b in sorted(piv))
 
 
 def _check_fits(v: int, width: int) -> None:

@@ -9,7 +9,6 @@ erased-output masks indexed by the erased-input mask."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -68,6 +67,15 @@ def detector_messages(V: SubspaceBasis, incoming) -> list[int]:
     return out
 
 
+def _span(bases: np.ndarray) -> np.ndarray:
+    """(n, 2^d): entry (i, k) sums the rows of bases[i] that k's set bits
+    pick, so row i lists subspace i's elements (a zero pad repeats them)."""
+    elems = np.zeros((len(bases), 1), dtype=np.int64)
+    for k in range(bases.shape[1]):
+        elems = np.concatenate([elems, elems ^ bases[:, k : k + 1]], axis=1)
+    return elems
+
+
 class DetectorTables:
     """Erased-output masks per noise subspace, indexed by the erased-input
     mask E of a symbol: bit t of a table's entry E is set iff output t is
@@ -87,24 +95,17 @@ class DetectorTables:
         self.shift = np.arange(m, dtype=np.int64)
         self.bit = np.int64(1) << self.shift
 
-    def table(self, subspaces: Sequence[SubspaceBasis]) -> np.ndarray:
-        """The (n, 2^m) stack of the tables of n subspaces, in their order,
-        built anew on each call: decode_trial asks once per trial, for every
-        subspace its noise sampler returns.
+    def table(self, bases: np.ndarray) -> np.ndarray:
+        """The (n, 2^m) stack of the tables of the n subspaces whose
+        zero-padded bases are the rows of bases, built anew on each call:
+        decode_trial asks once per trial, for every subspace sampled.
 
         Each v in V with v_t = 1 sets bit t at E = supp(v) - {t}; ORing every
         entry into its supersets, one coordinate at a time, then marks every E
         holding such a support (a superset zeta transform).
         """
-        n, m = len(subspaces), self.m
-        dmax = max((V.dim for V in subspaces), default=0)
-        rows = np.zeros((n, dmax), dtype=np.int64)
-        for i, V in enumerate(subspaces):
-            rows[i, : V.dim] = V.rows
-        # every element of each V; a zero pad row repeats them, harmlessly
-        elems = np.zeros((n, 1), dtype=np.int64)
-        for k in range(dmax):
-            elems = np.concatenate([elems, elems ^ rows[:, k : k + 1]], axis=1)
+        n, m = len(bases), self.m
+        elems = _span(bases)
         tab = np.zeros((n, 1 << m), dtype=np.int64)
         for t in range(m):
             i, k = np.nonzero((elems >> t) & 1)
@@ -145,27 +146,24 @@ class ExperimentRow:
 
 
 def _sample_symbol_noise(dist: DimensionDistribution, n_symbols: int, rng):
-    """Per-symbol noise draws: distinct subspaces, per-symbol subspace index,
-    and per-symbol noise vector (bit-packed)."""
+    """Per-symbol noise draws: (bases, sub_idx, z). A row of bases is one
+    subspace's canonical basis (`SubspaceBasis.rows`) zero-padded to the
+    largest dimension: all of F_2^m's subspaces (at most 67) in enumeration
+    order at m <= ENUM_MAX_AMBIENT, the distinct drawn ones in first-seen
+    order above. Symbol i has row sub_idx[i] and noise vector z[i]
+    (bit-packed), the sum of the rows that a uniform index's set bits pick."""
     m = dist.m
     dims = rng.choice(m + 1, size=n_symbols, p=dist.probs)
-    sub_idx = np.zeros(n_symbols, dtype=np.int64)
-    z = np.zeros(n_symbols, dtype=np.int64)
-    subspaces: list[SubspaceBasis] = []
     if m <= ENUM_MAX_AMBIENT:
-        offset = 0
+        sub_idx, zidx = np.zeros((2, n_symbols), dtype=np.int64)
+        rows = []
         for d in range(m + 1):
             mask = dims == d
-            count = int(mask.sum())
             subs = enumerate_subspaces(m, d)
-            if count:
-                pick = rng.integers(0, len(subs), size=count)
-                elems = np.array([list(s.vectors()) for s in subs], dtype=np.int64)
-                eidx = rng.integers(0, 1 << d, size=count)
-                z[mask] = elems[pick, eidx]
-                sub_idx[mask] = offset + pick
-            subspaces.extend(subs)
-            offset += len(subs)
+            if count := int(mask.sum()):
+                sub_idx[mask] = len(rows) + rng.integers(0, len(subs), size=count)
+                zidx[mask] = rng.integers(0, 1 << d, size=count)
+            rows += [s.rows for s in subs]
     else:
         # Drawing a basis row (rng.bytes(1)) or a z index (rng.integers(0,
         # 2^d)) consumes one 32-bit word: a row is its low m bits, an index
@@ -176,29 +174,27 @@ def _sample_symbol_noise(dist: DimensionDistribution, n_symbols: int, rng):
         low = (1 << m) - 1
         need = np.where(dims > 0, dims + 1, 0)
         left = np.cumsum(need[::-1])[::-1].tolist()  # words of symbols i.. if none rejects
-        words: list[int] = []
-        k = 0
-        seen: dict[tuple[int, ...], int] = {}
+        words, k, sub_idx, zidx = [], 0, [], []
+        rows: dict[tuple[int, ...], int] = {}  # basis -> its index, first seen first
         for i, d in enumerate(dims.tolist()):
-            rows: tuple[int, ...] = ()
+            basis: tuple[int, ...] = ()
             while d:
                 short = left[i] - (len(words) - k)
                 if short > 0:
                     words += rng.integers(0, 1 << 32, size=short, dtype=np.uint32).tolist()
-                rows = _rref_ints(w & low for w in words[k : k + d])
+                basis = _rref_ints(w & low for w in words[k : k + d])
                 k += d
-                if len(rows) == d:
+                if len(basis) == d:
                     break
-            j = seen.get(rows)
-            if j is None:
-                j = seen[rows] = len(subspaces)
-                subspaces.append(SubspaceBasis(m, rows))
-            sub_idx[i] = j
+            sub_idx.append(rows.setdefault(basis, len(rows)))
             # The zero subspace takes no draw from rng.
-            if d:
-                z[i] = subspaces[j].element(words[k] >> (32 - d))
-                k += 1
-    return subspaces, sub_idx, z
+            zidx.append(words[k] >> (32 - d) if d else 0)
+            k += d > 0
+    dmax = max(map(len, rows), default=0)
+    bases = np.array([r + (0,) * (dmax - len(r)) for r in rows], dtype=np.int64)
+    bases = bases.reshape(len(rows), dmax)
+    sub_idx = np.asarray(sub_idx, dtype=np.int64)
+    return bases, sub_idx, _span(bases)[sub_idx, zidx]
 
 
 def _distinct(nodes: np.ndarray, stamp: np.ndarray) -> np.ndarray:
@@ -251,10 +247,9 @@ def decode_trial(
     dist = dimension_distribution(family)
     L = params.L
 
-    subspaces, sub_idx, _ = _sample_symbol_noise(dist, graph.n_symbols, rng)
-    # One table per subspace the sampler returns: all of them at m <= 4 (at
-    # most 67), the distinct ones drawn above that. sub_idx picks a symbol's.
-    tab_stack = tables.table(subspaces)
+    bases, sub_idx, _ = _sample_symbol_noise(dist, graph.n_symbols, rng)
+    # one table per subspace the sampler returns; sub_idx picks a symbol's
+    tab_stack = tables.table(bases)
 
     n_pun = graph.n_punctured
     n_t2 = graph.n_transmitted

@@ -6,6 +6,8 @@ computes the same function by brute-force enumeration, without the kernel
 composition behind the polynomial. `sample_symbol_noise` draws the decoder's
 per-symbol noise one generator call at a time, beside the word-stream sampler
 in `scmn.sim`; both must leave the same draws and the same generator state.
+The decoder holds subspaces as zero-padded basis rows; `basis_rows` and
+`subspaces_of` convert between those rows and `SubspaceBasis` lists.
 `sweep_oracle` is one DE sweep by the plain formula, one numpy call per
 operation, beside the buffered sweep kernel in `scmn.de`.
 `condition_matching` re-wires a socket matching by re-scanning the whole
@@ -74,6 +76,27 @@ def transfer_f_oracle(dist: DimensionDistribution, z: float) -> float:
                 if zero_coordinate_mask(va) & 1 == 0:
                     total += w_sub * w_pat
     return total
+
+
+def basis_rows(subspaces) -> np.ndarray:
+    """The decoder's rows for a list of subspaces: row j holds subspace j's
+    basis rows, zero-padded to the largest dimension."""
+    d = max((V.dim for V in subspaces), default=0)
+    return np.array([V.rows + (0,) * (d - V.dim) for V in subspaces], dtype=np.int64).reshape(
+        len(subspaces), d
+    )
+
+
+def subspaces_of(m: int, bases: np.ndarray) -> list[SubspaceBasis]:
+    """The subspace of each row of the decoder's basis rows. Padding is only
+    trailing zeros, and SubspaceBasis rejects any row set that is not a
+    canonical RREF basis, so a malformed row fails here."""
+    out = []
+    for row in bases.tolist():
+        d = sum(1 for r in row if r)
+        assert not any(row[d:]), f"zero row inside basis {row}"
+        out.append(SubspaceBasis(m, tuple(row[:d])))
+    return out
 
 
 def sample_symbol_noise(dist: DimensionDistribution, n_symbols: int, rng):

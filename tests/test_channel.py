@@ -7,7 +7,7 @@ from numpy.polynomial import polynomial as npoly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import transfer_f, transfer_f_oracle
+from oracles import subspaces_of, transfer_f, transfer_f_oracle
 from scmn.channel import (
     TRANSFER_MAX_M,
     ChannelFamily,
@@ -123,7 +123,8 @@ class TestSampleNoise:
         rng = np.random.default_rng(0)
         for m, _ in self.SIZES:
             dist = dimension_distribution(ChannelFamily("w", m, 0))
-            subs, idx, z = _sample_symbol_noise(dist, 200, rng)
+            bases, idx, z = _sample_symbol_noise(dist, 200, rng)
+            subs = subspaces_of(m, bases)
             assert np.all(z == 0)
             assert all(subs[i] == SubspaceBasis.zero(m) for i in idx)
 
@@ -131,7 +132,8 @@ class TestSampleNoise:
         rng = np.random.default_rng(1)
         for m, _ in self.SIZES:
             d = m // 2
-            subs, idx, z = _sample_symbol_noise(cd(m, d / m), 200, rng)
+            bases, idx, z = _sample_symbol_noise(cd(m, d / m), 200, rng)
+            subs = subspaces_of(m, bases)
             for i, zi in zip(idx.tolist(), z.tolist()):
                 assert subs[i].dim == d
                 assert subs[i].contains(zi)

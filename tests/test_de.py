@@ -116,6 +116,23 @@ class TestSweep:
             assert np.all(q1 <= q + 1e-12)
             p, q = p1, q1
 
+    def test_rejects_mixed_arithmetic(self):
+        # A Fraction state with float coefficients, and a float state with
+        # Fraction ones, are rejected at entry with both types named.
+        params = EnsembleParams(dl=4, dr=2, dg=2, L=2, w=3)
+        dev = DensityEvolution(params, "cd", 2)
+        n = params.n_sections
+        exact = np.array([Fraction(1)] * n, dtype=object)
+        with pytest.raises(ValueError, match="Fraction state .* float64 coefficients"):
+            dev.sweep(exact, exact, dev.fpoly(0.4))
+        with pytest.raises(ValueError, match="float64 state .* Fraction coefficients"):
+            dev.sweep(np.ones(n), np.ones(n), dev.fpoly(Fraction(2, 5)))
+        # Matched, each sweeps in its own arithmetic.
+        p, q = dev.sweep(exact, exact, dev.fpoly(Fraction(2, 5)))
+        assert all(type(v) is Fraction for v in [*p, *q])
+        p, q = dev.sweep(np.ones(n), np.ones(n), dev.fpoly(0.4))
+        assert p.dtype == q.dtype == np.float64
+
     def test_staged_round_same_fixed_points(self):
         # converge with the plain sweep, then check the staged round fixes it
         dev = DensityEvolution(P422, "cd", 2)

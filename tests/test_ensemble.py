@@ -117,6 +117,45 @@ class TestSampleGraph:
             assert np.array_equal(base[b.permutation(len(base))], shuffled)
             assert a.bit_generator.state == b.bit_generator.state
 
+    # (n, k) of each stack of k shuffled rows of range(n) that sample_graph
+    # draws for (4, 2, 2) at L=10/w=2 (21 bit and 22 check sections, 2M
+    # sockets per section and degree, M bits per section for the symbols):
+    # M=48 is the m=6 pins' and the decode-m6 benchmark's trial, M=2000 the
+    # decode-m2 benchmark's. Then single-element rows.
+    SHUFFLE_SHAPES = [(96, 21), (96, 22), (48, 21), (4000, 21), (4000, 22), (2000, 21)]
+    SHUFFLE_SHAPES += [(1, 1), (1, 4)]
+
+    @pytest.mark.parametrize("n, k", SHUFFLE_SHAPES)
+    def test_one_shuffle_call_matches_per_row_permutations(self, n, k):
+        # One rng.permuted call over the k tiled rows gives the rows, and
+        # leaves the generator state, of k rng.permutation(n) calls in turn;
+        # every seeded graph rests on it.
+        for seed in range(3):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            rows = np.stack([a.permutation(n) for _ in range(k)])
+            one = b.permuted(np.tile(np.arange(n), (k, 1)), axis=1)
+            assert one.dtype == rows.dtype and np.array_equal(one, rows)
+            assert b.bit_generator.state == a.bit_generator.state
+
+    def test_shuffle_shapes_are_the_trials(self):
+        # SHUFFLE_SHAPES holds every shuffle that those trials' graphs draw.
+        class Recorder:
+            def __init__(self, rng):
+                self.rng, self.shapes = rng, set()
+
+            def permuted(self, x, axis):
+                self.shapes.add(x.shape[::-1])
+                return self.rng.permuted(x, axis=axis)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        for M, m in ((48, 6), (2000, 2)):
+            rng = Recorder(np.random.default_rng(0))
+            sample_graph(P422, M, m, rng)
+            assert rng.shapes <= set(self.SHUFFLE_SHAPES)
+            assert len(rng.shapes) == 3
+
     def test_edge_bound(self):
         # Checked before any socket array is allocated: this graph's would
         # take hundreds of TiB.

@@ -250,6 +250,29 @@ def test_sweep_cost(monkeypatch, capsys):
         assert re.fullmatch(pattern, line), line
 
 
+def test_decode_cost(monkeypatch, capsys):
+    # One trial per case, once: the line format and table counts only,
+    # never a time.
+    script = load_script("decode_cost")
+    monkeypatch.setattr(script, "RUNS", 1)
+    monkeypatch.setattr(script, "TRIALS", dict.fromkeys(script.CASES, 1))
+    assert script.run([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert script.CASES == ((6, 48), (2, 2000))
+    assert len(lines) == 2
+    ms = r"\d+\.\d{3}"
+    for line, (m, M) in zip(lines, script.CASES):
+        pattern = (
+            rf"m={m} M={M}: sample_graph {ms}, noise {ms}, tables {ms}, rounds {ms}, "
+            rf"trial {ms} ms per trial; (\d+\.\d) tables per trial"
+        )
+        match = re.fullmatch(pattern, line)
+        assert match, line
+        # every subspace of F_2^2 at m=2; the distinct drawn ones at m=6
+        tables = float(match[1])
+        assert tables == 5.0 if m == 2 else 100 < tables <= 21 * M // m
+
+
 def test_decode_battery_digest(capsys):
     # The real battery, about 5 s: every sampled graph and trial result of
     # its 214 trials to the bit.
