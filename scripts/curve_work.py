@@ -4,11 +4,12 @@
 The trace is the `curve` benchmark workload's: the (4, 2, 2) ensemble at
 L=20/w=3, cd m=6, on the targets chi = 0.95, 0.94, ..., 0.03. Every anchored
 round builds one staged map (`DensityEvolution.staged_round_map`) and calls
-it for the channel parameters it needs, several as rows of one call. The
-script prints the rounds, the calls of those maps (detector-half calls) and
-their rows, counted by wrapping `staged_round_map`. The trace is
-deterministic, so the counts are too; a change to the curve tracer's
-bisection shows here as fewer or more calls and rows per round.
+it at f's coefficients for the channel parameters it needs, several as rows
+of one call. The script prints the rounds, the calls of those maps
+(detector-half calls) and their rows, counted by wrapping
+`staged_round_map`. The trace is deterministic, so the counts are too; a
+change to the curve tracer's bisection shows here as fewer or more calls and
+rows per round.
 """
 
 import argparse
@@ -32,10 +33,10 @@ def count() -> tuple[int, int, int]:
         counts[0] += 1
         at = staged_round_map(self, p, q)
 
-        def counted_at(eps):
+        def counted_at(fcoef):
             counts[1] += 1
-            counts[2] += 1 if np.ndim(eps) == 0 else len(eps)
-            return at(eps)
+            counts[2] += len(fcoef)
+            return at(fcoef)
 
         return counted_at
 

@@ -10,6 +10,7 @@ import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
@@ -231,7 +232,13 @@ class DensityEvolution:
         Wb = np.where((0 <= lag) & (lag < w), weight, 0 * weight)
         return Wb, np.ascontiguousarray(Wb.T)
 
-    def fpoly(self, eps: float) -> np.ndarray:
+    def fpoly(self, eps) -> np.ndarray:
+        """f's coefficients, constant term first, at the channel parameter eps
+        (Fractions for a Fraction eps). A sequence of R float parameters gives
+        R rows, shape (R, d), each with the bits of its own call."""
+        if np.ndim(eps) == 1:
+            laws = np.array([dimension_law(self.kind, self.m, e) for e in eps])
+            return np.matmul(laws[:, None, :], self.K)[:, 0]
         law = np.asarray(dimension_law(self.kind, self.m, eps))
         return law @ (np.array(_mixture_poly_fractions(self.m)) if law.dtype == object else self.K)
 
@@ -316,12 +323,6 @@ class DensityEvolution:
 
         return update
 
-    def _p_update(self, rp: np.ndarray, q1: np.ndarray) -> np.ndarray:
-        """Punctured-bit rates from a fresh q, with rp from the check half."""
-        dl, dg = self.params.dl, self.params.dg
-        u = 1.0 - rp * (1.0 - self.Wb @ q1) ** dg
-        return (self.Wf @ u) ** (dl - 1)
-
     def sweep(
         self, p: np.ndarray, q: np.ndarray, fcoef: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -337,56 +338,46 @@ class DensityEvolution:
     def staged_round(
         self, p: np.ndarray, q: np.ndarray, fcoef: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Update q first, then p from the fresh q.
-
-        Same fixed points as sweep() (stationarity of both halves), but the
-        p-output responds to the channel parameter within a single round,
-        which the anchored continuation needs.
-        """
-        rp, _, z, s1 = self._check_rates(p, q)
-        q1 = self._q_update(fcoef, 0.0, 1.0)(z, s1, np.empty_like(z))
-        return self._p_update(rp, q1), q1
+        """One staged round at f's coefficients fcoef: row 0 of
+        staged_round_map(p, q) at fcoef[None]."""
+        P, Q = self.staged_round_map(p, q)(np.asarray(fcoef)[None])
+        return P[0], Q[0]
 
     def staged_round_map(self, p: np.ndarray, q: np.ndarray):
-        """staged_round from (p, q) as a function of the channel parameter.
+        """The staged round from the 1-D rates (p, q) as a function of f: q
+        is updated first, then p from the fresh q. It has sweep()'s fixed
+        points, but its p-output responds to the channel parameter within a
+        single round, which the anchored continuation needs.
 
-        Only the transfer polynomial depends on the parameter, so the check
-        half, z = s**dg and s**(dg-1) are computed once; each call evaluates
-        the detector half alone, with the same arithmetic as staged_round.
-        `at(eps)` gives staged_round's 1-D (p, q) at eps. `at(eps_seq)`, for
-        a sequence of R parameters, gives (p, q) of shape (R, n): lockstep
-        rows (R, n, 1) of one call, of which a float is the one-row case.
-        Each row's f is one vector-matrix product (fpoly's) and each window
-        product one gemv per row, so every row has the bits of staged_round.
-        As in _sweeps, f's coefficients, z and s1 are broadcast to the rows'
-        shape up front, so that every ufunc takes numpy's same-shape path,
-        and every step writes into a buffer.
+        Only f depends on the parameter, so the check half, z = s**dg and
+        s**(dg-1) are computed once, and each call evaluates the detector
+        half alone. `at(fcoef)`, for R rows of f's coefficients, shape
+        (R, d) (fpoly's rows), gives (p, q) of shape (R, n), lockstep rows
+        of one call; a window product is one gemv per row, so a row's bits
+        do not depend on the others. As in _sweeps, every operand is
+        broadcast to the rows' shape up front and every step writes into a
+        buffer.
         """
         dl, dg = self.params.dl, self.params.dg
         n = self.params.n_sections
         rp, _, z, s1 = (v[:, None] for v in self._check_rates(p, q))
-        d = self.K.shape[1]
 
-        def at(eps) -> tuple[np.ndarray, np.ndarray]:
-            stacked = np.ndim(eps) == 1
-            rows = eps if stacked else [eps]
-            laws = np.array([dimension_law(self.kind, self.m, e) for e in rows])
-            R = len(laws)
+        def at(fcoef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            R, d = fcoef.shape
             # Slots 0..d-1: coefficient j of every row's f; then z and s1,
             # each of shape (R, n, 1). The new p and q get their own buffer,
             # so that rows kept by a caller do not keep this one alive.
             b = np.empty((d + 2, R, n, 1))
-            b[:d] = np.matmul(laws[:, None, :], self.K).transpose(2, 0, 1)[..., None]
+            b[:d] = fcoef.T[..., None, None]
             b[d], b[d + 1] = z, s1
             x = np.empty((2, R, n, 1))
             q1 = self._q_update(b[:d], 0.0, 1.0)(b[d], b[d + 1], x[1])
-            # _p_update's arithmetic, into buffers: each ufunc's last argument is its out.
+            # p = (Wf @ (1 - rp * (1 - Wb @ q1)**dg))**(dl-1); each ufunc's last arg is its out.
             u = self.Wb @ q1
             np.subtract(1.0, u, u)
             np.multiply(rp, operator.ipow(u, dg), u)
             v = np.matmul(self.Wf, np.subtract(1.0, u, u), x[0])
-            p1, q1 = operator.ipow(v, dl - 1)[..., 0], q1[..., 0]
-            return (p1, q1) if stacked else (p1[0], q1[0])
+            return operator.ipow(v, dl - 1)[..., 0], q1[..., 0]
 
         return at
 
@@ -602,8 +593,8 @@ def trajectory(
     params: EnsembleParams, family: ChannelFamily, n_sweeps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """First n_sweeps iterates from all-ones; rows are (sweep, section)."""
-    if n_sweeps < 0:
-        raise ValueError(f"n_sweeps must be non-negative, got {n_sweeps}")
+    if isinstance(n_sweeps, bool) or not isinstance(n_sweeps, Integral) or n_sweeps < 0:
+        raise ValueError(f"n_sweeps must be a non-negative integer, got {n_sweeps!r}")
     dev = DensityEvolution(params, family.kind, family.m)
     fcoef = dev.fpoly(float(family.parameter))
     X = _sweeps(dev, np.ones((2, params.n_sections, 1)), fcoef, n_sweeps)
@@ -646,7 +637,8 @@ def thresholds(
     the lowest one above it, which the certificate tries as it joins. So
     the slow row starts at once, and most often it alone runs. A cell
     whose fold a decided row refutes (a row below it stalled, or one above
-    it converged), and a cell without a fold, want their _frontier; the
+    it converged), and a cell without a fold, bisect plainly: each wants
+    the midpoint where its _walk stops, unless that row capped. The
     certificate still tries the rows joining above a refuted fold. Only
     decided rows steer the walk, so a wrong fold or fold point, or none,
     costs only speed.
@@ -685,7 +677,9 @@ def thresholds(
             f = folds[row_key(c, 0.5)]
             # A decided row on the wrong side of the fold refutes it.
             if f is None or any(up == (x >= f[0]) for x, up in known.rows.items()):
-                mids = _frontier(0.0, 1.0, bisect_tol, known)
+                # Plain bisection: the midpoint where the walk stops, unless capped.
+                mid = _walk(0.0, 1.0, bisect_tol, known)[2]
+                mids = [] if mid is None or mid in known else [mid]
             else:
                 # Path midpoints below the fold ascend and those above it descend:
                 # the highest below (all below, once a row there capped) and the
@@ -775,15 +769,6 @@ class _Monotone:
 
     def __getitem__(self, mid: float) -> bool | None:
         return self.rows[mid] if mid in self.rows else mid <= self.top
-
-
-def _frontier(lo: float, hi: float, tol: float, known: dict | _Monotone) -> list[float]:
-    """Every unmapped midpoint that the _walk through `known` from the dyadic
-    bracket [lo, hi] can reach within two unmapped steps, whichever way they
-    decide: the first two on the path of the walk that goes down at every
-    unmapped midpoint, then those of the walk that goes up, without repeats."""
-    down, up = (_walk(lo, hi, tol, known, guess)[3][:2] for guess in (lo, hi))
-    return list(dict.fromkeys(down + up))
 
 
 class _FixedPoints:
@@ -1055,7 +1040,7 @@ def _anchored_point(dev: DensityEvolution, p: np.ndarray, q: np.ndarray, target:
             of eps and ahead not seen yet are evaluated as rows of one call."""
             if any(e not in seen for e in eps):
                 new = [e for e in dict.fromkeys((*eps, *ahead)) if e not in seen]
-                P, Q = staged(new)
+                P, Q = staged(dev.fpoly(new))
                 # Each row's mean() to the bit, without its per-call overhead.
                 for e, chi, pe, qe in zip(new, (P.sum(axis=1) / P.shape[1]).tolist(), P, Q):
                     seen[e] = chi, pe, qe

@@ -9,7 +9,9 @@ in `scmn.sim`; both must leave the same draws and the same generator state.
 The decoder holds subspaces as zero-padded basis rows; `basis_rows` and
 `subspaces_of` convert between those rows and `SubspaceBasis` lists.
 `sweep_oracle` is one DE sweep by the plain formula, one numpy call per
-operation, beside the buffered sweep kernel in `scmn.de`.
+operation, beside the buffered sweep kernel in `scmn.de`;
+`staged_round_oracle` is the staged round by the same formulas, beside the
+buffered detector half of `DensityEvolution.staged_round_map`.
 `condition_matching` re-wires a socket matching by re-scanning the whole
 edge set on every pass, with sorts, beside the incremental passes of
 `scmn.ensemble`; both must make the same swaps and the same draws.
@@ -143,10 +145,16 @@ def sweep_oracle(params: EnsembleParams, p, q, fcoef):
     return _PlainSweep(params, exact).sweep(p, q, fcoef)
 
 
+def staged_round_oracle(params: EnsembleParams, p, q, fcoef):
+    """One staged round of the 1-D float rates (p, q) at f's coefficients
+    fcoef: q first, then p from the fresh q."""
+    return _PlainSweep(params, False).staged_round(p, q, fcoef)
+
+
 @functools.cache
 class _PlainSweep:
-    """DensityEvolution's check half, q-update and sweep as they were
-    before the sweep kernel, on windows built the same way."""
+    """DensityEvolution's check half, q-update, sweep and staged round as
+    they were before the buffered kernels, on windows built the same way."""
 
     def __init__(self, params: EnsembleParams, exact: bool):
         self.params = params
@@ -187,6 +195,13 @@ class _PlainSweep:
         rp, rq, kq, s = self._check(p, q)
         p1 = (self.Wf @ (1 - rp * rq * kq)) ** (dl - 1)
         return p1, self._q_update(s**dg, s ** (dg - 1), fcoef)
+
+    def staged_round(self, p, q, fcoef):
+        dl, dg = self.params.dl, self.params.dg
+        rp, _, _, s = self._check(p, q)
+        q1 = self._q_update(s**dg, s ** (dg - 1), fcoef)
+        u = 1.0 - rp * (1.0 - self.Wb @ q1) ** dg
+        return (self.Wf @ u) ** (dl - 1), q1
 
 
 def _parallel_edge_reps(bits: np.ndarray, checks: np.ndarray) -> list[int]:

@@ -25,13 +25,11 @@ from scmn.de import (
     trajectory,
 )
 from scmn.ensemble import EnsembleParams
-from oracles import sweep_oracle
+from oracles import staged_round_oracle, sweep_oracle
 from test_acceptance import REF_L10_W2
 
 P422 = EnsembleParams(dl=4, dr=2, dg=2, L=10, w=2)
 CD2 = ChannelFamily.concentrated(2, 0.45)
-# Undecided bisection steps that de._frontier looks ahead of a walk.
-FRONTIER_DEPTH = 2
 
 
 def ones_state(params, eps):
@@ -313,12 +311,14 @@ class TestSweep:
                     assert got.dtype == np.float64 and np.array_equal(got, want)
 
     def test_staged_round_map_matches_staged_round(self):
-        # Every row of a stacked call, and a float call, equals staged_round
-        # at its ε bit for bit, and each row's mean(p) from one sum over the
-        # rows (as _anchored_point takes it) equals the row's own mean. m = 1
-        # is the q-update's constant f. States partly outside [0, 1] drive
-        # the q-update past both ends of its clip. At L = 70 the chain's 141
-        # sections pass the 128-element blocks of numpy's pairwise sum.
+        # Every row of a stacked call at fpoly's rows, and staged_round at
+        # one of them, equal the plain staged round (oracles) at the row's ε
+        # bit for bit; fpoly's rows equal its single calls, and each row's
+        # mean(p) from one sum over the rows (as _anchored_point takes it)
+        # equals the row's own mean. m = 1 is the q-update's constant f.
+        # States partly outside [0, 1] drive the q-update past both ends of
+        # its clip. At L = 70 the chain's 141 sections pass the 128-element
+        # blocks of numpy's pairwise sum.
         rng = np.random.default_rng(3)
         clipped_lo = clipped_hi = False
         for L, w, widths in ((4, 2, range(1, 16)), (70, 3, (1, 2, 6, 15))):
@@ -331,15 +331,17 @@ class TestSweep:
                     staged = dev.staged_round_map(p, q)
                     for R in (1, 2, 10, 40):
                         eps = [0.0, 1.0, 0.5 / m, *map(float, rng.uniform(0, 1, R))][:R]
-                        P, Q = staged(eps)
+                        fcoef = dev.fpoly(eps)
+                        P, Q = staged(fcoef)
                         assert P.shape == Q.shape == (R, n)
-                        for e, p1, q1, chi in zip(eps, P, Q, P.sum(axis=1) / n):
-                            p2, q2 = dev.staged_round(p, q, dev.fpoly(e))
+                        for e, c, p1, q1, chi in zip(eps, fcoef, P, Q, P.sum(axis=1) / n):
+                            assert np.array_equal(c, dev.fpoly(e))
+                            p2, q2 = staged_round_oracle(params, p, q, c)
                             assert np.array_equal(p1, p2) and np.array_equal(q1, q2)
                             assert chi == p2.mean()
                             clipped_lo |= bool((q1 == 0.0).any())
                             clipped_hi |= bool((q1 == 1.0).any())
-                        p1, q1 = staged(eps[-1])
+                        p1, q1 = dev.staged_round(p, q, fcoef[-1])
                         assert np.array_equal(p1, P[-1]) and np.array_equal(q1, Q[-1])
         assert clipped_lo and clipped_hi
 
@@ -496,8 +498,10 @@ class TestTrajectory:
     def test_sweep_count_validation(self):
         P, Q = trajectory(P422, CD2, 0)
         assert P.shape == Q.shape == (1, P422.n_sections)
-        with pytest.raises(ValueError, match="n_sweeps"):
-            trajectory(P422, CD2, -1)
+        # A negative, fractional or bool count gets one error.
+        for bad in (-1, 2.5, True):
+            with pytest.raises(ValueError, match="n_sweeps must be a non-negative integer"):
+                trajectory(P422, CD2, bad)
 
 
 class TestWindowBound:
@@ -590,14 +594,13 @@ class TestThreshold:
         # hit the cap (None). A map is monotone (converged below a seeded
         # threshold, stalled above it), monotone with a share of flipped
         # entries (a converged row above a stalled one), or drawn at random,
-        # and may hold rows outside the bracket. _frontier reads each map
-        # closed under monotonicity (de._Monotone, as thresholds passes it).
-        # The _walk through each map, as it is and closed, is checked too,
-        # without a guess and with one: inside the bracket, on one of its
-        # midpoints, or at one of its ends.
+        # and may hold rows outside the bracket. The _walk through each map,
+        # as it is and closed under monotonicity (de._Monotone, as
+        # thresholds passes it), is checked without a guess and with one:
+        # inside the bracket, on one of its midpoints, or at one of its ends.
         rng = np.random.default_rng(14)
         guesses = np.random.default_rng(15)
-        sizes, stops = set(), set()
+        stops = set()
         for _ in range(300):
             d = int(rng.integers(0, 40))
             j = int(rng.integers(0, 2**d))
@@ -615,10 +618,6 @@ class TestThreshold:
                 if rng.random() < share
             }
             closed = monotone_closure(known, mids)
-            got = de._frontier(lo, hi, bisect_tol, de._Monotone(known))
-            assert len(got) == len(set(got)) <= 2**FRONTIER_DEPTH - 1
-            assert set(got) == set(brute_force_frontier(lo, hi, bisect_tol, closed))
-            sizes.add(len(got))
             on_tree = mids[guesses.integers(len(mids))] if mids else lo
             for guess in (None, guesses.uniform(lo, hi), on_tree, (lo, hi)[guesses.integers(2)]):
                 walk = de._walk(lo, hi, bisect_tol, known, guess)
@@ -633,7 +632,6 @@ class TestThreshold:
                 if mid is not None and mid not in closed:
                     if any(up is True and x >= mid for x, up in known.items()):
                         stops.add("conflict")
-        assert sizes == set(range(2**FRONTIER_DEPTH))
         assert stops == {"end", "unmapped", "capped", "implied", "conflict"}
 
     def test_iter_limit_names_the_same_parameter(self, monkeypatch):
@@ -750,8 +748,8 @@ class TestThreshold:
         # The walk's row above the fold was certified as it joined, at sweep 0.
         joined = [r for r in decided.values() if r.state.iterations == 0]
         assert joined and all(r.status == "stalled" for r in joined)
-        # Fewer sweeps than the schedule that waited for each batch of
-        # FRONTIER_DEPTH levels to decide before it started the next.
+        # Fewer sweeps than the schedule that waited for each batch of two
+        # levels to decide before it started the next.
         assert calls["sweep"] < batched
 
     def test_any_fold_gives_the_same_thresholds(self, monkeypatch):
@@ -821,20 +819,41 @@ class TestThreshold:
     @pytest.mark.parametrize(
         "kind, eps_star", [("cd", 0.4380836486816406), ("bd", 0.4610557556152344)]
     )
-    def test_cells_without_a_fold_match_plain_bisection(self, kind, eps_star):
-        # m=15 at L=10/w=2 has no fold for either law, so its walk runs on
-        # _frontier alone. The referee runs one run_de row per step: the
-        # reference DE has no repeat test, and the cd row at 0.5 ends in a
-        # float cycle that it runs to the cap.
+    def test_cells_without_a_fold_match_plain_bisection(self, kind, eps_star, monkeypatch):
+        # m=15 at L=10/w=2 has no fold for either law, so its cell bisects
+        # plainly: one row at a time, on exactly the 17 midpoints of plain
+        # bisection to 1e-5, in its order. Rows are counted as they join the
+        # frontier that threshold passes to run_de. The referee runs one
+        # run_de row per step: the reference DE has no repeat test, and the
+        # cd row at 0.5 ends in a float cycle that it runs to the cap.
+        joined, live = [], []
+        run_de_orig = de.run_de
+
+        def counted_run_de(params, frontier):
+            wanted: dict = {}
+
+            def counted_frontier(done):
+                nonlocal wanted
+                before, wanted = wanted, frontier(done)
+                joined.extend(f.parameter for k, f in wanted.items() if k not in before)
+                live.append(len(wanted))
+                return wanted
+
+            return run_de_orig(params, counted_frontier)
+
+        monkeypatch.setattr(de, "run_de", counted_run_de)
         assert de.fold(P422, kind, 15) is None
         assert threshold(P422, kind, 15, bisect_tol=1e-5) == eps_star
+        assert max(live) == 1
+        mids = []
         lo, hi = 0.0, 1.0
         while hi - lo > 1e-5:
-            mid = 0.5 * (lo + hi)
+            mids.append(mid := 0.5 * (lo + hi))
             result = run_de(P422, ChannelFamily(kind, 15, mid))
             assert result.status != "iter-limit"
             lo, hi = (mid, hi) if result.success else (lo, mid)
         assert 0.5 * (lo + hi) == eps_star
+        assert joined == mids and len(mids) == 17
 
     @pytest.mark.parametrize(
         "kind, m, eps_star, most",
@@ -1150,26 +1169,6 @@ def monotone_closure(known, mids):
     return closed
 
 
-def brute_force_frontier(lo, hi, bisect_tol, known):
-    """de._frontier by enumeration: each unmapped midpoint of the whole
-    bisection tree whose path from [lo, hi] is open (every mapped midpoint
-    on it maps to the way the path turns, none to the cap) and holds fewer
-    than FRONTIER_DEPTH unmapped midpoints above it."""
-    found = []
-    nodes = [(lo, hi, [])]  # a bracket and the (midpoint, went up) above it
-    while nodes:
-        a, b, path = nodes.pop()
-        if b - a <= bisect_tol:
-            continue
-        mid = 0.5 * (a + b)
-        open_path = all(x not in known or known[x] is up for x, up in path)
-        unmapped = sum(x not in known for x, _ in path)
-        if open_path and mid not in known and unmapped < FRONTIER_DEPTH:
-            found.append(mid)
-        nodes += [(a, mid, [*path, (mid, False)]), (mid, b, [*path, (mid, True)])]
-    return found
-
-
 def brute_force_walk(lo, hi, bisect_tol, known, guess):
     """de._walk by enumeration: (lo, hi, mid, path) of the one bracket of the
     whole bisection tree that the walk reaches (each midpoint above it maps
@@ -1198,12 +1197,12 @@ def brute_force_walk(lo, hi, bisect_tol, known, guess):
 
 def batched_schedule_sweeps(params, kind, m, bisect_tol):
     """Sweeps of threshold's earlier schedule: each lockstep run_de call
-    decided every midpoint of the next FRONTIER_DEPTH bisection levels, in
-    whole blocks until its slowest row decided, before the next call began."""
+    decided every midpoint of the next two bisection levels, in whole
+    blocks until its slowest row decided, before the next call began."""
     lo, hi = 0.0, 1.0
     total = 0
     while hi - lo > bisect_tol:
-        n = 2 ** sum(hi - lo > bisect_tol * 2**i for i in range(FRONTIER_DEPTH))
+        n = 2 ** sum(hi - lo > bisect_tol * 2**i for i in range(2))
         mids = [lo + (hi - lo) * k / n for k in range(1, n)]
         runs = dict(zip(mids, run_de(params, [ChannelFamily(kind, m, x) for x in mids])))
         longest = max(r.state.iterations for r in runs.values())
@@ -1479,8 +1478,8 @@ def assert_same_points(got, ref):
 
 def counted_trace(monkeypatch, params, kind, m, chis):
     """ebp_trace with its rounds (staged maps built), detector-half calls
-    (calls of those maps) and evaluations (rows of those calls, one for a
-    float parameter) counted: (points, rounds, calls, evaluations)."""
+    (calls of those maps) and evaluations (rows of those calls) counted:
+    (points, rounds, calls, evaluations)."""
     counts = {"rounds": 0, "calls": 0, "evals": 0}
     map_orig = DensityEvolution.staged_round_map
 
@@ -1488,10 +1487,10 @@ def counted_trace(monkeypatch, params, kind, m, chis):
         counts["rounds"] += 1
         at = map_orig(self, p, q)
 
-        def counted_at(eps):
+        def counted_at(fcoef):
             counts["calls"] += 1
-            counts["evals"] += 1 if np.ndim(eps) == 0 else len(eps)
-            return at(eps)
+            counts["evals"] += len(fcoef)
+            return at(fcoef)
 
         return counted_at
 
@@ -1507,7 +1506,12 @@ def cold_anchored_point(dev, p, q, target):
     eps_prev = None
     stuck = 0
     for r in range(1, de._MAX_ROUNDS + 1):
-        staged = dev.staged_round_map(p, q)
+        at = dev.staged_round_map(p, q)
+
+        def staged(eps):
+            P, Q = at(dev.fpoly([eps]))
+            return P[0], Q[0]
+
         p_lo, q_lo = staged(0.0)
         p_hi, q_hi = staged(1.0)
         chi_lo = p_lo.mean()

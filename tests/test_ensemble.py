@@ -106,6 +106,16 @@ class TestSampleGraph:
         with pytest.raises(ValueError, match="symbol width"):
             sample_graph(EnsembleParams(4, 2, 2, 1, 2), 6, 4, rng)
 
+    def test_symbol_width_validation(self):
+        # A width that is not an int >= 1 (bool excluded, as EnsembleParams
+        # excludes it) is rejected before any draw.
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for bad in (0, -2, 2.0, True):
+            with pytest.raises(ValueError, match="symbol width m must be an integer >= 1"):
+                sample_graph(P422, 48, bad, rng)
+            assert rng.bit_generator.state == state
+
     def test_permuted_sockets_match_shuffle(self):
         # sample_graph draws a section's socket order as one permutation; it
         # indexes the sockets exactly as shuffling them in place would, and
