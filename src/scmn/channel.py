@@ -68,22 +68,23 @@ class ChannelFamily:
         return cls("cd", m, eps)
 
 
-def _check_channel(kind: str, m: int, parameter: float) -> None:
+def _check_channel(kind: str, m: int, *parameters: float) -> None:
+    """Check kind and m once, then each parameter; the first bad one raises."""
     if kind not in CHANNEL_KINDS:
         raise ValueError(f"kind must be one of {CHANNEL_KINDS}, got {kind!r}")
-    # The int test first: dimension_law runs once per curve-trace row, and
-    # the Integral test alone made it twice as slow.
+    # The int test first: the Integral test alone made dimension_law twice as slow.
     if type(m) is not int and (isinstance(m, bool) or not isinstance(m, Integral)):
         raise ValueError(f"m must be an integer, got {m!r}")
     if not 1 <= m <= MAX_WIDTH:
         raise ValueError(f"m must be in 1..{MAX_WIDTH}, got {m}")
-    if kind == "w":
-        if parameter != int(parameter) or not 0 <= parameter <= m:
-            raise ValueError(
-                f"kind 'w' needs an integer dimension in 0..{m}, got {parameter}"
-            )
-    elif not 0.0 <= parameter <= 1.0:
-        raise ValueError(f"parameter must be in [0, 1], got {parameter}")
+    for parameter in parameters:
+        if kind == "w":
+            if parameter != int(parameter) or not 0 <= parameter <= m:
+                raise ValueError(
+                    f"kind 'w' needs an integer dimension in 0..{m}, got {parameter}"
+                )
+        elif not 0.0 <= parameter <= 1.0:
+            raise ValueError(f"parameter must be in [0, 1], got {parameter}")
 
 
 def dimension_law(kind: str, m: int, parameter: float) -> tuple[float, ...]:
@@ -93,6 +94,11 @@ def dimension_law(kind: str, m: int, parameter: float) -> tuple[float, ...]:
     object, so a caller can scan the parameter cheaply. A Fraction parameter
     gives the law in exact rationals, by the same formulas."""
     _check_channel(kind, m, parameter)
+    return _law(kind, m, parameter)
+
+
+def _law(kind: str, m: int, parameter: float) -> tuple[float, ...]:
+    """dimension_law without its checks, for arguments _check_channel passed."""
     one = Fraction(1) if type(parameter) is Fraction else 1.0
     p = [0 * one] * (m + 1)
     if kind == "w":

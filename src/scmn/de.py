@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -16,6 +15,8 @@ import numpy as np
 
 from .channel import (
     ChannelFamily,
+    _check_channel,
+    _law,
     _mixture_poly_fractions,
     _mixture_poly_matrix,
     dimension_distribution,  # noqa: F401 (kept: perfbench/tracing.py wraps this name)
@@ -207,6 +208,9 @@ class DensityEvolution:
     exactly when its parameter is a Fraction, and the sweep kernel maps
     object arrays of Fractions by the same formulas in exact rationals, on
     windows of Fraction(1, w) (_windows).
+
+    Each kernel's buffers and operands are bound once per shape and dtype
+    and kept on the operator, so one operator serves one thread at a time.
     """
 
     def __init__(self, params: EnsembleParams, kind: str, m: int):
@@ -219,6 +223,9 @@ class DensityEvolution:
         self.Wb, self.Wf = self._windows(float)
         # Row j: transfer polynomial for noise dimension exactly j.
         self.K = _mixture_poly_matrix(m)
+        # What _check, _detector and _sweep_kernel bind, by name and the
+        # shapes and dtypes they were bound for.
+        self._bound: dict = {}
 
     def _windows(self, dtype) -> tuple[np.ndarray, np.ndarray]:
         """(Wb, Wf) for rates of dtype: entries 1/w in floats, Fraction(1, w)
@@ -234,10 +241,14 @@ class DensityEvolution:
 
     def fpoly(self, eps) -> np.ndarray:
         """f's coefficients, constant term first, at the channel parameter eps
-        (Fractions for a Fraction eps). A sequence of R float parameters gives
-        R rows, shape (R, d), each with the bits of its own call."""
-        if np.ndim(eps) == 1:
-            laws = np.array([dimension_law(self.kind, self.m, e) for e in eps])
+        (Fractions for a Fraction eps). A sequence or 1-D array of R float
+        parameters gives R rows, shape (R, d), each with the bits of its own
+        call: kind, m and every parameter are checked once, and then each
+        row's law is taken unchecked."""
+        if isinstance(eps, (Sequence, np.ndarray)):
+            kind, m = self.kind, self.m
+            _check_channel(kind, m, *eps)
+            laws = np.array([_law(kind, m, e) for e in eps])
             return np.matmul(laws[:, None, :], self.K)[:, 0]
         law = np.asarray(dimension_law(self.kind, self.m, eps))
         return law @ (np.array(_mixture_poly_fractions(self.m)) if law.dtype == object else self.K)
@@ -258,7 +269,12 @@ class DensityEvolution:
         each power of exponent 1 as its base, the ufuncs (each takes its out
         positionally) and the 1 of `1 - ...` as an array of the operand's shape
         and dtype (the int 1 under object dtype, so that Fractions stay exact).
+        They are bound once per shape and dtype on this operator, so every
+        call with the same pair shares one set of buffers: a caller copies
+        out what it keeps past another call.
         """
+        if (bound := self._bound.get(("check", shape, dtype))) is not None:
+            return bound
         dr, dg = self.params.dr, self.params.dg
         b = np.empty((4, 2, *shape[1:-2], self.params.n_check_sections, 1), dtype)
         # Indexed one by one: unpacking an array makes its views more slowly.
@@ -289,10 +305,29 @@ class DensityEvolution:
             for power, a, r in after:
                 power(a, r)
 
-        return check, rp, v[0], s, z, s1
+        bound = self._bound["check", shape, dtype] = check, rp, v[0], s, z, s1
+        return bound
+
+    def _sweep_kernel(self, shape: tuple, dtype, d: int, cdtype) -> tuple:
+        """_sweeps' kernel for stacked states of `shape` and dtype at d
+        coefficients of cdtype, bound once per key on this operator:
+        (coef, check, vp, z, s1, power_p, q_update). coef, of shape (d,
+        *shape[1:]), takes f's coefficients, each broadcast to a rate
+        array's shape; check and its outputs are _check's; power_p(vp, p1)
+        and q_update(z, s1, q1) write a sweep's new p and q."""
+        key = "sweep", shape, dtype, d, cdtype
+        if (bound := self._bound.get(key)) is not None:
+            return bound
+        rates = shape[1:]
+        coef = np.empty((d, *rates), cdtype)
+        check, _, vp, _, z, s1 = self._check(shape, dtype)
+        power_p = _power(self.params.dl - 1, rates, dtype)
+        q_update = self._q_update(list(coef), np.zeros(rates, dtype), np.ones(rates, dtype))
+        bound = self._bound[key] = coef, check, vp, z, s1, power_p, q_update
+        return bound
 
     def _check_rates(self, p: np.ndarray, q: np.ndarray) -> tuple:
-        """_check on 1-D rates: (rp, s, z, s1), 1-D."""
+        """_check on 1-D rates: (rp, s, z, s1), 1-D views of its shared buffers."""
         x = np.array([p, q])[..., None]
         check, rp, _, s, z, s1 = self._check(x.shape, x.dtype)
         check(x)
@@ -350,36 +385,64 @@ class DensityEvolution:
         single round, which the anchored continuation needs.
 
         Only f depends on the parameter, so the check half, z = s**dg and
-        s**(dg-1) are computed once, and each call evaluates the detector
-        half alone. `at(fcoef)`, for R rows of f's coefficients, shape
-        (R, d) (fpoly's rows), gives (p, q) of shape (R, n), lockstep rows
-        of one call; a window product is one gemv per row, so a row's bits
-        do not depend on the others. As in _sweeps, every operand is
-        broadcast to the rows' shape up front and every step writes into a
-        buffer.
+        s**(dg-1) are computed once (copied out of _check's shared
+        buffers), and each call evaluates the detector half alone.
+        `at(fcoef)`, for R rows of f's coefficients, shape (R, d) (fpoly's
+        rows), gives (p, q) of shape (R, n), lockstep rows of one call; a
+        window product is one gemv per row, so a row's bits do not depend
+        on the others. A call copies f's rows, z and s1 into the detector
+        half that this operator binds for R rows of d coefficients
+        (_detector), and the new p and q get their own buffer, which no
+        later call overwrites.
         """
-        dl, dg = self.params.dl, self.params.dg
         n = self.params.n_sections
-        rp, _, z, s1 = (v[:, None] for v in self._check_rates(p, q))
+        rp, _, z, s1 = self._check_rates(p, q)
+        # Shapes (nc, 1) and (2, 1, n, 1): z and s1 stacked for one copy per call.
+        rp, zs = rp[:, None].copy(), np.array([z, s1])[:, None, :, None]
 
         def at(fcoef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             R, d = fcoef.shape
-            # Slots 0..d-1: coefficient j of every row's f; then z and s1,
-            # each of shape (R, n, 1). The new p and q get their own buffer,
-            # so that rows kept by a caller do not keep this one alive.
-            b = np.empty((d + 2, R, n, 1))
+            b, detector = self._detector(R, d)
             b[:d] = fcoef.T[..., None, None]
-            b[d], b[d + 1] = z, s1
+            b[d:] = zs
             x = np.empty((2, R, n, 1))
-            q1 = self._q_update(b[:d], 0.0, 1.0)(b[d], b[d + 1], x[1])
-            # p = (Wf @ (1 - rp * (1 - Wb @ q1)**dg))**(dl-1); each ufunc's last arg is its out.
-            u = self.Wb @ q1
-            np.subtract(1.0, u, u)
-            np.multiply(rp, operator.ipow(u, dg), u)
-            v = np.matmul(self.Wf, np.subtract(1.0, u, u), x[0])
-            return operator.ipow(v, dl - 1)[..., 0], q1[..., 0]
+            detector(rp, x)
+            return x[0, ..., 0], x[1, ..., 0]
 
         return at
+
+    def _detector(self, R: int, d: int) -> tuple:
+        """The staged round's detector half for R rows of f's d coefficients:
+        (b, detector), bound once per (R, d) on this operator. Slots 0..d-1
+        of b take coefficient j of every row's f, and slots d and d+1 the
+        rows' z and s1, each of shape (R, n, 1); then detector(rp, x) writes
+        the new p and q into x, shape (2, R, n, 1). As in _sweeps, every
+        operand but rp is bound at the rows' shape, each ufunc's last
+        argument is its out, and the 1 of `1 - ...` and the clip's bounds
+        are arrays (see _check)."""
+        if (bound := self._bound.get(("detector", R, d))) is not None:
+            return bound
+        dl, dg = self.params.dl, self.params.dg
+        shape, u_shape = (R, self.params.n_sections, 1), (R, self.params.n_check_sections, 1)
+        b = np.empty((d + 2, *shape))
+        z, s1, u, one = b[d], b[d + 1], np.empty(u_shape), np.ones(u_shape)
+        q_update = self._q_update(b[:d], np.zeros(shape), np.ones(shape))
+        power_u, power_p = _power(dg, u_shape, float), _power(dl - 1, shape, float)
+        Wb, Wf = self.Wb, self.Wf
+        matmul, multiply, subtract = np.matmul, np.multiply, np.subtract
+
+        def detector(rp: np.ndarray, x: np.ndarray) -> None:
+            # p = (Wf @ (1 - rp * (1 - Wb @ q1)**dg))**(dl-1)
+            q1 = q_update(z, s1, x[1])
+            matmul(Wb, q1, u)
+            subtract(one, u, u)
+            power_u(u, u)
+            multiply(rp, u, u)
+            p1 = matmul(Wf, subtract(one, u, u), x[0])
+            power_p(p1, p1)
+
+        bound = self._bound["detector", R, d] = b, detector
+        return bound
 
     def h_profile(
         self, p: np.ndarray, q: np.ndarray, fcoef: np.ndarray, *, alternative: bool = False
@@ -567,21 +630,17 @@ def _sweeps(dev: DensityEvolution, x: np.ndarray, fcoef, n: int) -> np.ndarray:
 
     x holds each rate vector as a column, in shape (2, ..., sections, 1)
     (see _check); fcoef is f's coefficients, each a scalar or broadcasting
-    to one row's shape (_lockstep's are (deg, rows, 1, 1)). Every operand of
-    the loop is bound once per call, as _check binds its own, and f's
-    coefficients are broadcast to the shape of a rate array up front, so
-    every ufunc takes numpy's same-shape path and writes into a buffer or X.
-    Object arrays of Fractions run the same loop, exactly (see _windows).
+    to one row's shape (_lockstep's are (deg, rows, 1, 1)). A call copies
+    them into the kernel that `dev` binds for its shapes and dtypes
+    (_sweep_kernel), so every ufunc takes numpy's same-shape path and
+    writes into a buffer or X. Object arrays of Fractions run the same
+    loop, exactly (see _windows).
     """
     X = np.empty((n + 1, *x.shape), x.dtype)
     X[0] = x
-    shape = x.shape[1:]
     c = np.asarray(fcoef)
-    coef = np.empty((len(c), *shape), c.dtype)
-    coef[...] = c.reshape(*c.shape, *(1,) * (len(shape) + 1 - c.ndim))
-    check, _, vp, _, z, s1 = dev._check(x.shape, x.dtype)
-    power_p = _power(dev.params.dl - 1, shape, x.dtype)
-    q_update = dev._q_update(list(coef), np.zeros(shape, x.dtype), np.ones(shape, x.dtype))
+    coef, check, vp, z, s1, power_p, q_update = dev._sweep_kernel(x.shape, x.dtype, len(c), c.dtype)
+    coef[...] = c.reshape(*c.shape, *(1,) * (coef.ndim - c.ndim))
     for prev, p1, q1 in zip(X[:-1], X[1:, 0], X[1:, 1]):
         check(prev)
         power_p(vp, p1)

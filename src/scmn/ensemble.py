@@ -299,6 +299,8 @@ def sample_graph(params: EnsembleParams, M: int, m: int, rng) -> TannerGraph:
     dl, dr, dg, w = params.dl, params.dr, params.dg, params.w
     if isinstance(m, bool) or not isinstance(m, Integral) or m < 1:
         raise ValueError(f"symbol width m must be an integer >= 1, got {m!r}")
+    if isinstance(M, bool) or not isinstance(M, Integral):
+        raise ValueError(f"M must be an integer, got {M!r}")
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     if dr * M % dl:

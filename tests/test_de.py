@@ -345,6 +345,65 @@ class TestSweep:
                         assert np.array_equal(p1, P[-1]) and np.array_equal(q1, Q[-1])
         assert clipped_lo and clipped_hi
 
+    def test_fpoly_rows_match_checked_laws(self):
+        # A sequence's rows check their parameters once and take each law
+        # unchecked: every row keeps the bits of the checked law times K, at
+        # random parameters, both ends and the cd law's kinks k / m.
+        rng = np.random.default_rng(5)
+        for kind in ("cd", "bd"):
+            for m in (1, 2, 6, 15):
+                dev = DensityEvolution(P422, kind, m)
+                eps = [0.0, 1.0, *(k / m for k in range(1, m)), *map(float, rng.uniform(0, 1, 20))]
+                want = [np.asarray(dimension_law(kind, m, e)) @ _mixture_poly_matrix(m) for e in eps]
+                got = dev.fpoly(eps)
+                assert got.shape == (len(eps), m)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+                assert np.array_equal(dev.fpoly(np.array(eps)), got)
+
+    def test_fpoly_rows_reject_bad_parameters(self):
+        # dimension_law's ValueError, at the first bad parameter of the rows.
+        dev = DensityEvolution(P422, "cd", 6)
+        for bad in (float("nan"), -0.25, 1.5):
+            with pytest.raises(ValueError, match=rf"parameter must be in \[0, 1\], got {bad}"):
+                dimension_law("cd", 6, bad)
+            with pytest.raises(ValueError, match=rf"parameter must be in \[0, 1\], got {bad}"):
+                dev.fpoly([0.3, bad, 0.5])
+        with pytest.raises(ValueError, match="kind must be one of"):
+            DensityEvolution(P422, "xd", 6).fpoly([0.3])
+
+    def test_staged_maps_share_buffers_safely(self):
+        # Maps of one operator share its check half and its detector half,
+        # bound once per shape. Two maps called alternately, or a map with a
+        # sweep and an h_profile between its calls, give each call the bits
+        # of a fresh operator's map.
+        params = EnsembleParams(dl=4, dr=2, dg=2, L=20, w=3)
+        n = params.n_sections
+        rng = np.random.default_rng(11)
+        states = [(rng.uniform(0.2, 1, n), rng.uniform(0.2, 1, n)) for _ in range(2)]
+        for kind, m in (("cd", 6), ("bd", 2), ("cd", 1)):
+            dev = DensityEvolution(params, kind, m)
+            eps = [[float(e) for e in rng.uniform(0, 1, R)] for R in (1, 3, 1, 5, 3)]
+
+            def alone(state, e):
+                return DensityEvolution(params, kind, m).staged_round_map(*state)(dev.fpoly(e))
+
+            maps = [dev.staged_round_map(*state) for state in states]
+            kept = []
+            for e in eps:
+                for state, at in zip(states, maps):
+                    P, Q = at(dev.fpoly(e))
+                    kept.append((P, Q, state, e))
+            at = dev.staged_round_map(*states[0])
+            for e in eps:
+                P, Q = at(dev.fpoly(e))
+                kept.append((P, Q, states[0], e))
+                fcoef = dev.fpoly(e[0])
+                dev.sweep(*states[1], fcoef)
+                dev.h_profile(*states[1], fcoef)
+            for P, Q, state, e in kept:
+                P0, Q0 = alone(state, e)
+                assert np.array_equal(P, P0) and np.array_equal(Q, Q0)
+
 
 class TestRunDe:
     def test_zero_parameter_converges_fast(self):

@@ -116,6 +116,20 @@ class TestSampleGraph:
                 sample_graph(P422, 48, bad, rng)
             assert rng.bit_generator.state == state
 
+    def test_section_size_validation(self):
+        # Unchecked, M = True would build an M = 1 graph and M = 2.0 would die
+        # in numpy: a section size that is not an int (bool excluded) is
+        # rejected before any draw.
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for bad in (True, 2.0, 48.0):
+            with pytest.raises(ValueError, match="M must be an integer"):
+                sample_graph(EnsembleParams(1, 1, 1, 2, 1), bad, 1, rng)
+            assert rng.bit_generator.state == state
+        with pytest.raises(ValueError, match="M must be >= 1"):
+            sample_graph(P422, 0, 1, rng)
+        assert sample_graph(P422, np.int64(48), 6, rng).M == 48
+
     def test_permuted_sockets_match_shuffle(self):
         # sample_graph draws a section's socket order as one permutation; it
         # indexes the sockets exactly as shuffling them in place would, and

@@ -273,6 +273,26 @@ def test_decode_cost(monkeypatch, capsys):
         assert tables == 5.0 if m == 2 else 100 < tables <= 21 * M // m
 
 
+def test_curve_cost(monkeypatch, capsys):
+    # One trace, once: the line format and call counts only, never a time.
+    # The counts are the trace's, as scripts/curve_work.py counts them.
+    script = load_script("curve_cost")
+    monkeypatch.setattr(script, "RUNS", 1)
+    assert script.run([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    ms = r"\d+\.\d"
+    pattern = (
+        rf"cd m=6 L=20/w=3: fpoly rows {ms}, map builds {ms}, detector calls {ms}, "
+        rf"rest -?{ms}, trace {ms} ms per trace; "
+        r"(\d+) fpoly rows, 1356 map builds, (\d+) detector calls"
+    )
+    match = re.fullmatch(pattern, lines[0])
+    assert match, lines[0]
+    # fpoly builds the rows of every detector-half call.
+    assert match[1] == match[2]
+
+
 def test_decode_battery_digest(capsys):
     # The real battery, about 5 s: every sampled graph and trial result of
     # its 214 trials to the bit.

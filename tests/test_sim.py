@@ -231,6 +231,11 @@ class TestDecodeTrial:
         with pytest.raises(ValueError):
             decode_trial(P422, 7, ChannelFamily.concentrated(2, 0.4), 0)
 
+    def test_section_size_must_be_an_integer(self):
+        for bad in (True, 2.0):
+            with pytest.raises(ValueError, match="M must be an integer"):
+                decode_trial(EnsembleParams(1, 1, 1, 2, 1), bad, ChannelFamily("cd", 1, 0.4), 0)
+
 
 # Seeded m=6, M=48 trials at eps=0.45 (cd): master seed -> (BER, rounds to
 # stall) of the trial with seed (master, 0, 0), as pinned in the benchmark.
