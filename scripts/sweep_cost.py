@@ -50,9 +50,9 @@ def float_sweep_us(L: int, w: int, rows: int) -> float:
     cells = [CELLS[r % len(CELLS)] for r in range(rows)]
     polys = [de.DensityEvolution(p, kind, m).fpoly(EPS) for kind, m in cells]
     deg = max(map(len, polys))
-    fcoef = np.stack([np.pad(c, (0, deg - len(c))) for c in polys], axis=1)[..., None, None]
+    fcoef = np.array([np.pad(c, (0, deg - len(c))) for c in polys])
     dev = de.DensityEvolution(p, *cells[0])
-    x = np.ones((2, rows, p.n_sections, 1))
+    x = np.ones((2, rows, p.n_sections))
     runs = timeit.repeat(lambda: de._sweeps(dev, x, fcoef, SWEEPS), repeat=RUNS, number=BLOCKS)
     return min(runs) / (BLOCKS * SWEEPS) * 1e6
 
@@ -61,7 +61,7 @@ def exact_sweep_ms(L: int, w: int) -> float:
     """Best ms of one exact cd m=6 sweep at L/w."""
     p = params(L, w)
     dev = de.DensityEvolution(p, "cd", 6)
-    x = de._sweeps(dev, np.ones((2, p.n_sections, 1)), dev.fpoly(EPS), SWEEPS)[-1, ..., 0]
+    x = de._sweeps(dev, np.ones((2, p.n_sections)), dev.fpoly(EPS), SWEEPS)[-1]
     y = [np.array([Fraction(v) for v in r.tolist()], dtype=object) for r in x]
     fcoef = dev.fpoly(Fraction(EPS))
     return min(timeit.repeat(lambda: dev.sweep(*y, fcoef), repeat=RUNS, number=1)) * 1e3

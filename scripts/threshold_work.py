@@ -49,7 +49,7 @@ def count(kind: str, m: int) -> dict:
 
     def counted_sweeps(dev, x, fcoef, n):
         counts["sweeps"] += n
-        counts["row_sweeps"] += n * (x.shape[1] if x.ndim == 4 else 1)
+        counts["row_sweeps"] += n * (x.shape[1] if x.ndim == 3 else 1)
         return sweeps(dev, x, fcoef, n)
 
     def counted_fold_certified(params, kind, m, point, eps):

@@ -110,7 +110,7 @@ _WARM_WIDTH = 2.0
 # 1/4 and grow outside them; the middle of that plateau is taken. At 1/8 the
 # L=20/w=3 cd m=6 trace (chi = 0.95 down to 0.03 by 0.01; 1,356 rounds)
 # makes 5,141 calls of 25,796 rows (evaluations), against 5,249 at 1/32 and
-# 5,198 at 1/4 (scripts/curve_work.py counts them).
+# 5,198 at 1/4 (scripts/curve_cost.py counts them).
 _ZOOM_MARGIN = 1 / 8
 _STATE_TOL = 1e-10
 _EPS_CHANGE_TOL = 1e-10
@@ -214,6 +214,7 @@ class DensityEvolution:
     """
 
     def __init__(self, params: EnsembleParams, kind: str, m: int):
+        _check_channel(kind, m)
         self.params = params
         self.kind = kind
         self.m = m
@@ -241,17 +242,17 @@ class DensityEvolution:
 
     def fpoly(self, eps) -> np.ndarray:
         """f's coefficients, constant term first, at the channel parameter eps
-        (Fractions for a Fraction eps). A sequence or 1-D array of R float
+        (Fractions for a Fraction eps). A sequence or 1-D array of R
         parameters gives R rows, shape (R, d), each with the bits of its own
-        call: kind, m and every parameter are checked once, and then each
-        row's law is taken unchecked."""
-        if isinstance(eps, (Sequence, np.ndarray)):
-            kind, m = self.kind, self.m
-            _check_channel(kind, m, *eps)
-            laws = np.array([_law(kind, m, e) for e in eps])
-            return np.matmul(laws[:, None, :], self.K)[:, 0]
-        law = np.asarray(dimension_law(self.kind, self.m, eps))
-        return law @ (np.array(_mixture_poly_fractions(self.m)) if law.dtype == object else self.K)
+        call: a scalar is the one-row case. Every parameter is checked once,
+        and then each row's law is taken unchecked."""
+        rows = isinstance(eps, (Sequence, np.ndarray))
+        kind, m, eps = self.kind, self.m, eps if rows else [eps]
+        _check_channel(kind, m, *eps)
+        laws = np.array([_law(kind, m, e) for e in eps])
+        K = np.array(_mixture_poly_fractions(m)) if laws.dtype == object else self.K
+        f = np.matmul(laws[:, None, :], K)[:, 0]
+        return f if rows else f[0]
 
     def _check(self, shape: tuple, dtype):
         """The check half for stacked states of `shape`: (check, rp, vp, s,
@@ -310,17 +311,17 @@ class DensityEvolution:
 
     def _sweep_kernel(self, shape: tuple, dtype, d: int, cdtype) -> tuple:
         """_sweeps' kernel for stacked states of `shape` and dtype at d
-        coefficients of cdtype, bound once per key on this operator:
-        (coef, check, vp, z, s1, power_p, q_update). coef, of shape (d,
-        *shape[1:]), takes f's coefficients, each broadcast to a rate
-        array's shape; check and its outputs are _check's; power_p(vp, p1)
-        and q_update(z, s1, q1) write a sweep's new p and q."""
+        coefficients of cdtype, bound once per key on this operator: (coef,
+        check, vp, z, s1, power_p, q_update), on the rates as columns. coef
+        takes f's coefficients, each broadcast to a rate array's shape; check
+        and its outputs are _check's; power_p(vp, p1) and q_update(z, s1, q1)
+        write a sweep's new p and q."""
         key = "sweep", shape, dtype, d, cdtype
         if (bound := self._bound.get(key)) is not None:
             return bound
-        rates = shape[1:]
+        rates = (*shape[1:], 1)
         coef = np.empty((d, *rates), cdtype)
-        check, _, vp, _, z, s1 = self._check(shape, dtype)
+        check, _, vp, _, z, s1 = self._check((*shape, 1), dtype)
         power_p = _power(self.params.dl - 1, rates, dtype)
         q_update = self._q_update(list(coef), np.zeros(rates, dtype), np.ones(rates, dtype))
         bound = self._bound[key] = coef, check, vp, z, s1, power_p, q_update
@@ -364,11 +365,11 @@ class DensityEvolution:
         """One parallel update of every section of the 1-D rates (p, q): the
         one-sweep case of _sweeps, in the arithmetic (floats or Fractions)
         that the state and f's coefficients share; a mix raises ValueError."""
-        x, c = np.array([p, q])[..., None], np.asarray(fcoef)
+        x, c = np.array([p, q]), np.asarray(fcoef)
         if (x.dtype == object) != (c.dtype == object):
             state, coef = (type(a.flat[0]).__name__ for a in (x, c))
             raise ValueError(f"a {state} state cannot sweep with {coef} coefficients")
-        return tuple(_sweeps(self, x, c, 1)[1, ..., 0])
+        return tuple(_sweeps(self, x, c, 1)[1])
 
     def staged_round(
         self, p: np.ndarray, q: np.ndarray, fcoef: np.ndarray
@@ -497,13 +498,13 @@ def _lockstep(params: EnsembleParams, frontier) -> dict:
     DeResult instead is decided without a sweep: it goes to `done`, and the
     frontier is called again. Returns `done`.
 
-    The live rows are one stacked state x of shape (2, rows, n, 1), which
-    _sweeps advances a block at a time; a window product is one gemv per
-    row, so each row gets the bits of its own run. Rows may mix kinds and m:
-    only f depends on them, and _sweeps reads only the ensemble. Each f is
-    built at float(parameter), as the float state needs, and zero-padded to
-    the longest degree, where Horner's rule takes z * 0 = +0 (z >= 0) and
-    +0 + c = c, so a padded row keeps its bits, m = 1's constant f too.
+    The live rows are one stacked state x of shape (2, rows, n), which
+    _sweeps advances a block at a time, and each row gets the bits of its
+    own run. Rows may mix kinds and m: only f depends on them, and _sweeps
+    reads only the ensemble. Each f is built at float(parameter), as the
+    float state needs, and zero-padded to the longest degree, where
+    Horner's rule takes z * 0 = +0 (z >= 0) and +0 + c = c, so a padded row
+    keeps its bits, m = 1's constant f too.
     Sweeps run in blocks of _SWEEP_BLOCK and are tested sweep by sweep after
     each block: a row that decided is frozen at the sweep where it did, and
     the sweeps it ran after that are dropped. Each row counts its own sweeps,
@@ -527,7 +528,7 @@ def _lockstep(params: EnsembleParams, frontier) -> dict:
     keys: list = []  # the key of each live row, all of them in `wanted`
     polys: list = []
     it: list[int] = []  # sweeps run per row
-    x = np.empty((2, 0, n, 1))  # (p, q) of each row
+    x = np.empty((2, 0, n))  # (p, q) of each row
     anchor = np.empty((2, 0, n))  # (p, q) of each row at its anchor
     while wanted := frontier(done):
         if decided := {k: v for k, v in wanted.items() if isinstance(v, DeResult)}:
@@ -539,11 +540,10 @@ def _lockstep(params: EnsembleParams, frontier) -> dict:
         polys = [polys[r] for r in keep]
         polys += [dev(f.kind, f.m).fpoly(float(f.parameter)) for f in map(wanted.get, new)]
         it = [it[r] for r in keep] + [0] * len(new)
-        x = np.concatenate([x[:, keep], np.ones((2, len(new), n, 1))], axis=1)
+        x = np.concatenate([x[:, keep], np.ones((2, len(new), n))], axis=1)
         anchor = np.concatenate([anchor[:, keep], np.ones((2, len(new), n))], axis=1)
-        # Shape (deg, rows, 1, 1): one coefficient per row.
         deg = max(map(len, polys))
-        fcoef = np.stack([np.pad(c, (0, deg - len(c))) for c in polys], axis=1)[..., None, None]
+        fcoef = np.array([np.pad(c, (0, deg - len(c))) for c in polys])
         sweeper = dev(wanted[keys[0]].kind, wanted[keys[0]].m)
         n_done = len(done)
         while len(done) == n_done:
@@ -551,7 +551,6 @@ def _lockstep(params: EnsembleParams, frontier) -> dict:
             X = _sweeps(sweeper, x, fcoef, sweeps)
             x = X[-1]
             # The block's tests, on X indexed (sweep, p or q, row, section).
-            X = X[..., 0]
             dX = X[1:] - X[:-1]
             change = np.abs(dX).max(axis=(1, 3))
             converged = X[1:, 0].max(axis=2) < TOL
@@ -628,24 +627,24 @@ def _sweeps(dev: DensityEvolution, x: np.ndarray, fcoef, n: int) -> np.ndarray:
     """The stacked state x = (p, q) and the next n sweeps from it, as one
     array X of shape (n + 1, *x.shape): X[t, 0] is p and X[t, 1] is q.
 
-    x holds each rate vector as a column, in shape (2, ..., sections, 1)
-    (see _check); fcoef is f's coefficients, each a scalar or broadcasting
-    to one row's shape (_lockstep's are (deg, rows, 1, 1)). A call copies
-    them into the kernel that `dev` binds for its shapes and dtypes
-    (_sweep_kernel), so every ufunc takes numpy's same-shape path and
-    writes into a buffer or X. Object arrays of Fractions run the same
-    loop, exactly (see _windows).
+    x is (2, sections), or (2, rows, sections) for lockstep rows; fcoef is
+    f's coefficients as fpoly gives them, (d,), or one row per lockstep row,
+    (rows, d). A call copies them into the kernel that `dev` binds for its
+    shapes and dtypes (_sweep_kernel), so every ufunc takes numpy's
+    same-shape path and writes into a buffer or X. The kernel holds each
+    rate vector as a column (see _check), an axis that X drops on return.
+    Object arrays of Fractions run the same loop, exactly (see _windows).
     """
-    X = np.empty((n + 1, *x.shape), x.dtype)
-    X[0] = x
-    c = np.asarray(fcoef)
+    X = np.empty((n + 1, *x.shape, 1), x.dtype)
+    X[0, ..., 0] = x
+    c = np.asarray(fcoef).T
     coef, check, vp, z, s1, power_p, q_update = dev._sweep_kernel(x.shape, x.dtype, len(c), c.dtype)
-    coef[...] = c.reshape(*c.shape, *(1,) * (coef.ndim - c.ndim))
+    coef[...] = c[..., None, None]
     for prev, p1, q1 in zip(X[:-1], X[1:, 0], X[1:, 1]):
         check(prev)
         power_p(vp, p1)
         q_update(z, s1, q1)
-    return X
+    return X[..., 0]
 
 
 def trajectory(
@@ -656,8 +655,8 @@ def trajectory(
         raise ValueError(f"n_sweeps must be a non-negative integer, got {n_sweeps!r}")
     dev = DensityEvolution(params, family.kind, family.m)
     fcoef = dev.fpoly(float(family.parameter))
-    X = _sweeps(dev, np.ones((2, params.n_sections, 1)), fcoef, n_sweeps)
-    return X[:, 0, :, 0], X[:, 1, :, 0]
+    X = _sweeps(dev, np.ones((2, params.n_sections)), fcoef, n_sweeps)
+    return X[:, 0], X[:, 1]
 
 
 def thresholds(
@@ -851,6 +850,7 @@ class _FixedPoints:
         stride = 2 * w - 1
         rows = 2 * stride + 2  # x, the 2 * stride column classes, ε + h
         self.dx = np.zeros((2, rows, n))
+        self.f_rows = [0] * (rows - 1) + [1]  # rows of fpoly([ε, ε + _FOLD_H])
         for half in range(2):
             for c in range(stride):
                 self.dx[half, 1 + half * stride + c, c::stride] = _FOLD_H
@@ -879,14 +879,11 @@ class _FixedPoints:
         for _ in range(_FOLD_MAX_STEPS):
             if not 0.0 <= eps <= 1.0 - _FOLD_H:
                 break
-            f = dev.fpoly(eps)
-            fcoef = np.empty((len(f), self.dx.shape[1], 1, 1))
-            fcoef[...] = f[:, None, None, None]
-            fcoef[:, -1, 0, 0] = dev.fpoly(eps + _FOLD_H)
+            fcoef = dev.fpoly([eps, eps + _FOLD_H])[self.f_rows]
             # Rates above 1/2 are lowered, so that a rate at 1 (where the
             # q-update clips) is differenced inside [0, 1].
             sign = np.where(x > 0.5, -1.0, 1.0)
-            T = _sweeps(dev, (x[:, None] + sign[:, None] * self.dx)[..., None], fcoef, 1)[1, ..., 0]
+            T = _sweeps(dev, x[:, None] + sign[:, None] * self.dx, fcoef, 1)[1]
             F[: 2 * n] = (T[:, 0] - x).ravel()
             F[2 * n] = x[0].mean() - chi
             residual = np.abs(F).max()
@@ -945,7 +942,7 @@ def _fold(params: EnsembleParams, kind: str, m: int) -> tuple[float, np.ndarray]
         return None
     dev = DensityEvolution(params, kind, m)
     newton = _FixedPoints(dev)
-    x = _sweeps(dev, np.ones((2, n, 1)), dev.fpoly(_FOLD_START), _FOLD_START_SWEEPS)[-1, ..., 0]
+    x = _sweeps(dev, np.ones((2, n)), dev.fpoly(_FOLD_START), _FOLD_START_SWEEPS)[-1]
     if x[0].max() < TOL:
         return None
     chi = x[0].mean()

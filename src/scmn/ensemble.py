@@ -1,5 +1,5 @@
-"""Coupled two-edge-type (MacKay-Neal style) ensembles: design rate, check
-counting, and finite Tanner graph sampling with channel-symbol grouping."""
+"""Coupled two-edge-type (MacKay-Neal style) ensembles: design rate and
+finite Tanner graph sampling with channel-symbol grouping."""
 
 from __future__ import annotations
 
@@ -64,25 +64,6 @@ def design_rate_exact(params: EnsembleParams) -> Fraction:
 
 def design_rate(params: EnsembleParams) -> float:
     return float(design_rate_exact(params))
-
-
-def check_count(params: EnsembleParams, M: int) -> Fraction:
-    """Expected number of degree >= 1 check nodes with M checks per section.
-
-    Satisfies V_t + V_p - N_C = rate * V_t exactly in rational arithmetic.
-    """
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
-    s = _coupling_sum(params)
-    return M * (2 * params.L - params.w + 2 * s)
-
-
-def transmitted_count(params: EnsembleParams, M: int) -> int:
-    return params.n_sections * M
-
-
-def punctured_count(params: EnsembleParams, M: int) -> Fraction:
-    return Fraction(params.dr * M, params.dl) * params.n_sections
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,6 +9,7 @@ erased-output masks indexed by the erased-input mask."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -377,8 +378,8 @@ def run_experiment(
     independently of execution order. Trajectories are padded with their
     final value (stalled message state is constant) before averaging.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if isinstance(trials, bool) or not isinstance(trials, Integral) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     rows = []
     for g, par in enumerate(parameter_grid):
         family = ChannelFamily(kind, m, par)

@@ -15,6 +15,8 @@ buffered detector half of `DensityEvolution.staged_round_map`.
 `condition_matching` re-wires a socket matching by re-scanning the whole
 edge set on every pass, with sorts, beside the incremental passes of
 `scmn.ensemble`; both must make the same swaps and the same draws.
+`check_count`, `transmitted_count` and `punctured_count` count an
+ensemble's nodes, against which the design rate is checked.
 """
 
 import functools
@@ -24,7 +26,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from scmn.channel import DimensionDistribution, transfer_poly
-from scmn.ensemble import EnsembleParams
+from scmn.ensemble import EnsembleParams, _coupling_sum
 from scmn.gf2 import (
     ENUM_MAX_AMBIENT,
     SubspaceBasis,
@@ -34,6 +36,25 @@ from scmn.gf2 import (
     sample_subspace,
     zero_coordinate_mask,
 )
+
+
+def check_count(params: EnsembleParams, M: int) -> Fraction:
+    """Expected number of degree >= 1 check nodes with M checks per section.
+
+    Satisfies V_t + V_p - N_C = rate * V_t exactly in rational arithmetic.
+    """
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
+    s = _coupling_sum(params)
+    return M * (2 * params.L - params.w + 2 * s)
+
+
+def transmitted_count(params: EnsembleParams, M: int) -> int:
+    return params.n_sections * M
+
+
+def punctured_count(params: EnsembleParams, M: int) -> Fraction:
+    return Fraction(params.dr * M, params.dl) * params.n_sections
 
 
 def transfer_f(dist: DimensionDistribution, z: float) -> float:
@@ -137,9 +158,10 @@ def sample_symbol_noise(dist: DimensionDistribution, n_symbols: int, rng):
 
 
 def sweep_oracle(params: EnsembleParams, p, q, fcoef):
-    """One DE sweep of (p, q): 1-D rates, or lockstep rows of shape
-    (rows, n, 1) with fcoef of shape (deg, rows, 1, 1). Float rates use the
-    float windows; object arrays of Fractions use dense object windows of
+    """One DE sweep of the 1-D rates (p, q) at f's coefficients fcoef, as
+    fpoly gives them for one parameter; the kernel's lockstep rows are
+    checked against it one row at a time. Float rates use the float
+    windows; object arrays of Fractions use dense object windows of
     Fraction(1, w), so the sweep is exact."""
     exact = np.asarray(p).dtype == object
     return _PlainSweep(params, exact).sweep(p, q, fcoef)

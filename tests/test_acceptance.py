@@ -8,21 +8,14 @@ minutes on two cores.
 
 import numpy as np
 
-from oracles import transfer_f, transfer_f_oracle
+from oracles import check_count, punctured_count, transfer_f, transfer_f_oracle, transmitted_count
 from scmn.channel import (
     ChannelFamily,
     capacity,
     dimension_distribution,
 )
 from scmn.de import ebp_trace, fold, run_de, thresholds, trajectory
-from scmn.ensemble import (
-    EnsembleParams,
-    check_count,
-    design_rate,
-    design_rate_exact,
-    punctured_count,
-    transmitted_count,
-)
+from scmn.ensemble import EnsembleParams, design_rate, design_rate_exact
 from scmn.gf2 import enumerate_subspaces, gbinom
 from scmn.sim import ERASED, detector_messages, run_experiment
 from test_sim import detector_oracle

@@ -220,8 +220,9 @@ class TestSweep:
     @pytest.mark.parametrize("L, w", [(10, 2), (20, 3), (6, 4)])
     def test_kernel_matches_oracle(self, L, w):
         # 300 sweeps from all-ones, one _sweeps block, bit for bit against
-        # the plain formula: on 1-D rates (trajectory's and sweep's form),
-        # and on one and on four lockstep rows.
+        # the plain formula on each row's 1-D rates: on 1-D rates
+        # (trajectory's and sweep's form), and on one and on four lockstep
+        # rows at fpoly's coefficient rows.
         # The last three triples reach the kernel's other exponents: dl - 1,
         # dr - 1 and dg - 1 of 1 (a copy or the base itself) and of 0.
         for dl, dr, dg in ((4, 2, 2), (3, 3, 3), (5, 2, 3), (2, 2, 2), (3, 1, 3), (5, 2, 1)):
@@ -230,19 +231,21 @@ class TestSweep:
             for kind in ("cd", "bd"):
                 for m in (1, 2, 6, 15):
                     dev = DensityEvolution(params, kind, m)
-                    polys = [dev.fpoly(e) for e in (0.47, 0.3, 0.5, 0.7)]
+                    eps = [0.47, 0.3, 0.5, 0.7]
+                    polys = [dev.fpoly(e) for e in eps]
+                    want = np.ones((301, 2, len(eps), n))
+                    for t in range(1, 301):
+                        for r, fcoef in enumerate(polys):
+                            want[t, :, r] = sweep_oracle(params, *want[t - 1, :, r], fcoef)
                     for x, fcoef in (
-                        (np.ones((2, n, 1)), polys[0]),
-                        (np.ones((2, 1, n, 1)), np.stack(polys[:1], axis=1)[..., None, None]),
-                        (np.ones((2, 4, n, 1)), np.stack(polys, axis=1)[..., None, None]),
+                        (np.ones((2, n)), polys[0]),
+                        (np.ones((2, 1, n)), dev.fpoly(eps[:1])),
+                        (np.ones((2, 4, n)), dev.fpoly(eps)),
                     ):
                         X = de._sweeps(dev, x, fcoef, 300)
                         assert X.shape == (301, *x.shape)
-                        p, q = x[:, ..., 0] if x.ndim == 3 else x
-                        for t in range(1, 301):
-                            p, q = sweep_oracle(params, p, q, fcoef)
-                            got = X[t, ..., 0] if x.ndim == 3 else X[t]
-                            assert np.array_equal(got[0], p) and np.array_equal(got[1], q)
+                        rows = X.reshape(301, 2, -1, n)
+                        assert np.array_equal(rows, want[:, :, : rows.shape[2]])
 
     @pytest.mark.parametrize("w", [2, 3, 4, 5])
     def test_exact_step_matches_oracle(self, w):
@@ -370,6 +373,25 @@ class TestSweep:
                 dev.fpoly([0.3, bad, 0.5])
         with pytest.raises(ValueError, match="kind must be one of"):
             DensityEvolution(P422, "xd", 6).fpoly([0.3])
+
+    def test_operator_checks_kind_and_m(self):
+        # The operator checks kind and m before it builds anything, so it,
+        # fold and ebp_trace raise dimension_law's ValueError for an m that
+        # is not an integer, or is a bool (2.5 raised a TypeError from the
+        # transfer polynomial's kernel, and True built an m = 1 operator).
+        # An m past the transfer polynomial's range keeps its own message.
+        for m in (2.5, True):
+            with pytest.raises(ValueError, match=f"m must be an integer, got {m!r}"):
+                dimension_law("cd", m, 0.5)
+            for build in (
+                lambda: DensityEvolution(P422, "cd", m),
+                lambda: de.fold(P422, "cd", m),
+                lambda: ebp_trace(P422, "cd", m, [0.5]),
+            ):
+                with pytest.raises(ValueError, match=f"m must be an integer, got {m!r}"):
+                    build()
+        with pytest.raises(ValueError, match=r"transfer polynomial is evaluated for m in 1\.\.15"):
+            DensityEvolution(P422, "cd", 16)
 
     def test_staged_maps_share_buffers_safely(self):
         # Maps of one operator share its check half and its detector half,
@@ -705,7 +727,7 @@ class TestThreshold:
         # midpoints below it run in one lockstep pass, so the run takes at
         # most two capped passes (run one after another, the capped rows
         # took 664, 1,092 and 1,704 lockstep sweeps). Lockstep rows are the
-        # stacked (2, rows, n, 1) states; the certificate sweeps 1-D rates,
+        # stacked (2, rows, n) states; the certificate sweeps 1-D rates,
         # and the fold is computed before counting starts.
         params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=3)
         walk = reference_walk(params, "cd", 2, bisect_tol=1e-4)
@@ -714,7 +736,7 @@ class TestThreshold:
         sweeps_orig, lockstep = de._sweeps, [0]
 
         def counted_sweeps(dev, x, fcoef, n):
-            lockstep[0] += n if x.ndim == 4 else 0
+            lockstep[0] += n if x.ndim == 3 else 0
             return sweeps_orig(dev, x, fcoef, n)
 
         monkeypatch.setattr(de, "_sweeps", counted_sweeps)
@@ -724,7 +746,7 @@ class TestThreshold:
             lockstep[0] = 0
             with pytest.raises(ConvergenceError, match=f"the {max_iter}-sweep cap") as got:
                 threshold(params, "cd", 2, bisect_tol=1e-4)
-            assert lockstep[0] <= 2 * max_iter
+            assert 0 < lockstep[0] <= 2 * max_iter
             mid = float(str(got.value).split("parameter ")[1].split(";")[0])
             assert mid in walk
             family = ChannelFamily("cd", 2, mid)
@@ -969,8 +991,8 @@ class TestFold:
         for kind, m in REF_L10_W2:
             calls.clear()
             assert de.fold(P422, kind, m) is not None
-            assert calls[0] == (de._FOLD_START_SWEEPS, (2, P422.n_sections, 1))
-            assert {shape for _, shape in calls[1:]} == {(2, 8, P422.n_sections, 1)}
+            assert calls[0] == (de._FOLD_START_SWEEPS, (2, P422.n_sections))
+            assert {shape for _, shape in calls[1:]} == {(2, 8, P422.n_sections)}
             assert {n for n, _ in calls[1:]} == {1} and len(calls) <= 301
 
     def test_kind_validation(self):
@@ -998,7 +1020,7 @@ class TestFold:
         dev = DensityEvolution(P422, "bd", 4)
         newton = de._FixedPoints(dev)
         eps = 0.6
-        x = de._sweeps(dev, np.ones((2, P422.n_sections, 1)), dev.fpoly(eps), 300)[-1, ..., 0]
+        x = de._sweeps(dev, np.ones((2, P422.n_sections)), dev.fpoly(eps), 300)[-1]
         for chi in x[0].mean() - np.arange(4) / 100:
             x, eps = newton.solve(x, eps, chi)
             p, q = dev.sweep(*x, dev.fpoly(eps))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import _partners, condition_matching
+from oracles import _partners, check_count, condition_matching, punctured_count, transmitted_count
 
 from scmn import ensemble
 from scmn.ensemble import (
@@ -15,12 +15,9 @@ from scmn.ensemble import (
     _bit_partners,
     _check_partners,
     _rewire,
-    check_count,
     design_rate,
     design_rate_exact,
-    punctured_count,
     sample_graph,
-    transmitted_count,
 )
 
 P422 = EnsembleParams(dl=4, dr=2, dg=2, L=10, w=2)

@@ -5,13 +5,16 @@ changed signature or option breaks them without any other test noticing.
 They are loaded by path, as `python scripts/<name>.py` would run them.
 """
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import re
 import struct
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from scmn.de import ConvergenceError, CurvePoint, DeState
 from test_acceptance import REF_L10_W2
@@ -193,23 +196,6 @@ def test_curve_battery_digest(capsys):
     assert capsys.readouterr().out.splitlines()[-1] == f"sha256 {CURVE_BATTERY_DIGEST}"
 
 
-def test_curve_work(capsys):
-    # The `curve` benchmark trace, about 1 s. Its rounds are fixed by the
-    # points; its detector-half calls and rows are pinned from above, so a
-    # change that gives back the lookahead's saving (7,383 calls of 24,672
-    # rows before it, 5,141 of 25,796 with it) fails here.
-    script = load_script("curve_work")
-    rounds, calls, rows = script.count()
-    assert rounds == 1356
-    assert calls <= 5200
-    assert rows <= 27000
-    assert script.run([]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out[0] == "rounds 1356"
-    assert out[1].startswith(f"calls {calls} ")
-    assert out[2].startswith(f"rows {rows} ")
-
-
 def test_threshold_work(capsys):
     # The `threshold` benchmark cells, about 4 s. Each cell tries one
     # certificate, which certifies, and each row-sweep count is pinned
@@ -273,24 +259,44 @@ def test_decode_cost(monkeypatch, capsys):
         assert tables == 5.0 if m == 2 else 100 < tables <= 21 * M // m
 
 
-def test_curve_cost(monkeypatch, capsys):
-    # One trace, once: the line format and call counts only, never a time.
-    # The counts are the trace's, as scripts/curve_work.py counts them.
+@pytest.fixture(scope="module")
+def curve_cost_line():
+    # scripts/curve_cost.py's line for one run of the `curve` benchmark
+    # trace, about 1 s, shared by the two tests below.
     script = load_script("curve_cost")
-    monkeypatch.setattr(script, "RUNS", 1)
-    assert script.run([]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    script.RUNS = 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert script.run([]) == 0
+    lines = out.getvalue().splitlines()
     assert len(lines) == 1
     ms = r"\d+\.\d"
     pattern = (
         rf"cd m=6 L=20/w=3: fpoly rows {ms}, map builds {ms}, detector calls {ms}, "
         rf"rest -?{ms}, trace {ms} ms per trace; "
-        r"(\d+) fpoly rows, 1356 map builds, (\d+) detector calls"
+        r"(\d+) fpoly rows, (\d+) map builds, (\d+) detector calls of (\d+) rows"
     )
     match = re.fullmatch(pattern, lines[0])
     assert match, lines[0]
-    # fpoly builds the rows of every detector-half call.
-    assert match[1] == match[2]
+    return [int(n) for n in match.groups()]
+
+
+def test_curve_cost(curve_cost_line):
+    # The line format and call counts only, never a time: fpoly builds the
+    # rows of every detector-half call.
+    fpoly_calls, _, calls, _ = curve_cost_line
+    assert fpoly_calls == calls
+
+
+def test_curve_work(curve_cost_line):
+    # The trace's counts. Its rounds (one map build each) are fixed by the
+    # points; its detector-half calls and rows are pinned from above, so a
+    # change that gives back the lookahead's saving (7,383 calls of 24,672
+    # rows before it, 5,141 of 25,796 with it) fails here.
+    _, rounds, calls, rows = curve_cost_line
+    assert rounds == 1356
+    assert calls <= 5200
+    assert rows <= 27000
 
 
 def test_decode_battery_digest(capsys):

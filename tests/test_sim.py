@@ -372,6 +372,13 @@ class TestRunExperiment:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             run_experiment(P422, 24, "cd", 2, [0.3], 0, 1)
+        # A bool or a non-integer is rejected before any trial; a numpy
+        # integer runs as the int it holds.
+        for bad in (True, 2.5):
+            with pytest.raises(ValueError, match=f"trials must be an integer >= 1, got {bad!r}"):
+                run_experiment(P422, 24, "cd", 2, [0.3], bad, 1)
+        row = run_experiment(P422, 24, "cd", 2, [0.3], np.int64(2), 1)[0]
+        assert row == run_experiment(P422, 24, "cd", 2, [0.3], 2, 1)[0]
 
     def test_trajectory_padded_to_common_length(self):
         row = run_experiment(P422, 24, "cd", 2, [0.3], 3, 2)[0]
