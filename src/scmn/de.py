@@ -84,11 +84,20 @@ _EPS_BISECT_TOL = 1e-12
 # From a point's third round on, a round's bisection starts from the deepest
 # dyadic interval [j * 2**-k, (j + 1) * 2**-k], k <= _WARM_DEPTH, holding the
 # last ε plus or minus _WARM_WIDTH times its last change, if probes at its two
-# ends bracket the target. Plain bisection from [0, 1] would pass through that
-# interval: mean(p) is monotone in ε, and each coarser midpoint is an end of
-# the interval or lies at least 2**-k >= 2**-30 (9.3e-10) outside it, far
-# beyond the float error of mean(p) (4e-13 at m = 15). So those midpoints
-# decide as the probes imply, and the bisection tests the same midpoints below.
+# ends bracket the target; rounds 1 and 2 start likewise around an ε
+# predicted from the previous points (see _anchored_point). Plain bisection
+# from [0, 1] would pass through that interval: each coarser midpoint is an
+# end of the interval or lies at least 2**-k >= 2**-36 outside it, so mean(p)
+# there is at least |dchi/dε| * 2**-36 beyond the value at the nearer end,
+# and it decides as the probes imply while that gap exceeds the jitter of the
+# computed mean(p) between nearby ε (a smooth error keeps mean(p) monotone).
+# Over every round of the cd and bd traces at m = 2, 6, 10, 15, at L=4/w=2,
+# L=10/w=2 and L=20/w=3 (chi = 0.9 down to 0.1 by 0.1), |dchi/dε| is at
+# least 0.044, a gap of at least 6.4e-13. The jitter, the largest deviation
+# from a line fitted over 200 ε spaced 1e-13 at each point, is at most
+# 1.1e-14 (cd m = 15 at L=4/w=2; 4e-16 at m <= 10): over 50 times less
+# (test_warm_depth_margin checks a factor of 10). So those midpoints decide
+# as the probes imply, and the bisection tests the same midpoints below.
 # The bisection also zooms, by the same argument, from any round's cold or
 # warm start: mean(p) is known at both ends of its bracket, so it predicts the
 # crossing by linear interpolation there, and while the bracket is shallower
@@ -104,13 +113,13 @@ _EPS_BISECT_TOL = 1e-12
 # evaluates with the ε it needs those it will probably need next: a
 # bracket's midpoint with its two ends, and the guessed path inside a zoom
 # of depth _WARM_DEPTH with its two probes.
-_WARM_DEPTH = 30
+_WARM_DEPTH = 36
 _WARM_WIDTH = 2.0
-# Detector-half calls per curve trace barely move for margins from 1/32 to
-# 1/4 and grow outside them; the middle of that plateau is taken. At 1/8 the
-# L=20/w=3 cd m=6 trace (chi = 0.95 down to 0.03 by 0.01; 1,356 rounds)
-# makes 5,141 calls of 25,796 rows (evaluations), against 5,249 at 1/32 and
-# 5,198 at 1/4 (scripts/curve_cost.py counts them).
+# Detector-half calls per curve trace are fewest for margins from 1/8 to 1/4
+# and grow outside them. At 1/8 the L=20/w=3 cd m=6 trace (chi = 0.95 down
+# to 0.03 by 0.01; 1,356 rounds) makes 5,074 calls of 17,379 rows
+# (evaluations), against 5,202 at 1/16, 5,031 at 1/4 and 5,180 at 1/2, with
+# 17,384 to 17,680 rows (scripts/curve_cost.py counts them).
 _ZOOM_MARGIN = 1 / 8
 _STATE_TOL = 1e-10
 _EPS_CHANGE_TOL = 1e-10
@@ -244,9 +253,16 @@ class DensityEvolution:
         """f's coefficients, constant term first, at the channel parameter eps
         (Fractions for a Fraction eps). A sequence or 1-D array of R
         parameters gives R rows, shape (R, d), each with the bits of its own
-        call: a scalar is the one-row case. Every parameter is checked once,
-        and then each row's law is taken unchecked."""
+        call: a scalar, a 0-d array too, is the one-row case. Every parameter
+        is checked once, and then each row's law is taken unchecked. An empty
+        sequence, or an array of more than one dimension, raises ValueError."""
+        if isinstance(eps, np.ndarray) and eps.ndim != 1:
+            if eps.ndim:
+                raise ValueError(f"fpoly takes a parameter or a 1-D sequence, got shape {eps.shape}")
+            eps = eps.item()
         rows = isinstance(eps, (Sequence, np.ndarray))
+        if rows and not len(eps):
+            raise ValueError("fpoly needs at least one parameter")
         kind, m, eps = self.kind, self.m, eps if rows else [eps]
         _check_channel(kind, m, *eps)
         laws = np.array([_law(kind, m, e) for e in eps])
@@ -1032,8 +1048,9 @@ def ebp_trace(
     p = np.ones(n)
     q = np.ones(n)
     points: list[CurvePoint] = []
+    tracks: list[list[float]] = []  # the ε tracks of _anchored_point's points
     for chi in chis:
-        sol = _anchored_point(dev, p, q, chi)
+        sol = _anchored_point(dev, p, q, chi, tracks)
         if sol is None:
             warnings.warn(
                 f"no anchored fixed point at chi={chi:.6g}; point skipped",
@@ -1066,24 +1083,38 @@ def ebp_trace(
     return points
 
 
-def _anchored_point(dev: DensityEvolution, p: np.ndarray, q: np.ndarray, target: float):
+def _anchored_point(
+    dev: DensityEvolution, p: np.ndarray, q: np.ndarray, target: float, tracks: list[list[float]]
+):
     """Anchored continuation loop; returns (p, q, eps, rounds) or None.
 
-    A round bisects ε from the warm bracket of _warm_bracket when the target
-    lies strictly between mean(p) at its two ends. Otherwise it takes the
-    cold path: the ends of [0, 1] first, then bisection from [0, 1]. Either
-    way the bisection zooms (_zoomed_bisection) and tests the same dyadic
-    midpoints below each bracket it adopts, so every ε is the one plain
-    bisection from [0, 1] gives. The ε a round needs together are evaluated
-    as rows of one call of the staged map, and with them the ε it will
-    probably need next: a bracket's two ends with its midpoint (the
-    bisection's first step while the bracket is wider than
-    2**-_WARM_DEPTH), a zoom's two probes with the path guessed inside a
-    cover of depth _WARM_DEPTH, and a guessed path alone (see
-    _zoomed_bisection). Every row is kept for the round, and a row has the
-    bits of the same ε evaluated alone, so the rows evaluated ahead change
-    no decision.
+    `tracks` holds a track for each point traced before that returned, in
+    order: its base, the ε of the state it started from (NaN for the
+    all-ones start), then the ε of each of its rounds. A point that returns
+    appends its own, so its base is the last track's last ε.
+
+    A round bisects ε from a warm bracket when the target lies strictly
+    between mean(p) at its two ends. From the third round on that is
+    _warm_bracket's around the last ε. Rounds 1 and 2 know no change of ε
+    yet, so they take _warm_bracket's around a prediction (the predictor
+    step of predictor-corrector continuation): the round's step at the last
+    point, its ε there minus its ε before, added to this point's ε before
+    the round, with the change of that step from the point before as the
+    width. A round without a warm bracket (fewer than two tracks, or a NaN
+    base), or whose bracket misses, takes the cold path: the ends of [0, 1]
+    first, then bisection from [0, 1]. Either way the bisection zooms
+    (_zoomed_bisection) and tests the same dyadic midpoints below each
+    bracket it adopts, so every ε is the one plain bisection from [0, 1]
+    gives. The ε a round needs together are evaluated as rows of one call of
+    the staged map, and with them the ε it will probably need next: a
+    bracket's two ends with its midpoint (the bisection's first step while
+    the bracket is wider than 2**-_WARM_DEPTH), a zoom's two probes with the
+    path guessed inside a cover of depth _WARM_DEPTH, and a guessed path
+    alone (see _zoomed_bisection). Every row is kept for the round, and a
+    row has the bits of the same ε evaluated alone, so the rows evaluated
+    ahead change no decision.
     """
+    track = [tracks[-1][-1] if tracks else math.nan]
     eps_prev = None
     d_eps = float("inf")
     stuck = 0
@@ -1109,7 +1140,16 @@ def _anchored_point(dev: DensityEvolution, p: np.ndarray, q: np.ndarray, target:
             """mean(p) at lo and hi, evaluated with the bracket's midpoint."""
             return chi_at((lo, hi), (0.5 * (lo + hi),) if hi - lo > 2.0**-_WARM_DEPTH else ())
 
-        lo, hi = (0.0, 1.0) if d_eps == float("inf") else _warm_bracket(eps_prev, d_eps)
+        if d_eps != float("inf"):
+            lo, hi = _warm_bracket(eps_prev, d_eps)
+        elif len(tracks) > 1:
+            # Every track has a base and at least two rounds: a point's first
+            # round leaves the change of ε unknown, so it never returns.
+            before, last = (t[r] - t[r - 1] for t in tracks[-2:])
+            width = abs(last - before)
+            lo, hi = (0.0, 1.0) if math.isnan(width) else _warm_bracket(track[-1] + last, width)
+        else:
+            lo, hi = 0.0, 1.0
         c_lo, c_hi = ends(lo, hi)
         # Strictly inside, as on the cold path's way to its bisection.
         if (lo, hi) != (0.0, 1.0) and not c_lo < target < c_hi:
@@ -1127,6 +1167,7 @@ def _anchored_point(dev: DensityEvolution, p: np.ndarray, q: np.ndarray, target:
         d_state = max(np.abs(p1 - p).max(), np.abs(q1 - q).max())
         d_eps = float("inf") if eps_prev is None else abs(eps - eps_prev)
         p, q, eps_prev = p1, q1, eps
+        track.append(eps)
         anchored = abs(p.mean() - target) <= _ANCHOR_TOL
         if eps in (0.0, 1.0) and not anchored:
             stuck += 1
@@ -1135,6 +1176,7 @@ def _anchored_point(dev: DensityEvolution, p: np.ndarray, q: np.ndarray, target:
         else:
             stuck = 0
         if d_state < _STATE_TOL and d_eps < _EPS_CHANGE_TOL and anchored:
+            tracks.append(track)
             return p, q, eps, r
     return None
 

@@ -374,6 +374,29 @@ class TestSweep:
         with pytest.raises(ValueError, match="kind must be one of"):
             DensityEvolution(P422, "xd", 6).fpoly([0.3])
 
+    def test_fpoly_parameter_forms(self):
+        # A float, an np.float64 and a 0-d array are one parameter, and a
+        # list's rows are its parameters, each with the checked law's bits;
+        # a 0-d array of a Fraction stays exact. A 2-D array and an empty
+        # sequence raise ValueError (numpy's TypeError and IndexError before).
+        for kind, m in (("cd", 6), ("bd", 15)):
+            dev = DensityEvolution(P422, kind, m)
+            eps = [0.3, 0.45, 0.7]
+            want = [np.asarray(dimension_law(kind, m, e)) @ _mixture_poly_matrix(m) for e in eps]
+            for e, w in zip(eps, want):
+                for form in (e, np.float64(e), np.array(e)):
+                    got = dev.fpoly(form)
+                    assert got.shape == (m,) and np.array_equal(got, w)
+            assert np.array_equal(dev.fpoly(eps), want)
+            exact = dev.fpoly(np.array(Fraction(1, 3), dtype=object))
+            assert list(exact) == list(dev.fpoly(Fraction(1, 3)))
+            for bad in ([], (), np.array([])):
+                with pytest.raises(ValueError, match="at least one parameter"):
+                    dev.fpoly(bad)
+            for bad in (np.full((2, 2), 0.3), np.array([[0.3]])):
+                with pytest.raises(ValueError, match=r"1-D sequence, got shape \("):
+                    dev.fpoly(bad)
+
     def test_operator_checks_kind_and_m(self):
         # The operator checks kind and m before it builds anything, so it,
         # fold and ebp_trace raise dimension_law's ValueError for an m that
@@ -1442,15 +1465,16 @@ class TestEbpTrace:
         assert calls <= 8 * rounds
 
     def test_probe_miss_falls_back_to_cold_path(self, monkeypatch):
-        # A warm bracket below every ε of the trace: each probe finds mean(p)
-        # below the target at both ends, and the round takes the cold path.
+        # A warm bracket below every ε of the trace, rounds 1 and 2's
+        # predicted ones too: each probe finds mean(p) below the target at
+        # both ends, and the round takes the cold path.
         params = EnsembleParams(dl=4, dr=2, dg=2, L=4, w=2)
         grid = np.arange(0.9, 0.05, -0.1)
         warm = []
 
         def low_bracket(eps, d_eps):
             warm.append(eps)
-            return 0.0, 2.0**-30
+            return 0.0, 2.0**-de._WARM_DEPTH
 
         with monkeypatch.context() as mp:
             mp.setattr(de, "_anchored_point", cold_anchored_point)
@@ -1462,11 +1486,59 @@ class TestEbpTrace:
         got, got_rounds, _, evals = counted_trace(monkeypatch, params, "bd", 3, grid)
         assert_same_points(ref, cold)
         assert_same_points(got, ref)
-        assert got_rounds == rounds and min(warm) > 2.0**-30
-        # One probe per warm round, at 2**-30: the cold round that follows
+        assert got_rounds == rounds and min(warm) > 2.0**-de._WARM_DEPTH
+        # One probe per warm round, at 2**-_WARM_DEPTH: the cold round that follows
         # reuses mean(p) at 0 and is the round the tracer takes without warm
         # brackets. Evaluations are counted as rows.
         assert evals == ref_evals + len(warm)
+
+    @pytest.mark.parametrize("L", [4, 10])
+    def test_warm_depth_margin(self, L, monkeypatch):
+        # The premise of _WARM_DEPTH (see its comment): at every round's
+        # crossing mean(p) moves by at least ten times more over 2**-_WARM_DEPTH
+        # in ε than its computed value jitters between nearby ε. The slope is
+        # the secant over a bracket of the crossing 64**-3 wide; the jitter is
+        # the largest deviation from a line fitted over 200 ε spaced 1e-13
+        # around each point's ε, at its fixed point. Rounds that end at ε = 0
+        # or 1 bisect nothing and are left out.
+        params = EnsembleParams(dl=4, dr=2, dg=2, L=L, w=2)
+        n = params.n_sections
+        grid = np.arange(0.9, 0.05, -0.1)
+        map_orig = DensityEvolution.staged_round_map
+        slopes, jitters = [], []
+        for kind, m in [(kind, m) for kind in ("cd", "bd") for m in (2, 6, 15)]:
+            dev = DensityEvolution(params, kind, m)
+            rounds = []  # the staged map of every round
+
+            def recorded_map(self, p, q):
+                rounds.append(map_orig(self, p, q))
+                return rounds[-1]
+
+            with monkeypatch.context() as mp:
+                mp.setattr(DensityEvolution, "staged_round_map", recorded_map)
+                points = ebp_trace(params, kind, m, grid)
+            assert len(points) == len(grid) and sum(pt.rounds for pt in points) == len(rounds)
+
+            def chi(at, eps):
+                return at(dev.fpoly(eps))[0].sum(axis=1) / n
+
+            targets = np.repeat([pt.chi for pt in points], [pt.rounds for pt in points])
+            for at, target in zip(rounds, targets):
+                eps, c = [0.0, 1.0], chi(at, [0.0, 1.0])
+                if not c[0] < target < c[1]:
+                    continue
+                for _ in range(3):
+                    eps = np.linspace(eps[0], eps[-1], 65)
+                    c = chi(at, eps)
+                    k = int(np.searchsorted(c, target))
+                    eps, c = eps[k - 1 : k + 1], c[k - 1 : k + 1]
+                slopes.append((c[1] - c[0]) / (eps[1] - eps[0]))
+            x = np.arange(200.0)
+            for pt in points:
+                c = chi(dev.staged_round_map(pt.state.p, pt.state.q), pt.epsilon + 1e-13 * (x - 100))
+                jitters.append(np.abs(c - np.polyval(np.polyfit(x, c, 1), x)).max())
+        assert len(slopes) > 600
+        assert min(slopes) * 2.0**-de._WARM_DEPTH >= 10 * max(jitters)
 
     def test_zoom_miss_falls_back_to_bisection(self, monkeypatch):
         # Every zoom interval lies just outside the bracket, on the side where
@@ -1581,9 +1653,10 @@ def counted_trace(monkeypatch, params, kind, m, chis):
     return points, counts["rounds"], counts["calls"], counts["evals"]
 
 
-def cold_anchored_point(dev, p, q, target):
+def cold_anchored_point(dev, p, q, target, tracks):
     """de._anchored_point with every round bisecting ε from [0, 1] after
-    testing both ends, as it was before warm brackets."""
+    testing both ends, as it was before warm brackets; the previous points'
+    tracks, which predict rounds 1 and 2, are ignored."""
     eps_prev = None
     stuck = 0
     for r in range(1, de._MAX_ROUNDS + 1):
