@@ -8,10 +8,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Integral
 
 import numpy as np
 
+from ._inputs import entries, integer, parameter
 from .gf2 import MAX_WIDTH, gbinom
 
 CHANNEL_KINDS = ("w", "cd", "bd")
@@ -32,15 +32,13 @@ class DimensionDistribution:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+        object.__setattr__(self, "m", integer("m", self.m, 1))
+        probs = tuple(parameter(p, "probability") for p in entries("probs", self.probs))
+        object.__setattr__(self, "probs", probs)
         if len(self.probs) != self.m + 1:
             raise ValueError(
                 f"need {self.m + 1} probabilities, got {len(self.probs)}"
             )
-        for p in self.probs:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"probability {p} outside [0, 1]")
         if abs(sum(self.probs) - 1.0) > _PROB_TOL:
             raise ValueError(f"probabilities sum to {sum(self.probs)}, not 1")
 
@@ -61,30 +59,29 @@ class ChannelFamily:
     parameter: float
 
     def __post_init__(self) -> None:
-        _check_channel(self.kind, self.m, self.parameter)
+        for name, value in zip(("m", "parameter"), _check_channel(self.kind, self.m, self.parameter)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def concentrated(cls, m: int, eps: float) -> "ChannelFamily":
         return cls("cd", m, eps)
 
 
-def _check_channel(kind: str, m: int, *parameters: float) -> None:
-    """Check kind and m once, then each parameter; the first bad one raises."""
-    if kind not in CHANNEL_KINDS:
-        raise ValueError(f"kind must be one of {CHANNEL_KINDS}, got {kind!r}")
-    # The int test first: the Integral test alone made dimension_law twice as slow.
-    if type(m) is not int and (isinstance(m, bool) or not isinstance(m, Integral)):
-        raise ValueError(f"m must be an integer, got {m!r}")
-    if not 1 <= m <= MAX_WIDTH:
-        raise ValueError(f"m must be in 1..{MAX_WIDTH}, got {m}")
-    for parameter in parameters:
-        if kind == "w":
-            if parameter != int(parameter) or not 0 <= parameter <= m:
-                raise ValueError(
-                    f"kind 'w' needs an integer dimension in 0..{m}, got {parameter}"
-                )
-        elif not 0.0 <= parameter <= 1.0:
-            raise ValueError(f"parameter must be in [0, 1], got {parameter}")
+def _check_channel(kind: str, m, *parameters, kinds=CHANNEL_KINDS) -> tuple:
+    """(m, *parameters) as the code behind the public functions reads them.
+    kind must be one of `kinds`. Kind "w" takes a dimension in 0..m, which
+    an integral float also gives (DE builds f at a parameter's float)."""
+    if kind not in kinds:
+        raise ValueError(f"kind must be one of {kinds}, got {kind!r}")
+    m = integer("m", m, 1, MAX_WIDTH)
+    if kind == "w":
+        dims = (int(d) if isinstance(d, float) and d.is_integer() else d for d in parameters)
+        return m, *(integer("dimension", d, 0, m) for d in dims)
+    for p in parameters:
+        # A float in [0, 1] is its own canonical value: most rows take no call.
+        if type(p) is not float or not 0.0 <= p <= 1.0:
+            return m, *map(parameter, parameters)
+    return m, *parameters
 
 
 def dimension_law(kind: str, m: int, parameter: float) -> tuple[float, ...]:
@@ -93,16 +90,16 @@ def dimension_law(kind: str, m: int, parameter: float) -> tuple[float, ...]:
     eps) for "bd". Takes the same arguments as ChannelFamily and builds no
     object, so a caller can scan the parameter cheaply. A Fraction parameter
     gives the law in exact rationals, by the same formulas."""
-    _check_channel(kind, m, parameter)
+    m, parameter = _check_channel(kind, m, parameter)
     return _law(kind, m, parameter)
 
 
 def _law(kind: str, m: int, parameter: float) -> tuple[float, ...]:
-    """dimension_law without its checks, for arguments _check_channel passed."""
+    """dimension_law without its checks, for arguments _check_channel gave."""
     one = Fraction(1) if type(parameter) is Fraction else 1.0
     p = [0 * one] * (m + 1)
     if kind == "w":
-        p[int(parameter)] = one
+        p[parameter] = one
     elif kind == "cd":
         x = parameter * m
         d0 = int(math.floor(x))
@@ -158,11 +155,7 @@ def _mixture_poly_fractions(m: int) -> tuple[tuple[Fraction, ...], ...]:
     """K[j][r]: coefficient of z^r in the transfer function for unit mass at
     noise dimension j, in exact rationals. Every DE path and transfer_poly
     build K here, so m > TRANSFER_MAX_M is rejected here."""
-    if not 1 <= m <= TRANSFER_MAX_M:
-        raise ValueError(
-            f"the transfer polynomial is evaluated for m in 1..{TRANSFER_MAX_M}, got m={m}"
-        )
-    c = _erasure_kernel(m)
+    c = _erasure_kernel(integer("the transfer polynomial's m", m, 1, TRANSFER_MAX_M))
     n = m - 1
     K = [[Fraction(0)] * m for _ in range(m + 1)]
     for j in range(m + 1):

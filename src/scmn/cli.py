@@ -13,6 +13,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
+from ._inputs import real
 from .channel import ChannelFamily, capacity, dimension_distribution
 from .de import (
     DEFAULT_BISECT_TOL,
@@ -139,10 +140,7 @@ def _cmd_exit_curve(args) -> int:
     if not 0.0 < args.chi_min <= args.chi_max <= 1.0:
         raise ValueError("need 0 < --chi-min <= --chi-max <= 1")
     # Targets closer than the anchor tolerance can be met by the same state.
-    if not _ANCHOR_TOL <= args.chi_step < float("inf"):
-        raise ValueError(
-            f"--chi-step must be finite and at least {_ANCHOR_TOL:g}, got {args.chi_step}"
-        )
+    real("--chi-step", args.chi_step, _ANCHOR_TOL, sys.float_info.max)
     # The stop sits just below chi_min, so chi_min reached with rounding error
     # stays on the grid but no point falls below it (or to a drifted zero).
     # Its length is counted as np.arange counts it, before it is allocated.

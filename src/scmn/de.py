@@ -9,10 +9,10 @@ import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral
 
 import numpy as np
 
+from ._inputs import entries, integer, parameter, real
 from .channel import (
     ChannelFamily,
     _check_channel,
@@ -223,10 +223,9 @@ class DensityEvolution:
     """
 
     def __init__(self, params: EnsembleParams, kind: str, m: int):
-        _check_channel(kind, m)
+        self.m = m = _check_channel(kind, m)[0]
         self.params = params
         self.kind = kind
-        self.m = m
         nc, n = params.n_check_sections, params.n_sections
         if nc * n > MAX_WINDOW_ENTRIES:
             raise ValueError(f"DE window matrices {nc} x {n} exceed {MAX_WINDOW_ENTRIES} entries")
@@ -251,21 +250,16 @@ class DensityEvolution:
 
     def fpoly(self, eps) -> np.ndarray:
         """f's coefficients, constant term first, at the channel parameter eps
-        (Fractions for a Fraction eps). A sequence or 1-D array of R
+        (Fractions for a Fraction eps). A list, tuple or 1-D array of R
         parameters gives R rows, shape (R, d), each with the bits of its own
-        call: a scalar, a 0-d array too, is the one-row case. Every parameter
-        is checked once, and then each row's law is taken unchecked. An empty
-        sequence, or an array of more than one dimension, raises ValueError."""
-        if isinstance(eps, np.ndarray) and eps.ndim != 1:
-            if eps.ndim:
-                raise ValueError(f"fpoly takes a parameter or a 1-D sequence, got shape {eps.shape}")
-            eps = eps.item()
-        rows = isinstance(eps, (Sequence, np.ndarray))
-        if rows and not len(eps):
-            raise ValueError("fpoly needs at least one parameter")
+        call: anything else, a 0-d array too, is the one-row case. Every
+        parameter is checked once, and then each row's law is taken
+        unchecked. No rows, or more than one array dimension, raise ValueError."""
+        rows = isinstance(eps, (list, tuple)) or getattr(eps, "ndim", 0) > 0
         kind, m, eps = self.kind, self.m, eps if rows else [eps]
-        _check_channel(kind, m, *eps)
-        laws = np.array([_law(kind, m, e) for e in eps])
+        if not len(eps):
+            raise ValueError("fpoly needs at least one parameter")
+        laws = np.array([_law(kind, m, e) for e in _check_channel(kind, m, *eps)[1:]])
         K = np.array(_mixture_poly_fractions(m)) if laws.dtype == object else self.K
         f = np.matmul(laws[:, None, :], K)[:, 0]
         return f if rows else f[0]
@@ -379,12 +373,13 @@ class DensityEvolution:
         self, p: np.ndarray, q: np.ndarray, fcoef: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """One parallel update of every section of the 1-D rates (p, q): the
-        one-sweep case of _sweeps, in the arithmetic (floats or Fractions)
-        that the state and f's coefficients share; a mix raises ValueError."""
+        one-sweep case of _sweeps, in the arithmetic (float64 or Fractions)
+        that the state and f's coefficients share; any other raises ValueError."""
         x, c = np.array([p, q]), np.asarray(fcoef)
-        if (x.dtype == object) != (c.dtype == object):
-            state, coef = (type(a.flat[0]).__name__ for a in (x, c))
-            raise ValueError(f"a {state} state cannot sweep with {coef} coefficients")
+        for v in map(np.asarray, (p, q)):
+            if {v.dtype.char, c.dtype.char} not in ({"d"}, {"O"}):
+                state, coef = (type(a.flat[0]).__name__ if a.size else a.dtype for a in (v, c))
+                raise ValueError(f"a {state} state cannot sweep with {coef} coefficients")
         return tuple(_sweeps(self, x, c, 1)[1])
 
     def staged_round(
@@ -667,8 +662,7 @@ def trajectory(
     params: EnsembleParams, family: ChannelFamily, n_sweeps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """First n_sweeps iterates from all-ones; rows are (sweep, section)."""
-    if isinstance(n_sweeps, bool) or not isinstance(n_sweeps, Integral) or n_sweeps < 0:
-        raise ValueError(f"n_sweeps must be a non-negative integer, got {n_sweeps!r}")
+    n_sweeps = integer("n_sweeps", n_sweeps, 0)
     dev = DensityEvolution(params, family.kind, family.m)
     fcoef = dev.fpoly(float(family.parameter))
     X = _sweeps(dev, np.ones((2, params.n_sections)), fcoef, n_sweeps)
@@ -717,15 +711,11 @@ def thresholds(
     decided rows steer the walk, so a wrong fold or fold point, or none,
     costs only speed.
     """
-    cells = list(cells)
-    for kind, _ in cells:
-        if kind not in ("cd", "bd"):
-            raise ValueError(f"threshold search needs kind 'cd' or 'bd', got {kind!r}")
+    cells = [(kind, _check_channel(kind, m, kinds=("cd", "bd"))[0]) for kind, m in cells]
     # bisect_tol < 1 runs DE at least once on the bracket [0, 1]. Floats below
     # 1 lie at most 2**-53 apart, so a bracket wider than 2**-52 has its midpoint
     # strictly inside; a narrower one could end as two adjacent floats.
-    if not _MIN_BISECT_TOL <= bisect_tol < 1:
-        raise ValueError(f"bisect_tol must lie in [2**-52, 1), got {bisect_tol}")
+    bisect_tol = real("bisect_tol", bisect_tol, _MIN_BISECT_TOL, math.nextafter(1.0, 0.0))
     rows: dict = {}  # row key -> ChannelFamily, the rows wanted last
 
     def row_key(cell, mid: float) -> tuple:
@@ -794,7 +784,7 @@ def threshold(
     params: EnsembleParams, kind: str, m: int, *, bisect_tol: float = DEFAULT_BISECT_TOL
 ) -> float:
     """The one-cell case of `thresholds`: ε* of (kind, m)."""
-    return thresholds(params, [(kind, m)], bisect_tol=bisect_tol)[kind, m]
+    return thresholds(params, [(kind, m)], bisect_tol=bisect_tol).popitem()[1]
 
 
 def _walk(
@@ -943,10 +933,9 @@ def fold(params: EnsembleParams, kind: str, m: int) -> float | None:
     (2n + 1)-square Jacobian would hold more than MAX_WINDOW_ENTRIES
     entries.
     """
-    if kind not in ("cd", "bd"):
-        raise ValueError(f"fold search needs kind 'cd' or 'bd', got {kind!r}")
+    _check_channel(kind, m, kinds=("cd", "bd"))
     found = _fold(params, kind, m)
-    return None if found is None else found[0]
+    return None if found is None else float(found[0])
 
 
 def _fold(params: EnsembleParams, kind: str, m: int) -> tuple[float, np.ndarray] | None:
@@ -1033,16 +1022,10 @@ def ebp_trace(
     mean of DensityEvolution.h_profile (f(z) * z**dg, or f(z) * z if
     `alternative`).
     """
-    chis = list(chi_grid)
-    if any(np.ndim(c) != 0 for c in chis):
-        raise ValueError("chi_grid must be a one-dimensional sequence of numbers")
-    chis = [float(c) for c in chis]
-    if any(not 0.0 < c <= 1.0 for c in chis):
-        raise ValueError("chi targets must lie in (0, 1]")
-    if any(b >= a for a, b in zip(chis, chis[1:])):
-        raise ValueError("chi targets must be strictly descending")
-    if kind not in ("cd", "bd"):
-        raise ValueError(f"curve tracing needs kind 'cd' or 'bd', got {kind!r}")
+    chis = [float(parameter(c, "chi_grid entry")) for c in entries("chi_grid", chi_grid)]
+    if 0.0 in chis or any(b >= a for a, b in zip(chis, chis[1:])):
+        raise ValueError("chi targets must lie in (0, 1] and be strictly descending")
+    _check_channel(kind, m, kinds=("cd", "bd"))
     dev = DensityEvolution(params, kind, m)
     n = params.n_sections
     p = np.ones(n)

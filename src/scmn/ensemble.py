@@ -5,9 +5,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral
 
 import numpy as np
+
+from ._inputs import integer
 
 
 @dataclass(frozen=True)
@@ -24,14 +25,7 @@ class EnsembleParams:
 
     def __post_init__(self) -> None:
         for name in ("dl", "dr", "dg", "L", "w"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("dl", "dr", "dg", "w"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.L < 0:
-            raise ValueError("L must be >= 0")
+            object.__setattr__(self, name, integer(name, getattr(self, name), 0 if name == "L" else 1))
 
     @property
     def n_sections(self) -> int:
@@ -278,12 +272,7 @@ def sample_graph(params: EnsembleParams, M: int, m: int, rng) -> TannerGraph:
     the graph, which cost an error floor at practical section sizes.
     """
     dl, dr, dg, w = params.dl, params.dr, params.dg, params.w
-    if isinstance(m, bool) or not isinstance(m, Integral) or m < 1:
-        raise ValueError(f"symbol width m must be an integer >= 1, got {m!r}")
-    if isinstance(M, bool) or not isinstance(M, Integral):
-        raise ValueError(f"M must be an integer, got {M!r}")
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
+    m, M = integer("symbol width m", m, 1), integer("M", M, 1)
     if dr * M % dl:
         raise ValueError(f"dl={dl} must divide dr*M={dr * M}")
     if dr * M % w:
@@ -298,7 +287,7 @@ def sample_graph(params: EnsembleParams, M: int, m: int, rng) -> TannerGraph:
     q1 = dr * M // w
     q2 = dg * M // w
 
-    n_edges = int(dr + dg) * int(M) * int(nsec)
+    n_edges = (dr + dg) * M * nsec
     if n_edges > MAX_GRAPH_EDGES:
         raise ValueError(f"a graph of {n_edges} edges exceeds {MAX_GRAPH_EDGES}; use a smaller M or L")
 

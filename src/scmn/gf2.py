@@ -9,6 +9,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
+from ._inputs import entries, integer
+
 MAX_WIDTH = 64
 ENUM_MAX_AMBIENT = 4
 
@@ -22,8 +24,7 @@ def gbinom(n: int, k: int) -> int:
 
     Exact arbitrary-precision integers; k outside 0..n gives 0.
     """
-    if n < 0:
-        raise ValueError(f"ambient dimension must be nonnegative, got {n}")
+    n, k = integer("n", n, 0), integer("k", k)
     if k < 0 or k > n:
         return 0
     num = 1
@@ -60,9 +61,11 @@ def _rref_ints(rows: Iterable[int]) -> tuple[int, ...]:
     return tuple(piv[b] for b in sorted(piv))
 
 
-def _check_fits(v: int, width: int) -> None:
-    if v < 0 or v >> width:
+def _check_fits(v: int, width: int) -> int:
+    """v as an int, if it is a vector of F_2^width."""
+    if (v := integer("vector", v)) < 0 or v >> width:
         raise WidthMismatchError(f"vector {v:#x} exceeds width {width}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -78,22 +81,12 @@ class SubspaceBasis:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.ambient <= MAX_WIDTH:
-            raise ValueError(f"ambient must be in 1..{MAX_WIDTH}, got {self.ambient}")
-        prev = -1
-        pivot_mask = 0
-        for r in self.rows:
-            _check_fits(r, self.ambient)
-            if r == 0:
-                raise ValueError("zero row in basis")
-            c = _low_bit(r)
-            if c <= prev:
-                raise ValueError("pivot columns must strictly increase")
-            prev = c
-            pivot_mask |= 1 << c
-        for r in self.rows:
-            if r & (pivot_mask & ~(1 << _low_bit(r))):
-                raise ValueError("basis is not fully reduced")
+        object.__setattr__(self, "ambient", integer("ambient", self.ambient, 1, MAX_WIDTH))
+        rows = tuple(_check_fits(r, self.ambient) for r in entries("rows", self.rows))
+        object.__setattr__(self, "rows", rows)
+        # _rref_ints keeps a canonical basis as it is, and changes any other.
+        if _rref_ints(rows) != rows:
+            raise ValueError(f"rows {rows} are not a reduced row echelon basis")
 
     @classmethod
     def zero(cls, ambient: int) -> "SubspaceBasis":
@@ -109,7 +102,7 @@ class SubspaceBasis:
 
     def element(self, mask: int) -> int:
         """The sum of the basis rows whose index is a set bit of `mask`."""
-        v = 0
+        v, mask = 0, integer("mask", mask, 0)
         for i, b in enumerate(self.rows):
             if (mask >> i) & 1:
                 v ^= b
@@ -121,7 +114,7 @@ class SubspaceBasis:
         return map(self.element, range(1 << self.dim))
 
     def contains(self, v: int) -> bool:
-        _check_fits(v, self.ambient)
+        v = _check_fits(v, self.ambient)
         for b in self.rows:
             if (v >> _low_bit(b)) & 1:
                 v ^= b
@@ -130,9 +123,8 @@ class SubspaceBasis:
 
 def rref_bits(rows: Iterable[int], ambient: int) -> SubspaceBasis:
     """Canonical basis of the span of `rows`; each must fit the ambient width."""
-    rows = list(rows)
-    for b in rows:
-        _check_fits(b, ambient)
+    ambient = integer("ambient", ambient, 1, MAX_WIDTH)
+    rows = [_check_fits(b, ambient) for b in entries("rows", rows)]
     return SubspaceBasis(ambient, _rref_ints(rows))
 
 
@@ -155,42 +147,36 @@ def zero_coordinate_mask(U: SubspaceBasis) -> int:
     return ~support & ((1 << U.ambient) - 1)
 
 
-def random_bits(rng, width: int) -> int:
-    """Uniform integer over the low `width` bits, from a numpy Generator."""
-    nbytes = (width + 7) // 8
-    return int.from_bytes(rng.bytes(nbytes), "little") & ((1 << width) - 1)
-
-
 def sample_subspace(m: int, d: int, rng) -> SubspaceBasis:
     """Uniform d-dimensional subspace of F_2^m.
 
     Rejection-samples d x m generator matrices until the rank is d; every
     subspace has the same number of full-rank generating matrices, so the
-    canonicalized result is uniform. Expected retries stay below 4.
+    canonicalized result is uniform. Expected retries stay below 4. A row
+    is the low m bits of (m + 7) // 8 bytes from rng, a numpy Generator.
     """
-    if not 0 <= d <= m:
-        raise ValueError(f"dimension {d} out of range 0..{m}")
+    m = integer("m", m, 1, MAX_WIDTH)
+    d = integer("d", d, 0, m)
     if d == 0:
         return SubspaceBasis.zero(m)
     while True:
-        red = _rref_ints(random_bits(rng, m) for _ in range(d))
+        red = _rref_ints(int.from_bytes(rng.bytes((m + 7) // 8), "little") % (1 << m) for _ in range(d))
         if len(red) == d:
             return SubspaceBasis(m, red)
 
 
-@lru_cache(maxsize=None)
 def enumerate_subspaces(m: int, d: int) -> tuple[SubspaceBasis, ...]:
     """Every d-dimensional subspace of F_2^m exactly once, sorted.
 
     Brute force over generator tuples, deduplicated through the canonical
     form; ambient width capped at ENUM_MAX_AMBIENT to keep this an oracle.
     """
-    if m > ENUM_MAX_AMBIENT:
-        raise ValueError(
-            f"enumeration capped at ambient {ENUM_MAX_AMBIENT}, got {m}"
-        )
-    if not 0 <= d <= m:
-        raise ValueError(f"dimension {d} out of range 0..{m}")
+    m = integer("m", m, 1, ENUM_MAX_AMBIENT)
+    return _subspaces(m, integer("d", d, 0, m))
+
+
+@lru_cache(maxsize=None)
+def _subspaces(m: int, d: int) -> tuple[SubspaceBasis, ...]:
     if d == 0:
         return (SubspaceBasis.zero(m),)
     found = set()
@@ -211,6 +197,7 @@ def solve_in_span(
     rows = U.rows
     piv: dict[int, tuple[int, int]] = {}
     for c, val in zip(coords, values):
+        c, val = integer("coordinate", c, 0, U.ambient - 1), integer("value", val)
         coef = 0
         for ri, b in enumerate(rows):
             coef |= ((b >> c) & 1) << ri

@@ -9,10 +9,10 @@ erased-output masks indexed by the erased-input mask."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
+from ._inputs import entries, integer
 from .channel import ChannelFamily, DimensionDistribution, dimension_distribution
 from .ensemble import EnsembleParams, sample_graph
 from .gf2 import (
@@ -88,11 +88,7 @@ class DetectorTables:
     """
 
     def __init__(self, m: int):
-        if not 1 <= m <= DETECTOR_MAX_M:
-            raise ValueError(
-                f"the decoder's detector tables serve m in 1..{DETECTOR_MAX_M}, got m={m}"
-            )
-        self.m = m
+        self.m = m = integer("the decoder's symbol width m", m, 1, DETECTOR_MAX_M)
         self.shift = np.arange(m, dtype=np.int64)
         self.bit = np.int64(1) << self.shift
 
@@ -243,10 +239,12 @@ def decode_trial(
     """
     m = family.m
     tables = DetectorTables(m)  # rejects an m the tables cannot serve, before sampling
+    # SeedSequence's entropy: an int >= 0, or a sequence of them.
+    seed = integer("seed", seed, 0) if np.ndim(seed) == 0 else tuple(integer("seed", s, 0) for s in seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     graph = sample_graph(params, M, m, rng)
     dist = dimension_distribution(family)
-    L = params.L
+    L, M = params.L, graph.M
 
     bases, sub_idx, _ = _sample_symbol_noise(dist, graph.n_symbols, rng)
     # one table per subspace the sampler returns; sub_idx picks a symbol's
@@ -378,11 +376,10 @@ def run_experiment(
     independently of execution order. Trajectories are padded with their
     final value (stalled message state is constant) before averaging.
     """
-    if isinstance(trials, bool) or not isinstance(trials, Integral) or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    M, trials = integer("M", M, 1), integer("trials", trials, 1)
+    families = [ChannelFamily(kind, m, par) for par in entries("parameter_grid", parameter_grid)]
     rows = []
-    for g, par in enumerate(parameter_grid):
-        family = ChannelFamily(kind, m, par)
+    for g, family in enumerate(families):
         results = [decode_trial(params, M, family, (master_seed, g, t)) for t in range(trials)]
         bers = np.array([r.bit_erasure_rate for r in results])
         tmax = max(len(r.q_erasure_trajectory) for r in results)
@@ -395,7 +392,7 @@ def run_experiment(
         )
         rows.append(
             ExperimentRow(
-                parameter=float(par),
+                parameter=float(family.parameter),
                 trials=trials,
                 M=M,
                 ber_mean=float(bers.mean()),

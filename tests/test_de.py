@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -394,7 +395,7 @@ class TestSweep:
                 with pytest.raises(ValueError, match="at least one parameter"):
                     dev.fpoly(bad)
             for bad in (np.full((2, 2), 0.3), np.array([[0.3]])):
-                with pytest.raises(ValueError, match=r"1-D sequence, got shape \("):
+                with pytest.raises(ValueError, match=r"parameter must be in \[0, 1\], got array\("):
                     dev.fpoly(bad)
 
     def test_operator_checks_kind_and_m(self):
@@ -413,8 +414,21 @@ class TestSweep:
             ):
                 with pytest.raises(ValueError, match=f"m must be an integer, got {m!r}"):
                     build()
-        with pytest.raises(ValueError, match=r"transfer polynomial is evaluated for m in 1\.\.15"):
+        with pytest.raises(ValueError, match=r"transfer polynomial's m must be in 1\.\.15"):
             DensityEvolution(P422, "cd", 16)
+        # A numpy integer m, or an ensemble of numpy integers, runs as the
+        # Python ints they hold, so the certificate's exact sweep builds its
+        # Fractions from Python ints and ε* keeps its bits. Before, numpy's
+        # fixed-width ints overflowed there: OverflowError at cd m=2, and at
+        # bd m=10 a RuntimeWarning, then a ZeroDivisionError for the ensemble.
+        small = EnsembleParams(4, 2, 2, 2, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind, m in (("cd", 2), ("cd", 10), ("bd", 2), ("bd", 10)):
+                want = threshold(small, kind, m, bisect_tol=1e-4)
+                assert threshold(small, kind, np.int64(m), bisect_tol=1e-4) == want
+                assert threshold(EnsembleParams(*map(np.int64, (4, 2, 2, 2, 2))), kind, m,
+                                 bisect_tol=1e-4) == want
 
     def test_staged_maps_share_buffers_safely(self):
         # Maps of one operator share its check half and its detector half,
@@ -604,7 +618,7 @@ class TestTrajectory:
         assert P.shape == Q.shape == (1, P422.n_sections)
         # A negative, fractional or bool count gets one error.
         for bad in (-1, 2.5, True):
-            with pytest.raises(ValueError, match="n_sweeps must be a non-negative integer"):
+            with pytest.raises(ValueError, match="n_sweeps must be (an integer|>= 0)"):
                 trajectory(P422, CD2, bad)
 
 
@@ -1019,8 +1033,12 @@ class TestFold:
             assert {n for n, _ in calls[1:]} == {1} and len(calls) <= 301
 
     def test_kind_validation(self):
-        with pytest.raises(ValueError, match="fold search needs kind 'cd' or 'bd', got 'w'"):
+        with pytest.raises(ValueError, match=r"kind must be one of \('cd', 'bd'\), got 'w'"):
             de.fold(P422, "w", 2)
+
+    def test_returns_a_python_float(self):
+        # As annotated: numpy.float64 before.
+        assert type(de.fold(EnsembleParams(4, 2, 2, 2, 2), "cd", 2)) is float
 
     def test_none_where_not_found(self, monkeypatch):
         # The uncoupled chain decodes nowhere: no well on its curve.

@@ -109,7 +109,7 @@ class TestSampleGraph:
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         for bad in (0, -2, 2.0, True):
-            with pytest.raises(ValueError, match="symbol width m must be an integer >= 1"):
+            with pytest.raises(ValueError, match="symbol width m must be (an integer|>= 1)"):
                 sample_graph(P422, 48, bad, rng)
             assert rng.bit_generator.state == state
 
