@@ -67,6 +67,15 @@ class ChannelFamily:
         return cls("cd", m, eps)
 
 
+def _check_family(family) -> ChannelFamily:
+    """family itself if it is a ChannelFamily, else ValueError. de and sim
+    test through this module's name for the class: the benchmark's tracer
+    replaces theirs with a wrapper function."""
+    if not isinstance(family, ChannelFamily):
+        raise ValueError(f"family must be a ChannelFamily, got {family!r}")
+    return family
+
+
 def _check_channel(kind: str, m, *parameters, kinds=CHANNEL_KINDS) -> tuple:
     """(m, *parameters) as the code behind the public functions reads them.
     kind must be one of `kinds`. Kind "w" takes a dimension in 0..m, which

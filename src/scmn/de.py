@@ -16,6 +16,7 @@ from ._inputs import entries, integer, parameter, real
 from .channel import (
     ChannelFamily,
     _check_channel,
+    _check_family,
     _law,
     _mixture_poly_fractions,
     _mixture_poly_matrix,
@@ -147,7 +148,9 @@ class DeState:
 
     p holds the punctured-bit-to-check rates and q the transmitted-bit-to-
     check rates for sections -L..L; sections beyond the chain are implicitly
-    zero (shortened bits are known).
+    zero (shortened bits are known). epsilon is the channel parameter: a
+    real number in [0, 1] (a Fraction stays exact), or the noise dimension,
+    an int >= 0, of kind "w". L and iterations are ints >= 0.
     """
 
     L: int
@@ -157,6 +160,13 @@ class DeState:
     iterations: int = 0
 
     def __post_init__(self) -> None:
+        try:
+            epsilon = integer("epsilon", self.epsilon, 0)
+        except ValueError:
+            epsilon = real("epsilon", self.epsilon, 0, 1)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "L", integer("L", self.L, 0))
+        object.__setattr__(self, "iterations", integer("iterations", self.iterations, 0))
         n = 2 * self.L + 1
         p = np.array(self.p, dtype=float)
         q = np.array(self.q, dtype=float)
@@ -254,12 +264,19 @@ class DensityEvolution:
         parameters gives R rows, shape (R, d), each with the bits of its own
         call: anything else, a 0-d array too, is the one-row case. Every
         parameter is checked once, and then each row's law is taken
-        unchecked. No rows, or more than one array dimension, raise ValueError."""
+        unchecked. No rows, or more than one array dimension, raise ValueError.
+        The operator's kind and m are canonical already, so a cd or bd row
+        list of floats in [0, 1], the curve tracer's, skips _check_channel."""
         rows = isinstance(eps, (list, tuple)) or getattr(eps, "ndim", 0) > 0
         kind, m, eps = self.kind, self.m, eps if rows else [eps]
         if not len(eps):
             raise ValueError("fpoly needs at least one parameter")
-        laws = np.array([_law(kind, m, e) for e in _check_channel(kind, m, *eps)[1:]])
+        # Kind "w" always takes the helper: an integral float becomes an int there.
+        for e in eps:
+            if kind == "w" or type(e) is not float or not 0.0 <= e <= 1.0:
+                eps = _check_channel(kind, m, *eps)[1:]
+                break
+        laws = np.array([_law(kind, m, e) for e in eps])
         K = np.array(_mixture_poly_fractions(m)) if laws.dtype == object else self.K
         f = np.matmul(laws[:, None, :], K)[:, 0]
         return f if rows else f[0]
@@ -408,9 +425,11 @@ class DensityEvolution:
         later call overwrites.
         """
         n = self.params.n_sections
-        rp, _, z, s1 = self._check_rates(p, q)
+        x = np.array([p, q])[..., None]
+        check, rp, _, _, z, s1 = self._check(x.shape, x.dtype)
+        check(x)
         # Shapes (nc, 1) and (2, 1, n, 1): z and s1 stacked for one copy per call.
-        rp, zs = rp[:, None].copy(), np.array([z, s1])[:, None, :, None]
+        rp, zs = rp.copy(), np.array([z, s1])[:, None]
 
         def at(fcoef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             R, d = fcoef.shape
@@ -490,7 +509,7 @@ def run_de(
     # Not isinstance(family, ChannelFamily): the benchmark's tracer replaces
     # this module's ChannelFamily with a wrapper function.
     single = not isinstance(family, Sequence)
-    families = [family] if single else list(family)
+    families = [_check_family(f) for f in ([family] if single else family)]
     if not families:
         raise ValueError("run_de needs at least one channel family")
     done = _lockstep(params, lambda done: {i: f for i, f in enumerate(families) if i not in done})
@@ -663,6 +682,7 @@ def trajectory(
 ) -> tuple[np.ndarray, np.ndarray]:
     """First n_sweeps iterates from all-ones; rows are (sweep, section)."""
     n_sweeps = integer("n_sweeps", n_sweeps, 0)
+    family = _check_family(family)
     dev = DensityEvolution(params, family.kind, family.m)
     fcoef = dev.fpoly(float(family.parameter))
     X = _sweeps(dev, np.ones((2, params.n_sections)), fcoef, n_sweeps)
@@ -1103,21 +1123,25 @@ def _anchored_point(
     stuck = 0
     for r in range(1, _MAX_ROUNDS + 1):
         staged = dev.staged_round_map(p, q)
-        seen: dict[float, tuple] = {}  # (mean(p), p, q) at each ε of the round
-
-        def at(eps, ahead=()) -> list[tuple]:
-            """(mean(p), p, q) at each ε of eps. If one is not seen yet, those
-            of eps and ahead not seen yet are evaluated as rows of one call."""
-            if any(e not in seen for e in eps):
-                new = [e for e in dict.fromkeys((*eps, *ahead)) if e not in seen]
-                P, Q = staged(dev.fpoly(new))
-                # Each row's mean() to the bit, without its per-call overhead.
-                for e, chi, pe, qe in zip(new, (P.sum(axis=1) / P.shape[1]).tolist(), P, Q):
-                    seen[e] = chi, pe, qe
-            return [seen[e] for e in eps]
+        seen: dict[float, float] = {}  # mean(p) at each ε of the round
+        calls: list[tuple] = []  # (ε, P, Q) of each call of the staged map
 
         def chi_at(eps, ahead=()) -> list[float]:
-            return [v[0] for v in at(eps, ahead)]
+            """mean(p) at each ε of eps. If one is not seen yet, those of eps
+            and ahead not seen yet are evaluated as rows of one call."""
+            new = []
+            for e in eps:
+                if e not in seen and e not in new:
+                    new.append(e)
+            if new:
+                for e in ahead:
+                    if e not in seen and e not in new:
+                        new.append(e)
+                P, Q = staged(dev.fpoly(new))
+                # Each row's mean() to the bit, without its per-call overhead.
+                seen.update(zip(new, (P.sum(axis=1) / P.shape[1]).tolist()))
+                calls.append((new, P, Q))
+            return [seen[e] for e in eps]
 
         def ends(lo: float, hi: float) -> list[float]:
             """mean(p) at lo and hi, evaluated with the bracket's midpoint."""
@@ -1146,19 +1170,25 @@ def _anchored_point(
         else:
             lo, hi = _zoomed_bisection(chi_at, target, lo, hi, c_lo, c_hi)
             eps = 0.5 * (lo + hi)
-        ((_, p1, q1),) = at((eps,))
-        d_state = max(np.abs(p1 - p).max(), np.abs(q1 - q).max())
+        # mean(p) at eps is the new p's own mean() to the bit.
+        (chi,) = chi_at((eps,))
+        new, P, Q = next(c for c in reversed(calls) if eps in c[0])
+        i = new.index(eps)
+        p1, q1 = P[i], Q[i]
         d_eps = float("inf") if eps_prev is None else abs(eps - eps_prev)
+        anchored = abs(chi - target) <= _ANCHOR_TOL
+        # The state's change is needed only once the others hold.
+        done = d_eps < _EPS_CHANGE_TOL and anchored
+        done = done and max(np.abs(p1 - p).max(), np.abs(q1 - q).max()) < _STATE_TOL
         p, q, eps_prev = p1, q1, eps
         track.append(eps)
-        anchored = abs(p.mean() - target) <= _ANCHOR_TOL
         if eps in (0.0, 1.0) and not anchored:
             stuck += 1
             if stuck > _STUCK_LIMIT:
                 return None
         else:
             stuck = 0
-        if d_state < _STATE_TOL and d_eps < _EPS_CHANGE_TOL and anchored:
+        if done:
             tracks.append(track)
             return p, q, eps, r
     return None
@@ -1186,11 +1216,17 @@ def _zoomed_bisection(
     while hi - lo > _EPS_BISECT_TOL:
         prev, guess = guess, lo + (target - c_lo) / (c_hi - c_lo) * (hi - lo)
         if hi - lo <= 2.0**-_WARM_DEPTH:
+            # The walk through the guessed path: each midpoint on it is the
+            # next one tested while the tests go the guessed way, and it
+            # stops at the first that does not.
             path = _guessed_path(lo, hi, guess)
-            chi = dict(zip(path, chi_at(path)))
-            chi[lo], chi[hi] = c_lo, c_hi
-            lo, hi, _, _ = _walk(lo, hi, _EPS_BISECT_TOL, {e: c < target for e, c in chi.items()})
-            c_lo, c_hi = chi[lo], chi[hi]
+            for mid, c_mid in zip(path, chi_at(path)):
+                if hi - lo <= _EPS_BISECT_TOL or mid != 0.5 * (lo + hi):
+                    break
+                if c_mid < target:
+                    lo, c_lo = mid, c_mid
+                else:
+                    hi, c_hi = mid, c_mid
             continue
         if prev is not None:
             margin = _ZOOM_MARGIN * abs(guess - prev)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._inputs import entries, integer
-from .channel import ChannelFamily, DimensionDistribution, dimension_distribution
+from .channel import ChannelFamily, DimensionDistribution, _check_family, dimension_distribution
 from .ensemble import EnsembleParams, sample_graph
 from .gf2 import (
     ENUM_MAX_AMBIENT,
@@ -237,7 +237,7 @@ def decode_trial(
       round (a detector input is the bit's check messages, erased until one
       is known).
     """
-    m = family.m
+    m = _check_family(family).m
     tables = DetectorTables(m)  # rejects an m the tables cannot serve, before sampling
     # SeedSequence's entropy: an int >= 0, or a sequence of them.
     seed = integer("seed", seed, 0) if np.ndim(seed) == 0 else tuple(integer("seed", s, 0) for s in seed)

@@ -33,7 +33,16 @@ from scmn.channel import (
     dimension_distribution,
     dimension_law,
 )
-from scmn.de import DensityEvolution, ebp_trace, fold, run_de, threshold, thresholds, trajectory
+from scmn.de import (
+    DensityEvolution,
+    DeState,
+    ebp_trace,
+    fold,
+    run_de,
+    threshold,
+    thresholds,
+    trajectory,
+)
 from scmn.ensemble import EnsembleParams, design_rate, design_rate_exact, sample_graph
 from scmn.sim import decode_trial, run_experiment
 
@@ -193,6 +202,104 @@ def test_operator_and_fpoly(kind, vary_m, v):
     each = as_dim if kind == "w" else as_real
     scalar = not isinstance(v, (list, tuple)) and np.ndim(v) == 0
     holds(dev.fpoly, v, each(v) if scalar else as_list(v, each))
+
+
+# fpoly takes a list of floats in [0, 1] for cd and bd without its checks;
+# one odd entry anywhere in the list sends the whole list through them.
+ODD_ROWS = [float("nan"), True, 1.5, -0.5, "0.3", None, np.array(0.25), Fraction(1, 4)]
+
+
+def as_row(kind: str, m: int):
+    """The canonical value of one fpoly row of (kind, m), or None: a
+    dimension in 0..m for "w", a real number in [0, 1] otherwise."""
+
+    def each(v):
+        c = as_dim(v) if kind == "w" else as_real(v)
+        return c if c is not None and 0 <= c <= (m if kind == "w" else 1) else None
+
+    return each
+
+
+@pytest.mark.parametrize("kind", ["cd", "bd", "w"])
+@pytest.mark.parametrize("odd", ODD_ROWS, ids=repr)
+def test_fpoly_rows_with_one_odd_entry(kind, odd):
+    dev = DensityEvolution(P, kind, 3)
+    # Kind "w" makes its integral floats ints.
+    good = [0.0, 1.0] if kind == "w" else [0.0, 0.75, 1.0]
+    for raw in [good, *([*good[:at], odd, *good[at:]] for at in range(len(good) + 1))]:
+        holds(dev.fpoly, raw, as_list(raw, as_row(kind, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["cd", "bd"]), st.lists(st.floats(0, 1), max_size=4), st.integers(0, 4), scalars)
+def test_fpoly_float_rows_with_one_odd_scalar(kind, good, at, odd):
+    dev = DensityEvolution(P, kind, 3)
+    raw = [*good[:at], odd, *good[at:]]
+    holds(dev.fpoly, raw, as_list(raw, as_row(kind, 3)))
+
+
+@pytest.mark.parametrize("kind", ["cd", "bd"])
+def test_fpoly_negative_zero_row(kind):
+    # -0.0 lies in [0, 1] and is its own canonical value: a list of floats
+    # gives its row the bits that the checked path (numpy float64 entries,
+    # each made a float) gives it, sign bits included.
+    dev = DensityEvolution(P, kind, 3)
+    for eps in ([-0.0], [0.3, -0.0], [-0.0, 0.5, 1.0]):
+        assert same(dev.fpoly(eps), dev.fpoly(np.array(eps)))
+        assert same(dev.fpoly(eps)[eps.index(-0.0)], dev.fpoly(np.float64(-0.0)))
+
+
+@pytest.mark.parametrize("family", [("cd", 2, 0.3), None, "cd", 0.3, [CD2, None], (None,)], ids=repr)
+def test_family_must_be_a_channel_family(family):
+    # A family that is not a ChannelFamily (run_de also takes a sequence
+    # of them) raises ValueError, not AttributeError.
+    for call in (
+        lambda: run_de(P, family),
+        lambda: trajectory(P, family, 3),
+        lambda: decode_trial(P, 8, family, 1),
+    ):
+        with pytest.raises(ValueError, match="ChannelFamily"):
+            call()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2), values)
+def test_family_from_the_pool(which, v):
+    calls = [
+        lambda x: run_de(P, x),
+        lambda x: trajectory(P, x, 3),
+        lambda x: decode_trial(P, 8, x, 1),
+    ]
+    holds(calls[which], v, None)
+
+
+def as_epsilon(v):
+    """DeState's epsilon that v stands for: an int (kind "w"'s dimension),
+    else a real number."""
+    return as_int(v) if as_int(v) is not None else as_real(v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["L", "epsilon", "iterations"]), values)
+def test_de_state(name, v):
+    def call(x):
+        a = {"L": 1, "epsilon": 0.3, "iterations": 2, name: x}
+        L = as_int(a["L"])
+        n = 2 * L + 1 if L is not None and 0 <= L <= 20 else 3
+        return DeState(p=np.full(n, 0.5), q=np.full(n, 0.25), **a)
+
+    holds(call, v, as_epsilon(v) if name == "epsilon" else as_int(v))
+
+
+def test_de_state_fields():
+    ones = np.ones(3)
+    for bad in ({"L": True}, {"epsilon": "x"}, {"iterations": 2.5}, {"epsilon": 1.5}, {"iterations": -1}):
+        with pytest.raises(ValueError):
+            DeState(**{"L": 1, "p": ones, "q": ones, "epsilon": 0.5, "iterations": 2, **bad})
+    state = DeState(L=np.int64(1), p=ones, q=ones, epsilon=Fraction(1, 3), iterations=np.array(2))
+    assert same((state.L, state.epsilon, state.iterations), (1, Fraction(1, 3), 2))
+    # Kind "w"'s parameter is a dimension: run_de keeps it as the int.
+    assert same(run_de(P, ChannelFamily("w", 4, 2)).state.epsilon, 2)
 
 
 floats01 = st.lists(st.floats(0, 1), min_size=N, max_size=N)
